@@ -23,9 +23,11 @@ from .random_fields import Ensemble
 from .solver import EnsembleTrajectory, Trajectory
 from .spectral import (
     Grid,
-    forward_transform,
-    semigroup_multiplier,
     apply_multiplier_values,
+    half_spectrum,
+    half_spectrum_weights,
+    real_forward_transform,
+    semigroup_multiplier,
 )
 
 # central differences must resolve the energy decay: max step below this
@@ -138,14 +140,15 @@ def moment_series(trajs, p: float) -> MomentSeries:
 def _dirichlet_rate(grid: Grid, s: float, values: np.ndarray) -> np.ndarray:
     """-2 avg_x |(-lap)^{s/2} u|^2 per (node, member), via Parseval.
 
-    Blocked over members so the complex spectra of a large ensemble never
-    exist all at once (the output is only (nodes, members))."""
-    sym = grid.k_abs ** (2.0 * s)
+    Runs on the half spectrum with the Parseval weights folded into the
+    symbol, and blocked over members so the spectra of a large ensemble
+    never exist all at once (the output is only (nodes, members))."""
+    sym = half_spectrum(grid, grid.k_abs ** (2.0 * s)) * half_spectrum_weights(grid)
     axes = tuple(range(2, values.ndim))
     out = np.empty(values.shape[:2])
     for lo in range(0, values.shape[1], 256):
         block = values[:, lo:lo + 256]
-        coeffs = forward_transform(grid, block)
+        coeffs = real_forward_transform(grid, block)
         out[:, lo:lo + 256] = np.sum(sym * np.abs(coeffs) ** 2, axis=axes)
     return -2.0 * out / grid.len ** (2 * grid.d)
 

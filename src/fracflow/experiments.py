@@ -233,6 +233,15 @@ def _cfg_parts(config: dict) -> tuple:
     return grid, measure
 
 
+def _unconverged_note(report) -> str:
+    """Detail-line suffix naming the ladder rungs whose solve stopped at
+    max_iter unconverged; empty when every rung converged."""
+    rungs = [f"n={n:g} ({report.diagnostics[n].iterations} sweeps, residual "
+             f"{report.diagnostics[n].residuals[-1]:.3g})"
+             for n in report.unconverged_levels]
+    return f"; unconverged rungs: {', '.join(rungs)}" if rungs else ""
+
+
 def _uniform_grid(t_final: float, nodes: int) -> list:
     return np.linspace(0.0, t_final, nodes).tolist()
 
@@ -564,7 +573,8 @@ def _moment_monotonicity(config: dict, workers: int) -> ExperimentResult:
             ["t", "estimate", "stderr", "increase_z"], series.rows())
     checks.append(CheckResult(
         "ladder-cauchy", report.cauchy_violations == 0 and not ladder_warned,
-        f"{report.cauchy_violations} distance increases"))
+        f"{report.cauchy_violations} distance increases"
+        f"{_unconverged_note(report)}"))
     final = Ensemble(grid, top.values[-1], time=float(top.times[-1]),
                      seeds=list(ens.seeds))
     return ExperimentResult(config["experiment"], checks, tables,
@@ -715,7 +725,7 @@ def _cutoff_ladder(config: dict, workers: int) -> ExperimentResult:
         CheckResult("cauchy-distances",
                     report.cauchy_violations == 0 and not ladder_warned,
                     f"{report.cauchy_violations} increases across min "
-                    "levels"),
+                    f"levels{_unconverged_note(report)}"),
         CheckResult("moment-guard", guard_min >= -3.0,
                     f"min initial-bound z = {guard_min:.2f}"),
     ]

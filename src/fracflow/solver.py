@@ -20,6 +20,11 @@ the quadrature.  The recurrence
 
 with a_j = |k|^{2s} h_j accumulates the integral exactly for piecewise
 linear g.
+
+Every field in the solvers is real, so the sweeps run on the half spectrum
+(rfft layout, see :mod:`fracflow.spectral`): the plan's symbols are the
+rfft-layout slices of the full ones, and the inverse transform returns real
+fields by construction.
 """
 
 from __future__ import annotations
@@ -44,12 +49,13 @@ from .spectral import (
     Grid,
     _check_s,
     directional_derivative_multiplier,
-    forward_transform,
     gradient_constant,
-    inverse_transform,
+    half_spectrum,
+    half_spectrum_weights,
     l2_norm,
+    real_forward_transform,
+    real_inverse_transform,
     spatial_rms,
-    to_real,
 )
 
 NONLINEARITY_KINDS = ("zero", "lipschitz_tanh", "burgers_quadratic", "polynomial")
@@ -212,8 +218,9 @@ def eval_nonlinearity(spec: NonlinearitySpec, field_: FieldRealization,
         )
     if use_mask and spec.dealias_default:
         grid = field_.grid
-        coeffs = forward_transform(grid, vals) * dealias_mask(grid)
-        vals = to_real(inverse_transform(grid, coeffs), context="dealias")
+        coeffs = real_forward_transform(grid, vals)
+        coeffs *= half_spectrum(grid, dealias_mask(grid))
+        vals = real_inverse_transform(grid, coeffs)
     return FieldRealization(field_.grid, vals, time=field_.time)
 
 
@@ -437,28 +444,34 @@ def _phi2(alpha: np.ndarray) -> np.ndarray:
 
 class _DuhamelPlan:
     """Precomputed per-step multipliers for one (grid, spec, config)
-    combination: step decay factors, the two interpolation weights, the
-    free-flow decay at every node, and the masked derivative symbol."""
+    combination, on the half spectrum: step decay factors, the two
+    interpolation weights, the free-flow decay at every node, the masked
+    derivative symbol, and the Bielecki weights e^{-K t_j}."""
 
     def __init__(self, grid: Grid, spec: NonlinearitySpec, config: SolverConfig):
         self.grid = grid
         self.spec = spec
         self.config = config
         t = config.time_grid
-        lam = grid.k_abs ** (2.0 * config.s)
+        lam = half_spectrum(grid, grid.k_abs ** (2.0 * config.s))
         steps = np.diff(t)
         self.n_steps = steps.size
         alpha = steps[:, None] * lam.reshape(-1)[None, :]
-        shape = (self.n_steps,) + grid.shape
+        shape = (self.n_steps,) + lam.shape
         self.decay = np.exp(-alpha).reshape(shape)
         self.w_a = (steps[:, None] * (_phi1(alpha) - _phi2(alpha))).reshape(shape)
         self.w_b = (steps[:, None] * _phi2(alpha)).reshape(shape)
         self.free_decay = np.exp(-t[:, None] * lam.reshape(-1)[None, :]).reshape(
-            (t.size,) + grid.shape)
+            (t.size,) + lam.shape)
+        # built on the full grid so MultiplierOp validates it as Hermitian,
+        # which is what makes its half-spectrum slice a complete description
         deriv = directional_derivative_multiplier(grid, config.z).values
         use_mask = (spec.dealias_default if config.dealias is None
                     else bool(config.dealias)) and spec.dealias_default
-        self.deriv = deriv * dealias_mask(grid) if use_mask else deriv
+        if use_mask:
+            deriv = deriv * dealias_mask(grid)
+        self.deriv = half_spectrum(grid, deriv)
+        self.weights = np.exp(-config.bielecki_k * t)
 
     def flux_hat(self, values: np.ndarray) -> np.ndarray:
         """Coefficients of grad_z f(u) (dealiased when configured)."""
@@ -467,34 +480,42 @@ class _DuhamelPlan:
             raise NumericError(
                 f"nonlinearity {self.spec.kind!r} produced non-finite values"
             )
-        return forward_transform(self.grid, g) * self.deriv
+        out = real_forward_transform(self.grid, g)
+        out *= self.deriv
+        return out
 
     def free_flow(self, u0_hat: np.ndarray) -> np.ndarray:
         """P_t u0 at every node: the first Picard iterate."""
-        out = np.empty((self.n_steps + 1,) + u0_hat.shape)
+        batch = u0_hat.shape[:u0_hat.ndim - self.grid.d]
+        out = np.empty((self.n_steps + 1,) + batch + self.grid.shape)
         for j in range(self.n_steps + 1):
-            out[j] = to_real(
-                inverse_transform(self.grid, self.free_decay[j] * u0_hat),
-                context="free_flow")
+            out[j] = real_inverse_transform(self.grid, self.free_decay[j] * u0_hat)
         return out
 
+    def _node_distance(self, j: int, new: np.ndarray, old: np.ndarray) -> float:
+        """e^{-K t_j} times the largest member rms of new - old at node j."""
+        return float(self.weights[j] * np.max(spatial_rms(self.grid, new - old)))
+
     def apply(self, u0_values: np.ndarray, u0_hat: np.ndarray,
-              values: np.ndarray) -> np.ndarray:
-        """F(u) on the whole grid of nodes, for u given by ``values``."""
+              values: np.ndarray) -> tuple:
+        """F(u) on the whole grid of nodes, for u given by ``values``, and
+        its Bielecki distance to u, sup_j e^{-K t_j} max_members rms_x,
+        accumulated node by node while each new node is still in cache."""
         out = np.empty_like(values)
         out[0] = u0_values
-        vhat = np.zeros(u0_hat.shape, dtype=np.complex128)
+        dist = self._node_distance(0, out[0], values[0])
+        vhat = np.zeros_like(u0_hat)
         ghat_prev = self.flux_hat(values[0])
         for j in range(self.n_steps):
             ghat_next = self.flux_hat(values[j + 1])
-            vhat = self.decay[j] * vhat + self.w_a[j] * ghat_prev \
-                + self.w_b[j] * ghat_next
-            out[j + 1] = to_real(
-                inverse_transform(self.grid,
-                                  self.free_decay[j + 1] * u0_hat + vhat),
-                context="duhamel_apply")
+            vhat *= self.decay[j]
+            vhat += self.w_a[j] * ghat_prev
+            vhat += self.w_b[j] * ghat_next
+            out[j + 1] = real_inverse_transform(
+                self.grid, self.free_decay[j + 1] * u0_hat + vhat)
+            dist = max(dist, self._node_distance(j + 1, out[j + 1], values[j + 1]))
             ghat_prev = ghat_next
-        return out
+        return out, dist
 
 
 def _as_batch(initial):
@@ -526,8 +547,7 @@ def duhamel_apply(traj, spec: NonlinearitySpec, config: SolverConfig):
     grid = traj.grid
     plan = _DuhamelPlan(grid, spec, config)
     u0 = traj.values[0]
-    u0_hat = forward_transform(grid, u0)
-    out = plan.apply(u0, u0_hat, traj.values)
+    out, _ = plan.apply(u0, real_forward_transform(grid, u0), traj.values)
     is_ens = isinstance(traj, EnsembleTrajectory)
     seeds = traj.seeds if is_ens else []
     return _wrap(grid, config.time_grid, out, config, seeds, is_ens)
@@ -551,8 +571,8 @@ def _kernel_rho(grid: Grid, config: SolverConfig, lipschitz: float) -> float:
         return math.inf
     s = config.s
     deriv = directional_derivative_multiplier(grid, config.z).values
-    coeffs = deriv * np.exp(-grid.k_abs ** (2.0 * s))
-    vals = to_real(inverse_transform(grid, coeffs), context="kernel_rho")
+    coeffs = half_spectrum(grid, deriv * np.exp(-grid.k_abs ** (2.0 * s)))
+    vals = real_inverse_transform(grid, coeffs)
     c_kern = float(np.sum(np.abs(vals)) * grid.cell_volume)
     if config.bielecki_k <= 0.0:
         return math.inf
@@ -586,15 +606,14 @@ def picard_solve(initial, spec: NonlinearitySpec, config: SolverConfig):
             "set cutoff_level to run it through the cut-off map"
         )
     plan = _DuhamelPlan(grid, spec, config)
-    u0_hat = forward_transform(grid, u0)
+    u0_hat = real_forward_transform(grid, u0)
     current = plan.free_flow(u0_hat)
     residuals: list[float] = []
     ratios: list[float] = []
     converged = False
     iterations = 0
     for _ in range(config.max_iter):
-        new = plan.apply(u0, u0_hat, current)
-        dist = _bielecki_distance(grid, config, new, current)
+        new, dist = plan.apply(u0, u0_hat, current)
         if residuals and residuals[-1] > 0:
             ratios.append(dist / residuals[-1])
         residuals.append(dist)
@@ -640,18 +659,18 @@ def step_solve(initial, spec: NonlinearitySpec, config: SolverConfig):
     plan = _DuhamelPlan(grid, spec, config)
     out = np.empty((config.time_grid.size,) + u0.shape)
     out[0] = u0
-    state_hat = forward_transform(grid, u0)
+    state_hat = real_forward_transform(grid, u0)
+    parseval = half_spectrum_weights(grid)
     for j in range(plan.n_steps):
         ghat_here = plan.flux_hat(out[j])
         base = plan.decay[j] * state_hat + plan.w_a[j] * ghat_here
         cur_hat = base + plan.w_b[j] * ghat_here   # predictor: flux frozen
         prev_diff = math.inf
         for _ in range(5):
-            cur_vals = to_real(inverse_transform(grid, cur_hat),
-                               context="step_solve")
+            cur_vals = real_inverse_transform(grid, cur_hat)
             new_hat = base + plan.w_b[j] * plan.flux_hat(cur_vals)
             # sweep residual as spatial rms, via Parseval on the coefficients
-            sq = np.sum(np.abs(new_hat - cur_hat) ** 2,
+            sq = np.sum(parseval * np.abs(new_hat - cur_hat) ** 2,
                         axis=tuple(range(-grid.d, 0)))
             diff = float(np.max(np.sqrt(sq))) / grid.len**grid.d
             if diff > prev_diff * (1.0 + 1e-12):
@@ -665,8 +684,7 @@ def step_solve(initial, spec: NonlinearitySpec, config: SolverConfig):
                 break
             prev_diff = diff
         state_hat = cur_hat
-        out[j + 1] = to_real(inverse_transform(grid, state_hat),
-                             context="step_solve")
+        out[j + 1] = real_inverse_transform(grid, state_hat)
     return _wrap(grid, config.time_grid, out, config, seeds, is_ens)
 
 
@@ -744,7 +762,8 @@ class LadderReport:
     time-sup of each.  cauchy_violations counts increases of the worst
     distance as the lower cut-off level rises.  guard_z (ensembles only)
     holds per-node z-scores of the initial-data moment bound
-    E|u(t)|^p <= E|h_n(u0)|^p for p = 2, 4.
+    E|u(t)|^p <= E|h_n(u0)|^p for p = 2, 4.  diagnostics maps each level
+    to the PicardDiagnostics of its solve.
     """
 
     levels: list
@@ -754,6 +773,12 @@ class LadderReport:
     cauchy_violations: int
     guard_z: dict | None
     top_level: float
+    diagnostics: dict
+
+    @property
+    def unconverged_levels(self) -> list:
+        """Levels whose Picard solve stopped at max_iter above tol."""
+        return [n for n in self.levels if not self.diagnostics[n].converged]
 
 
 def _pair_distance(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -786,13 +811,13 @@ def solve_polynomial(initial, spec: NonlinearitySpec, config: SolverConfig,
     grid, u0, seeds, is_ens = _as_batch(initial)
 
     solutions = {}
+    diagnostics = {}
     for n in levels:
         spec_n = replace(spec, cutoff_level=n)
         cut0 = cutoff_map(u0, n)
         start = (Ensemble(grid, cut0, time=0.0, seeds=seeds) if is_ens
                  else FieldRealization(grid, cut0, time=0.0))
-        traj_n, _ = picard_solve(start, spec_n, config)
-        solutions[n] = traj_n
+        solutions[n], diagnostics[n] = picard_solve(start, spec_n, config)
 
     pair_distances = {}
     sup_distances = {}
@@ -832,6 +857,7 @@ def solve_polynomial(initial, spec: NonlinearitySpec, config: SolverConfig,
         cauchy_violations=violations,
         guard_z=guard_z,
         top_level=top,
+        diagnostics=diagnostics,
     )
     if violations > 0:
         warnings.warn(LadderWarning(

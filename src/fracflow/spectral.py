@@ -16,6 +16,21 @@ sum_x |u|^2 dx**d = len**-d * sum_k |u_hat|^2.
 
 All operators act on the trailing ``d`` axes, so arrays with leading batch
 axes (ensembles, time stacks) go through the same code path.
+
+Half spectrum (rfft layout)
+---------------------------
+A real field is fixed by half of its coefficients, u_hat(-k) = conj u_hat(k).
+:func:`real_forward_transform` keeps the last axis at indices 0..n/2 (the
+non-negative wavenumbers, Nyquist included) and every other axis in full
+fftfreq order, so its output has shape (n,)*(d-1) + (n/2+1,).
+:func:`half_spectrum` slices a full-layout symbol to that layout, and
+:func:`real_inverse_transform` returns a real array by construction: it
+takes every dropped coefficient to be the conjugate of its kept partner.
+A symbol applied in this layout must therefore be Hermitian on the full
+grid (validated by :class:`MultiplierOp` when the symbol is built);
+otherwise the product would not describe a real field.  Parseval on the
+half spectrum counts the last-axis indices 1..n/2-1 twice
+(:func:`half_spectrum_weights`).
 """
 
 from __future__ import annotations
@@ -146,6 +161,38 @@ def inverse_transform(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """Inverse of :func:`forward_transform`; returns a complex array."""
     axes = tuple(range(-grid.d, 0))
     return np.fft.ifftn(coeffs, axes=axes) / grid.cell_volume
+
+
+def real_forward_transform(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Half-spectrum coefficients of a real array (rfft layout, see the
+    module docstring), scaled like :func:`forward_transform`."""
+    axes = tuple(range(-grid.d, 0))
+    out = np.fft.rfftn(values, axes=axes)
+    out *= grid.cell_volume
+    return out
+
+
+def real_inverse_transform(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`real_forward_transform`; returns a real array."""
+    axes = tuple(range(-grid.d, 0))
+    out = np.fft.irfftn(coeffs, s=grid.shape, axes=axes)
+    out /= grid.cell_volume
+    return out
+
+
+def half_spectrum(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """The rfft-layout part (last axis 0..n/2) of a full-layout array."""
+    return np.ascontiguousarray(values[..., :grid.n // 2 + 1])
+
+
+def half_spectrum_weights(grid: Grid) -> np.ndarray:
+    """Parseval weights on the half spectrum, along the last axis: 1 at the
+    self-paired indices 0 and n/2, 2 at the others (each stands for k and
+    -k), so sum(w |c|^2) over the half spectrum equals sum |u_hat|^2 over
+    the full one."""
+    w = np.full(grid.n // 2 + 1, 2.0)
+    w[0] = w[-1] = 1.0
+    return w
 
 
 def to_real(values: np.ndarray, context: str = "field") -> np.ndarray:

@@ -8,8 +8,12 @@ experiment reports a violation.
 
 import time
 
+import pytest
+
 from fracflow.experiments import get_experiment, run_registered
 from fracflow.runner import RunConfig, replay_run, run_experiment
+
+pytestmark = pytest.mark.slow
 
 
 def _run(name):

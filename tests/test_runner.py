@@ -292,6 +292,15 @@ class TestCli:
         assert "PASS matches-semigroup" in captured.out
         assert (out / "manifest.json").exists()
 
+    def test_run_names_unconverged_ladder_rungs(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, {
+            "experiment": "cutoff-ladder", "n_members": 8,
+            "solver": {"max_iter": 4, "tol": 1e-14}})
+        cli_main(["run", cfg, "--workers", "1"])
+        out = capsys.readouterr().out
+        assert "unconverged rungs: n=1 (4 sweeps, residual" in out
+        assert "n=8 (4 sweeps, residual" in out
+
     def test_run_without_out_writes_nothing(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, SMALL)
         assert cli_main(["run", cfg, "--workers", "1"]) == 0

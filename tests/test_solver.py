@@ -21,6 +21,7 @@ from fracflow.errors import (
 from fracflow.random_fields import gaussian_bump_measure, sample_ensemble
 from fracflow.solver import (
     EnsembleTrajectory,
+    _DuhamelPlan,
     NonlinearitySpec,
     SolverConfig,
     Trajectory,
@@ -44,9 +45,14 @@ from fracflow.spectral import (
     FieldRealization,
     Grid,
     apply_multiplier_values,
+    directional_derivative_multiplier,
+    forward_transform,
     gradient_constant,
+    inverse_transform,
     l2_norm,
+    real_forward_transform,
     semigroup_multiplier,
+    to_real,
 )
 
 GRID = Grid(d=1, n=256, len=2 * math.pi)
@@ -420,6 +426,109 @@ class TestPicardSolve:
         assert text.count("\n") >= diag.iterations + 5
 
 
+# ------------------------------------------------------------------ half spectrum
+
+def complex_reference_apply(grid, spec, cfg, u0, values):
+    """The Duhamel map on the full spectrum, as an oracle for the solver's
+    half-spectrum sweeps: complex fftn, full-layout symbols and an
+    imaginary-residue check at every node."""
+    t = cfg.time_grid
+    lam = grid.k_abs ** (2.0 * cfg.s)
+    deriv = directional_derivative_multiplier(grid, cfg.z).values
+    dealias = spec.dealias_default if cfg.dealias is None else cfg.dealias
+    if dealias and spec.dealias_default:
+        deriv = deriv * dealias_mask(grid)
+
+    def flux_hat(v):
+        return forward_transform(grid, spec.evaluate(v)) * deriv
+
+    u0_hat = forward_transform(grid, u0)
+    out = np.empty_like(values)
+    out[0] = u0
+    vhat = np.zeros(u0_hat.shape, dtype=complex)
+    g_prev = flux_hat(values[0])
+    for j, h in enumerate(np.diff(t)):
+        a = h * lam
+        g_next = flux_hat(values[j + 1])
+        vhat = np.exp(-a) * vhat + h * (_phi1(a) - _phi2(a)) * g_prev \
+            + h * _phi2(a) * g_next
+        out[j + 1] = to_real(inverse_transform(
+            grid, np.exp(-t[j + 1] * lam) * u0_hat + vhat))
+        g_prev = g_next
+    return out
+
+
+def complex_reference_picard(grid, spec, cfg, u0):
+    """Picard iteration on complex_reference_apply; returns the last
+    iterate and the number of sweeps."""
+    lam = grid.k_abs ** (2.0 * cfg.s)
+    u0_hat = forward_transform(grid, u0)
+    current = np.stack([to_real(inverse_transform(grid, np.exp(-t * lam) * u0_hat))
+                        for t in cfg.time_grid])
+    for sweep in range(1, cfg.max_iter + 1):
+        new = complex_reference_apply(grid, spec, cfg, u0, current)
+        dist = _bielecki_distance(grid, cfg, new, current)
+        current = new
+        if dist <= cfg.tol:
+            break
+    return current, sweep
+
+
+HALF_SPECTRUM_CASES = [
+    pytest.param(d, spec, dealias, id=f"d{d}-{spec.kind}-dealias{int(dealias)}")
+    for d in (1, 2)
+    for spec in (NonlinearitySpec.burgers(cutoff_level=2.0),
+                 NonlinearitySpec.tanh(0.5))
+    for dealias in (True, False)
+]
+
+
+def half_spectrum_case(d, spec, dealias):
+    grid = Grid(d=d, n=64 if d == 1 else 16, len=2 * math.pi)
+    # mass 4 puts the field rms at 2, so the cut-off at 2 binds
+    ens = sample_ensemble(gaussian_bump_measure(grid, 2.0, mass=4.0), 3, seed=21)
+    cfg = SolverConfig(s=0.75, z=[1.0] * d, time_grid=np.linspace(0, 0.5, 11),
+                       bielecki_k=2 * minimal_K(0.75, spec.effective_lipschitz()),
+                       tol=1e-10, dealias=dealias)
+    return grid, ens, cfg
+
+
+class TestHalfSpectrumEquivalence:
+    @pytest.mark.parametrize("d,spec,dealias", HALF_SPECTRUM_CASES)
+    def test_duhamel_apply_matches_complex_path(self, d, spec, dealias):
+        grid, ens, cfg = half_spectrum_case(d, spec, dealias)
+        rng = np.random.default_rng(4)
+        values = ens.values[None] + 0.3 * rng.standard_normal(
+            (cfg.time_grid.size,) + ens.values.shape)
+        values[0] = ens.values
+        traj = EnsembleTrajectory(grid, cfg.time_grid, values)
+        got = duhamel_apply(traj, spec, cfg).values
+        want = complex_reference_apply(grid, spec, cfg, ens.values, values)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("d,spec,dealias", HALF_SPECTRUM_CASES)
+    def test_picard_solve_matches_complex_path(self, d, spec, dealias):
+        grid, ens, cfg = half_spectrum_case(d, spec, dealias)
+        traj, diag = picard_solve(ens, spec, cfg)
+        want, sweeps = complex_reference_picard(grid, spec, cfg, ens.values)
+        assert diag.converged
+        assert diag.iterations == sweeps
+        assert np.max(np.abs(traj.values - want)) <= 1e-12
+
+    @pytest.mark.parametrize("d,spec,dealias", HALF_SPECTRUM_CASES[::3])
+    def test_fused_residual_equals_bielecki_distance(self, d, spec, dealias):
+        grid, ens, cfg = half_spectrum_case(d, spec, dealias)
+        plan = _DuhamelPlan(grid, spec, cfg)
+        u0_hat = real_forward_transform(grid, ens.values)
+        current = plan.free_flow(u0_hat)
+        for _ in range(4):
+            new, dist = plan.apply(ens.values, u0_hat, current)
+            oracle = _bielecki_distance(grid, cfg, new, current)
+            assert oracle > 0
+            assert dist == pytest.approx(oracle, rel=1e-15, abs=0)
+            current = new
+
+
 # ------------------------------------------------------------------ marching
 
 class TestStepSolve:
@@ -576,6 +685,18 @@ class TestCutoffLadder:
         cfg = make_config(K=2 * minimal_K(0.75, 4.0))
         _, report = solve_polynomial(u0, NonlinearitySpec.burgers(), cfg, [2, 4])
         assert report.sup_distances[(2.0, 4.0)] == 0.0
+        assert report.unconverged_levels == []
+
+    def test_per_level_diagnostics_kept(self):
+        m = gaussian_bump_measure(GRID, 2.0, mass=6.0)
+        ens = sample_ensemble(m, 8, seed=9)
+        cfg = make_config(K=2 * minimal_K(0.75, 2.0), tol=1e-14, max_iter=3)
+        _, report = solve_polynomial(ens, NonlinearitySpec.burgers(), cfg, [1, 2])
+        assert sorted(report.diagnostics) == [1.0, 2.0]
+        for diag in report.diagnostics.values():
+            assert diag.iterations == 3 and not diag.converged
+            assert len(diag.residuals) == 3 and diag.residuals[-1] > cfg.tol
+        assert report.unconverged_levels == [1.0, 2.0]
 
     def test_cauchy_decay_on_binding_cutoffs(self):
         m = gaussian_bump_measure(GRID, 2.0, mass=6.0)

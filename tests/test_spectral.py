@@ -83,6 +83,36 @@ def test_roundtrip_and_parseval(d, n):
     npt.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
+@pytest.mark.parametrize("d,n", [(1, 64), (2, 16)])
+def test_real_transforms_are_the_half_of_the_complex_ones(d, n):
+    g = sp.Grid(d, n, 7.0)
+    u = random_field(g, seed=5)
+    full = sp.forward_transform(g, u)
+    half = sp.real_forward_transform(g, u)
+    assert half.shape == (n,) * (d - 1) + (n // 2 + 1,)
+    npt.assert_allclose(half, sp.half_spectrum(g, full),
+                        atol=1e-13 * np.max(np.abs(full)))
+    back = sp.real_inverse_transform(g, half)
+    assert back.dtype == np.float64 and back.shape == g.shape
+    npt.assert_allclose(back, u, atol=1e-13)
+
+
+@pytest.mark.parametrize("d,n", [(1, 64), (2, 16)])
+def test_half_spectrum_parseval(d, n):
+    """sum w |c|^2 over the half spectrum equals sum |u_hat|^2 over the
+    full one, batched over leading axes."""
+    g = sp.Grid(d, n, 7.0)
+    u = np.stack([random_field(g, seed=s) for s in (6, 7, 8)])
+    axes = tuple(range(-d, 0))
+    full = np.sum(np.abs(sp.forward_transform(g, u)) ** 2, axis=axes)
+    half = np.sum(sp.half_spectrum_weights(g)
+                  * np.abs(sp.real_forward_transform(g, u)) ** 2, axis=axes)
+    npt.assert_allclose(half, full, rtol=1e-12)
+    w = sp.half_spectrum_weights(g)
+    assert w.shape == (n // 2 + 1,)
+    assert w[0] == w[-1] == 1.0 and np.all(w[1:-1] == 2.0)
+
+
 def test_apply_multiplier_linearity():
     g = sp.Grid(1, 64, 4.0)
     op = sp.semigroup_multiplier(g, 0.75, 0.4)
