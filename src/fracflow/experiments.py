@@ -126,7 +126,8 @@ def _solve_chunk(payload: dict) -> dict:
     return {"start": payload["start"], "size": payload["size"],
             "seeds": ens.seeds, "values": traj.values, "error": None,
             "iterations": diag.iterations, "converged": diag.converged,
-            "residual": diag.residuals[-1] if diag.residuals else 0.0}
+            "residual": diag.residuals[-1] if diag.residuals else 0.0,
+            "unconverged_members": diag.unconverged_members}
 
 
 def parallel_picard(grid_rec: dict, measure_rec: dict, nl_rec: dict,
@@ -134,9 +135,10 @@ def parallel_picard(grid_rec: dict, measure_rec: dict, nl_rec: dict,
                     workers: int = 1, counter_offset: int = 0) -> tuple:
     """Chunked ensemble Picard solve; returns (EnsembleTrajectory, info).
 
-    info carries per-run convergence aggregates, all member seeds in
-    order, and flagged (index, seed, message) entries for chunks that
-    failed numerically.  Identical output for any worker count.
+    info carries per-run convergence aggregates (the unconverged_members
+    count summed over chunks), all member seeds in order, and flagged
+    (index, seed, message) entries for chunks that failed numerically.
+    Identical output for any worker count.
     """
     if n_members < 1:
         raise ConfigurationError("n_members must be >= 1")
@@ -155,7 +157,7 @@ def parallel_picard(grid_rec: dict, measure_rec: dict, nl_rec: dict,
         results = [_solve_chunk(p) for p in payloads]
 
     blocks, seeds, flagged = [], [], []
-    iterations, residual, converged = 0, 0.0, True
+    iterations, residual, converged, unconverged = 0, 0.0, True, 0
     for res in results:     # chunk order == submission order
         if res["error"] is not None:
             for j in range(res["size"]):
@@ -167,6 +169,7 @@ def parallel_picard(grid_rec: dict, measure_rec: dict, nl_rec: dict,
         iterations = max(iterations, res["iterations"])
         residual = max(residual, res["residual"])
         converged = converged and res["converged"]
+        unconverged += res["unconverged_members"]
     if not blocks:
         raise NumericError("every member chunk failed numerically")
     grid = grid_from_record(grid_rec)
@@ -175,8 +178,8 @@ def parallel_picard(grid_rec: dict, measure_rec: dict, nl_rec: dict,
     traj = EnsembleTrajectory(grid, config.time_grid, values,
                               config=config, seeds=seeds)
     info = {"iterations": iterations, "residual": residual,
-            "converged": converged, "member_seeds": seeds,
-            "flagged": flagged}
+            "converged": converged, "unconverged_members": unconverged,
+            "member_seeds": seeds, "flagged": flagged}
     return traj, info
 
 
@@ -233,12 +236,16 @@ def _cfg_parts(config: dict) -> tuple:
     return grid, measure
 
 
-def _unconverged_note(report) -> str:
+def _unconverged_note(report, n_members: int) -> str:
     """Detail-line suffix naming the ladder rungs whose solve stopped at
-    max_iter unconverged; empty when every rung converged."""
-    rungs = [f"n={n:g} ({report.diagnostics[n].iterations} sweeps, residual "
-             f"{report.diagnostics[n].residuals[-1]:.3g})"
-             for n in report.unconverged_levels]
+    max_iter unconverged, with how many of the n_members were still above
+    tol; empty when every rung converged."""
+    rungs = []
+    for n in report.unconverged_levels:
+        diag = report.diagnostics[n]
+        rungs.append(f"n={n:g} ({diag.iterations} sweeps, residual "
+                     f"{diag.residuals[-1]:.3g}, {diag.unconverged_members} of "
+                     f"{n_members} members above tol)")
     return f"; unconverged rungs: {', '.join(rungs)}" if rungs else ""
 
 
@@ -574,7 +581,7 @@ def _moment_monotonicity(config: dict, workers: int) -> ExperimentResult:
     checks.append(CheckResult(
         "ladder-cauchy", report.cauchy_violations == 0 and not ladder_warned,
         f"{report.cauchy_violations} distance increases"
-        f"{_unconverged_note(report)}"))
+        f"{_unconverged_note(report, ens.n_members)}"))
     final = Ensemble(grid, top.values[-1], time=float(top.times[-1]),
                      seeds=list(ens.seeds))
     return ExperimentResult(config["experiment"], checks, tables,
@@ -725,7 +732,7 @@ def _cutoff_ladder(config: dict, workers: int) -> ExperimentResult:
         CheckResult("cauchy-distances",
                     report.cauchy_violations == 0 and not ladder_warned,
                     f"{report.cauchy_violations} increases across min "
-                    f"levels{_unconverged_note(report)}"),
+                    f"levels{_unconverged_note(report, ens.n_members)}"),
         CheckResult("moment-guard", guard_min >= -3.0,
                     f"min initial-bound z = {guard_min:.2f}"),
     ]

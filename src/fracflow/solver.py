@@ -19,7 +19,7 @@ the quadrature.  The recurrence
     v_{j+1} = e^{-a_j} v_j + h_j (phi1 - phi2)(a_j) g_j + h_j phi2(a_j) g_{j+1}
 
 with a_j = |k|^{2s} h_j accumulates the integral exactly for piecewise
-linear g.
+linear g; started at v_0 = u0_hat, it carries the free flow P_t u0 too.
 
 Every field in the solvers is real, so the sweeps run on the half spectrum
 (rfft layout, see :mod:`fracflow.spectral`): the plan's symbols are the
@@ -394,6 +394,8 @@ class PicardDiagnostics:
     rho_multiplier uses the closed-form constant sup_r r e^{-r^{2s}};
     rho_kernel replaces it with the measured L1 norm of grad_z p_1 on the
     run grid (reported for reference, same K and Gamma factor).
+    Each residual is the largest over the members still iterating at that
+    sweep; unconverged_members counts those still above tol at the last.
     """
 
     residuals: list
@@ -404,6 +406,7 @@ class PicardDiagnostics:
     tol: float
     converged: bool
     iterations: int
+    unconverged_members: int
 
     def to_text(self) -> str:
         lines = [
@@ -492,30 +495,39 @@ class _DuhamelPlan:
             out[j] = real_inverse_transform(self.grid, self.free_decay[j] * u0_hat)
         return out
 
-    def _node_distance(self, j: int, new: np.ndarray, old: np.ndarray) -> float:
-        """e^{-K t_j} times the largest member rms of new - old at node j."""
-        return float(self.weights[j] * np.max(spatial_rms(self.grid, new - old)))
+    def apply(self, u0_hat: np.ndarray, values: np.ndarray,
+              members: np.ndarray | None = None) -> np.ndarray:
+        """Overwrite u, given by ``values`` on every node, with F(u) and
+        return each member's Bielecki distance between the two,
+        sup_j e^{-K t_j} rms_x, accumulated node by node while each new
+        node is still in cache.
 
-    def apply(self, u0_values: np.ndarray, u0_hat: np.ndarray,
-              values: np.ndarray) -> tuple:
-        """F(u) on the whole grid of nodes, for u given by ``values``, and
-        its Bielecki distance to u, sup_j e^{-K t_j} max_members rms_x,
-        accumulated node by node while each new node is still in cache."""
-        out = np.empty_like(values)
-        out[0] = u0_values
-        dist = self._node_distance(0, out[0], values[0])
-        vhat = np.zeros_like(u0_hat)
-        ghat_prev = self.flux_hat(values[0])
+        ``values[0]`` must hold u0 = F(u)(0) and is left as it is.
+        ``members`` (integer indices into the batch axis) restricts the
+        sweep to those rows and leaves the others untouched; None sweeps
+        the whole batch through plain slices, so nothing is gathered.
+        Overwriting in place is safe: node j+1 of F(u) reads u only at
+        nodes j and j+1, node j enters through the flux carried from the
+        previous step, and node j+1 is read into ``ghat_next`` before it
+        is written.  ``vhat`` starts at u0_hat, so the free flow rides in
+        the recurrence.
+        """
+        rows = () if members is None else (members,)
+        vhat = u0_hat[rows].copy()
+        dist = np.zeros(vhat.shape[:vhat.ndim - self.grid.d])
+        ghat_prev = self.flux_hat(values[0][rows])
         for j in range(self.n_steps):
-            ghat_next = self.flux_hat(values[j + 1])
+            old = values[j + 1][rows]
+            ghat_next = self.flux_hat(old)
             vhat *= self.decay[j]
             vhat += self.w_a[j] * ghat_prev
             vhat += self.w_b[j] * ghat_next
-            out[j + 1] = real_inverse_transform(
-                self.grid, self.free_decay[j + 1] * u0_hat + vhat)
-            dist = max(dist, self._node_distance(j + 1, out[j + 1], values[j + 1]))
+            new = real_inverse_transform(self.grid, vhat)
+            np.maximum(dist, self.weights[j + 1] * spatial_rms(self.grid, new - old),
+                       out=dist)
+            values[j + 1][rows] = new
             ghat_prev = ghat_next
-        return out, dist
+        return dist
 
 
 def _as_batch(initial):
@@ -546,8 +558,8 @@ def duhamel_apply(traj, spec: NonlinearitySpec, config: SolverConfig):
         raise ConfigurationError("trajectory and config disagree on the time grid")
     grid = traj.grid
     plan = _DuhamelPlan(grid, spec, config)
-    u0 = traj.values[0]
-    out, _ = plan.apply(u0, real_forward_transform(grid, u0), traj.values)
+    out = traj.values.copy()
+    plan.apply(real_forward_transform(grid, out[0]), out)
     is_ens = isinstance(traj, EnsembleTrajectory)
     seeds = traj.seeds if is_ens else []
     return _wrap(grid, config.time_grid, out, config, seeds, is_ens)
@@ -591,12 +603,15 @@ def _multiplier_rho(config: SolverConfig, lipschitz: float) -> float:
 def picard_solve(initial, spec: NonlinearitySpec, config: SolverConfig):
     """Global fixed-point iteration u_1 = P_t u0, u_{m+1} = F(u_m).
 
-    Stops when the discrete Bielecki residual of successive iterates falls
-    below config.tol.  Raises NonContractionError when the iteration cap is
-    reached with a net-growing residual; a capped but non-growing run
-    returns with converged = False.  Batched input iterates all members
-    together with the residual maximized over members, so the result per
-    member equals an independent per-member run.
+    Each member stops on its own once the discrete Bielecki residual of
+    its successive iterates is <= config.tol; its trajectory is then the
+    iterate of that sweep, so the result per member equals an
+    independent single-member run.  The batch's residual at a sweep is
+    the largest over the members still iterating, and the batch has
+    converged when no member is left.  Raises NonContractionError when
+    the iteration cap is reached with a net-growing residual; a capped
+    but non-growing run returns with converged = False and the count of
+    members still above tol in diag.unconverged_members.
     """
     grid, u0, seeds, is_ens = _as_batch(initial)
     lipschitz = spec.effective_lipschitz()
@@ -608,20 +623,26 @@ def picard_solve(initial, spec: NonlinearitySpec, config: SolverConfig):
     plan = _DuhamelPlan(grid, spec, config)
     u0_hat = real_forward_transform(grid, u0)
     current = plan.free_flow(u0_hat)
+    current[0] = u0
     residuals: list[float] = []
     ratios: list[float] = []
     converged = False
     iterations = 0
+    active = None                     # None: every member still iterates
     for _ in range(config.max_iter):
-        new, dist = plan.apply(u0, u0_hat, current)
+        member_dist = plan.apply(u0_hat, current, active)
+        dist = float(np.max(member_dist))
         if residuals and residuals[-1] > 0:
             ratios.append(dist / residuals[-1])
         residuals.append(dist)
-        current = new
         iterations += 1
         if dist <= config.tol:
             converged = True
             break
+        going = member_dist > config.tol
+        if member_dist.ndim and not going.all():
+            active = np.flatnonzero(going) if active is None else active[going]
+    unconverged = 0 if converged else int(np.count_nonzero(going))
     rho = _multiplier_rho(config, lipschitz)
     diag = PicardDiagnostics(
         residuals=residuals,
@@ -632,6 +653,7 @@ def picard_solve(initial, spec: NonlinearitySpec, config: SolverConfig):
         tol=config.tol,
         converged=converged,
         iterations=iterations,
+        unconverged_members=unconverged,
     )
     if not converged and len(residuals) >= 2 and residuals[-1] > residuals[0]:
         measured = (residuals[-1] / residuals[0]) ** (1.0 / (len(residuals) - 1))
@@ -782,10 +804,13 @@ class LadderReport:
 
 
 def _pair_distance(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-node L2 distance, rms over members when batched."""
-    dist = l2_norm(grid, a - b)
-    dist = np.asarray(dist).reshape(a.shape[0], -1)
-    return np.sqrt(np.mean(dist**2, axis=1))
+    """Per-node L2 distance, rms over members when batched; node by node,
+    so no whole-trajectory difference is formed."""
+    out = np.empty(a.shape[0])
+    for j in range(a.shape[0]):
+        dist = np.asarray(l2_norm(grid, a[j] - b[j])).reshape(-1)
+        out[j] = np.sqrt(np.mean(dist**2))
+    return out
 
 
 def solve_polynomial(initial, spec: NonlinearitySpec, config: SolverConfig,
@@ -841,7 +866,8 @@ def solve_polynomial(initial, spec: NonlinearitySpec, config: SolverConfig,
         axes = tuple(range(-grid.d, 0))
         for p in (2, 4):
             start_p = np.mean(np.abs(cut0) ** p, axis=axes)
-            now_p = np.mean(np.abs(solutions[top].values) ** p, axis=axes)
+            now_p = np.stack([np.mean(np.abs(v) ** p, axis=axes)
+                              for v in solutions[top].values])
             slack = start_p[None, :] - now_p          # (n_nodes, N)
             se = slack.std(axis=1, ddof=1) / math.sqrt(slack.shape[1])
             with np.errstate(invalid="ignore", divide="ignore"):

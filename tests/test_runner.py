@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -14,12 +15,14 @@ from fracflow.cli import main as cli_main
 from fracflow.ensemble_stats import format_table
 from fracflow.errors import ConfigurationError
 from fracflow.experiments import (
+    CHUNK,
     REGISTRY,
     CheckResult,
     Experiment,
     ExperimentResult,
     get_experiment,
     list_experiments,
+    parallel_picard,
 )
 from fracflow.random_fields import load_ensemble
 from fracflow.runner import RunConfig, RunManifest, replay_run, run_experiment
@@ -271,6 +274,30 @@ class TestWorkerDeterminism:
             (out2 / "final_state.bin").read_bytes()
 
 
+class TestParallelPicard:
+    GRID = {"d": 1, "n": 32, "len": 2 * math.pi}
+    MEASURE = {"family": "gaussian_bump", "mass": 1.0, "mean": 0.0,
+               "params": {"width": 0.6}}
+    TANH = {"kind": "lipschitz_tanh", "scale": 0.5}
+
+    def solver(self, **kw):
+        rec = {"s": 0.75, "z": [1.0], "time_grid": [0.0, 0.05, 0.1],
+               "bielecki_k": 4.0, "tol": 1e-8, "max_iter": 40}
+        rec.update(kw)
+        return rec
+
+    def test_unconverged_members_summed_over_chunks(self):
+        # two chunks; tol 1e-14 is out of reach in 2 sweeps for every member
+        n = CHUNK + 3
+        _, info = parallel_picard(self.GRID, self.MEASURE, self.TANH,
+                                  self.solver(tol=1e-14, max_iter=2), n, seed=5)
+        assert not info["converged"]
+        assert info["unconverged_members"] == n
+        _, info = parallel_picard(self.GRID, self.MEASURE, self.TANH,
+                                  self.solver(), n, seed=5)
+        assert info["converged"] and info["unconverged_members"] == 0
+
+
 class TestCli:
     def write_config(self, tmp_path, data):
         path = tmp_path / "cfg.json"
@@ -300,6 +327,10 @@ class TestCli:
         out = capsys.readouterr().out
         assert "unconverged rungs: n=1 (4 sweeps, residual" in out
         assert "n=8 (4 sweeps, residual" in out
+        # tol 1e-14 is out of reach in 4 sweeps, so no member stops early
+        for n in (1, 2, 4, 8):
+            assert re.search(rf"n={n} \(4 sweeps, residual [^,]+, "
+                             r"8 of 8 members above tol\)", out)
 
     def test_run_without_out_writes_nothing(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, SMALL)

@@ -319,6 +319,16 @@ class TestDuhamelApply:
                 - C * k0 * np.sin(k0 * x) * (1.0 - decay) / lam
             assert np.max(np.abs(F.values[j] - oracle)) <= 1e-8  # measured ~1e-15
 
+    def test_input_trajectory_unchanged(self):
+        cfg = make_config()
+        rng = np.random.default_rng(2)
+        vals = rng.standard_normal((cfg.time_grid.size,) + GRID.shape)
+        traj = Trajectory(GRID, cfg.time_grid, vals.copy())
+        F = duhamel_apply(traj, NonlinearitySpec.tanh(0.5), cfg)
+        assert np.array_equal(traj.values, vals)
+        assert not np.array_equal(F.values, vals)
+        assert np.array_equal(F.values[0], vals[0])
+
     def test_time_grid_mismatch_rejected(self):
         cfg = make_config(nodes=5)
         other = make_config(nodes=7)
@@ -379,6 +389,24 @@ class TestPicardSolve:
         assert isinstance(etraj, EnsembleTrajectory)
         assert etraj.seeds == ens.seeds
 
+    def test_members_stop_on_their_own(self):
+        """A member scaled by 0.1 needs fewer sweeps than the others; it
+        stops there, and every member still equals its single run."""
+        m = gaussian_bump_measure(GRID, 2.0, 1.0)
+        ens = sample_ensemble(m, 4, seed=3)
+        ens.values[1] *= 0.1
+        cfg = make_config(tol=1e-12)
+        spec = NonlinearitySpec.tanh(0.5)
+        etraj, ediag = picard_solve(ens, spec, cfg)
+        sweeps = []
+        for i in range(ens.n_members):
+            straj, sdiag = picard_solve(ens.member(i), spec, cfg)
+            assert np.array_equal(etraj.values[:, i], straj.values)
+            sweeps.append(sdiag.iterations)
+        assert len(set(sweeps)) > 1
+        assert ediag.iterations == max(sweeps)
+        assert ediag.converged and ediag.unconverged_members == 0
+
     def test_fixed_point_certificate(self):
         cfg = make_config(tol=1e-10)
         spec = NonlinearitySpec.tanh(0.5)
@@ -412,6 +440,7 @@ class TestPicardSolve:
         traj, diag = picard_solve(bump_field(), NonlinearitySpec.tanh(L), cfg)
         assert not diag.converged
         assert diag.iterations == 3
+        assert diag.unconverged_members == 1
 
     def test_superlinear_without_cutoff_rejected(self):
         cfg = make_config()
@@ -508,12 +537,17 @@ class TestHalfSpectrumEquivalence:
 
     @pytest.mark.parametrize("d,spec,dealias", HALF_SPECTRUM_CASES)
     def test_picard_solve_matches_complex_path(self, d, spec, dealias):
+        """Members stop on their own, so each is compared with the
+        reference run on that member alone."""
         grid, ens, cfg = half_spectrum_case(d, spec, dealias)
         traj, diag = picard_solve(ens, spec, cfg)
-        want, sweeps = complex_reference_picard(grid, spec, cfg, ens.values)
-        assert diag.converged
-        assert diag.iterations == sweeps
-        assert np.max(np.abs(traj.values - want)) <= 1e-12
+        assert diag.converged and diag.unconverged_members == 0
+        sweeps = []
+        for i in range(ens.n_members):
+            want, n = complex_reference_picard(grid, spec, cfg, ens.values[i])
+            sweeps.append(n)
+            assert np.max(np.abs(traj.values[:, i] - want)) <= 1e-12
+        assert diag.iterations == max(sweeps)
 
     @pytest.mark.parametrize("d,spec,dealias", HALF_SPECTRUM_CASES[::3])
     def test_fused_residual_equals_bielecki_distance(self, d, spec, dealias):
@@ -521,12 +555,29 @@ class TestHalfSpectrumEquivalence:
         plan = _DuhamelPlan(grid, spec, cfg)
         u0_hat = real_forward_transform(grid, ens.values)
         current = plan.free_flow(u0_hat)
+        current[0] = ens.values
         for _ in range(4):
-            new, dist = plan.apply(ens.values, u0_hat, current)
-            oracle = _bielecki_distance(grid, cfg, new, current)
-            assert oracle > 0
-            assert dist == pytest.approx(oracle, rel=1e-15, abs=0)
-            current = new
+            old = current.copy()
+            dist = plan.apply(u0_hat, current)
+            assert dist.shape == (ens.n_members,)
+            for i in range(ens.n_members):
+                oracle = _bielecki_distance(grid, cfg, current[:, i], old[:, i])
+                assert oracle > 0
+                assert dist[i] == pytest.approx(oracle, rel=1e-15, abs=0)
+
+    def test_member_subset_sweep_leaves_other_rows(self):
+        grid, ens, cfg = half_spectrum_case(1, NonlinearitySpec.tanh(0.5), False)
+        plan = _DuhamelPlan(grid, NonlinearitySpec.tanh(0.5), cfg)
+        u0_hat = real_forward_transform(grid, ens.values)
+        full = plan.free_flow(u0_hat)
+        full[0] = ens.values
+        part = full.copy()
+        want = plan.apply(u0_hat, full)
+        got = plan.apply(u0_hat, part, np.array([0, 2]))
+        assert np.array_equal(got, want[[0, 2]])
+        assert np.array_equal(part[:, [0, 2]], full[:, [0, 2]])
+        first = plan.free_flow(u0_hat)
+        assert np.array_equal(part[1:, 1], first[1:, 1])
 
 
 # ------------------------------------------------------------------ marching
