@@ -55,13 +55,13 @@ print(f"strictly nonincreasing: {bool(np.all(drops <= 0))}")
 print()
 print("== kernel identities ==")
 for t in (0.5, 1.0, 2.0):
-    p = kernel_values(grid, s, t).values
+    p = kernel_values(grid, s, t)
     mass = float(np.sum(p) * grid.dx)
     print(f"t = {t:3.1f}: sum p_t dx - 1 = {mass - 1.0:+.2e}")
 
 wide = Grid(d=1, n=512, len=30.0)
 t = 1.0
-p = kernel_values(wide, 1.0, t).values
+p = kernel_values(wide, 1.0, t)
 y = wide.coordinates()[0]
 y = np.where(y > wide.len / 2, y - wide.len, y)     # center the kernel
 gauss = np.exp(-y ** 2 / (4 * t)) / np.sqrt(4 * np.pi * t)

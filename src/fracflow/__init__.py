@@ -13,23 +13,16 @@ from .errors import (
     ResolutionError,
 )
 from .spectral import (
-    FieldRealization,
     Grid,
     MultiplierOp,
-    apply_multiplier,
     apply_multiplier_values,
     forward_transform,
-    fractional_laplacian,
-    fractional_laplacian_multiplier,
     gradient_constant,
-    grad_semigroup_apply,
     grad_semigroup_multiplier,
     inverse_transform,
     kernel_values,
     l2_norm,
-    semigroup_apply,
     semigroup_multiplier,
-    smoothing_constant,
     spatial_rms,
 )
 from .random_fields import (
@@ -38,46 +31,34 @@ from .random_fields import (
     SpectralMeasure,
     SpectrumEstimate,
     directional_orthogonality_stat,
-    estimate_covariance,
     estimate_spectrum,
     export_ensemble,
     gaussian_bump_measure,
     load_ensemble,
-    load_measure,
     measure_from_spec,
     power_law_measure,
     sample_ensemble,
-    sample_field,
-    sobolev_norm,
-    stationarity_test,
     two_mode_measure,
 )
 from .solver import (
-    EnsembleTrajectory,
     LadderReport,
     NonlinearitySpec,
     PicardDiagnostics,
     SolverConfig,
-    Trajectory,
     contraction_bound,
     cutoff_map,
     duhamel_apply,
-    export_trajectory,
-    load_trajectory,
     minimal_K,
     picard_solve,
     solve_polynomial,
     step_solve,
 )
 from .ensemble_stats import (
-    CovarianceDynamics,
     DissipationReport,
     MomentSeries,
     SlackReport,
-    covariance_dynamics,
     dissipation_residual,
     format_table,
-    moment,
     moment_series,
     stroock_varopoulos_check,
 )
@@ -87,7 +68,6 @@ from .experiments import (
     get_experiment,
     list_experiments,
     parallel_picard,
-    run_registered,
 )
 from .runner import RunConfig, RunManifest, replay_run, run_experiment
 
@@ -95,26 +75,20 @@ __all__ = [
     "__version__",
     "ConfigurationError", "FracflowError", "LadderWarning",
     "NonContractionError", "NumericError", "ResolutionError",
-    "FieldRealization", "Grid", "MultiplierOp", "apply_multiplier",
-    "apply_multiplier_values", "forward_transform", "fractional_laplacian",
-    "fractional_laplacian_multiplier", "gradient_constant",
-    "grad_semigroup_apply", "grad_semigroup_multiplier", "inverse_transform",
-    "kernel_values", "l2_norm", "semigroup_apply", "semigroup_multiplier",
-    "smoothing_constant", "spatial_rms",
+    "Grid", "MultiplierOp", "apply_multiplier_values", "forward_transform",
+    "gradient_constant", "grad_semigroup_multiplier", "inverse_transform",
+    "kernel_values", "l2_norm", "semigroup_multiplier", "spatial_rms",
     "Ensemble", "OrthogonalityStat", "SpectralMeasure", "SpectrumEstimate",
-    "directional_orthogonality_stat", "estimate_covariance",
-    "estimate_spectrum", "export_ensemble", "gaussian_bump_measure",
-    "load_ensemble", "load_measure", "measure_from_spec",
-    "power_law_measure", "sample_ensemble", "sample_field", "sobolev_norm",
-    "stationarity_test", "two_mode_measure",
-    "EnsembleTrajectory", "LadderReport", "NonlinearitySpec",
-    "PicardDiagnostics", "SolverConfig", "Trajectory", "contraction_bound",
-    "cutoff_map", "duhamel_apply", "export_trajectory", "load_trajectory",
-    "minimal_K", "picard_solve", "solve_polynomial", "step_solve",
-    "CovarianceDynamics", "DissipationReport", "MomentSeries", "SlackReport",
-    "covariance_dynamics", "dissipation_residual", "format_table", "moment",
-    "moment_series", "stroock_varopoulos_check",
+    "directional_orthogonality_stat", "estimate_spectrum", "export_ensemble",
+    "gaussian_bump_measure", "load_ensemble", "measure_from_spec",
+    "power_law_measure", "sample_ensemble", "two_mode_measure",
+    "LadderReport", "NonlinearitySpec", "PicardDiagnostics", "SolverConfig",
+    "contraction_bound", "cutoff_map", "duhamel_apply", "minimal_K",
+    "picard_solve", "solve_polynomial", "step_solve",
+    "DissipationReport", "MomentSeries", "SlackReport",
+    "dissipation_residual", "format_table", "moment_series",
+    "stroock_varopoulos_check",
     "Experiment", "ExperimentResult", "get_experiment", "list_experiments",
-    "parallel_picard", "run_registered",
+    "parallel_picard",
     "RunConfig", "RunManifest", "replay_run", "run_experiment",
 ]

@@ -1,8 +1,9 @@
 """Monte Carlo verification statistics over solved ensembles: moment
-series and their monotonicity, the energy-dissipation identity, covariance
-dynamics with the lag-zero cross-check, and the semigroup convexity
-inequality  E[(P_h - I)(theta |w|^a) theta |w|^b] <= ab E[(P_h - I)|w| |w|]
-for a + b = 2.
+series and their monotonicity, the energy-dissipation identity, and the
+semigroup convexity inequality
+E[(P_h - I)(theta |w|^a) theta |w|^b] <= ab E[(P_h - I)|w| |w|]
+for a + b = 2.  The series statistics take a trajectory :class:`Ensemble`
+(values indexed node, member, grid); the convexity check takes a snapshot.
 
 Every estimator reduces member-level statistics (one number per
 realization first, then mean and standard error over members), so spatial
@@ -20,7 +21,6 @@ import numpy as np
 
 from .errors import ConfigurationError, ResolutionError
 from .random_fields import Ensemble
-from .solver import EnsembleTrajectory, Trajectory
 from .spectral import (
     Grid,
     apply_multiplier_values,
@@ -42,42 +42,6 @@ def _member_stats(per_member: np.ndarray) -> tuple:
     else:
         stderr = math.nan
     return value, stderr
-
-
-def moment(ens: Ensemble, p: float) -> tuple:
-    """(estimate, stderr) of E avg_x |u|^p; p = inf reports the grid-and-
-    member maximum with no error bar."""
-    if ens.n_members < 1:
-        raise ConfigurationError("moment needs a nonempty ensemble")
-    if p == math.inf:
-        return float(np.max(np.abs(ens.values))), math.nan
-    if not p >= 2:
-        raise ConfigurationError(f"moment order must be >= 2 or inf, got {p}")
-    axes = tuple(range(1, ens.values.ndim))
-    per_member = np.mean(np.abs(ens.values) ** p, axis=axes)
-    return _member_stats(per_member)
-
-
-def _series_values(trajs) -> tuple:
-    """Normalize list-of-Trajectory | EnsembleTrajectory to
-    (grid, times, values[(node, member) + shape])."""
-    if isinstance(trajs, EnsembleTrajectory):
-        return trajs.grid, trajs.times, trajs.values
-    trajs = list(trajs)
-    if not trajs:
-        raise ConfigurationError("need at least one trajectory")
-    first = trajs[0]
-    if not isinstance(first, Trajectory):
-        raise ConfigurationError(
-            "expected trajectories or an ensemble trajectory"
-        )
-    for t in trajs[1:]:
-        if t.grid != first.grid or not np.array_equal(t.times, first.times):
-            raise ConfigurationError(
-                "trajectories disagree on grid or time nodes"
-            )
-    values = np.stack([t.values for t in trajs], axis=1)
-    return first.grid, first.times, values
 
 
 @dataclass
@@ -105,8 +69,14 @@ class MomentSeries:
         return out
 
 
-def moment_series(trajs, p: float) -> MomentSeries:
-    grid, times, values = _series_values(trajs)
+def _check_trajectory(traj: Ensemble):
+    if not traj.is_trajectory:
+        raise ConfigurationError("expected a trajectory ensemble")
+
+
+def moment_series(traj: Ensemble, p: float) -> MomentSeries:
+    _check_trajectory(traj)
+    times, values = traj.times, traj.values
     n_members = values.shape[1]
     axes = tuple(range(2, values.ndim))
     if p == math.inf:
@@ -204,17 +174,9 @@ class DissipationReport:
                 for j in range(self.times.size)]
 
 
-def dissipation_residual(trajs, s: float, config=None) -> DissipationReport:
-    grid, times, values = _series_values(trajs)
-    if config is not None:
-        if not np.array_equal(config.time_grid, times):
-            raise ConfigurationError(
-                "config time grid does not match the trajectories"
-            )
-        if config.s != s:
-            raise ConfigurationError(
-                f"config order {config.s} does not match requested s={s}"
-            )
+def dissipation_residual(traj: Ensemble, s: float) -> DissipationReport:
+    _check_trajectory(traj)
+    grid, times, values = traj.grid, traj.times, traj.values
     if values.shape[1] < 2:
         raise ConfigurationError("dissipation residual needs >= 2 members")
     axes = tuple(range(2, values.ndim))
@@ -234,78 +196,6 @@ def dissipation_residual(trajs, s: float, config=None) -> DissipationReport:
         stderr=stderr,
         low_confidence=low_confidence,
         decay_time=decay_time,
-        n_members=n,
-    )
-
-
-@dataclass
-class CovarianceDynamics:
-    """B(t, y) at selected lags plus the lag-zero identity check
-    dB/dt(t,0) = -2 sum_k |k|^{2s} (empirical spectrum), which coincides
-    with the dissipation rate."""
-
-    times: np.ndarray
-    lags: list
-    values: np.ndarray          # (nodes, lags)
-    stderr: np.ndarray
-    identity_lhs: np.ndarray
-    identity_rhs: np.ndarray
-    identity_residual: np.ndarray
-    identity_stderr: np.ndarray
-    low_confidence: np.ndarray
-    mean_estimate: float
-    n_members: int
-
-    def rows(self) -> list:
-        return [[float(self.times[j]), float(self.identity_lhs[j]),
-                 float(self.identity_rhs[j]), float(self.identity_residual[j]),
-                 float(self.identity_stderr[j]),
-                 float(self.low_confidence[j])]
-                for j in range(self.times.size)]
-
-
-def covariance_dynamics(trajs, s: float, lags) -> CovarianceDynamics:
-    """Covariance along the flow at integer grid lags; the y = 0 column
-    feeds the d/dt B(t,0) identity cross-check."""
-    grid, times, values = _series_values(trajs)
-    n = values.shape[1]
-    if n < 2:
-        raise ConfigurationError("covariance dynamics needs >= 2 members")
-    lag_list = []
-    for lag in lags:
-        off = (lag,) if np.isscalar(lag) else tuple(lag)
-        if len(off) != grid.d:
-            raise ConfigurationError(f"lag {lag} has wrong dimension")
-        lag_list.append(tuple(int(o) % grid.n for o in off))
-    axes = tuple(range(2, values.ndim))
-    mean_est = float(np.mean(values[0]))
-    cols = []
-    for off in lag_list:
-        shifted = np.roll(values, off, axis=tuple(range(2, values.ndim)))
-        cols.append(np.mean(values * shifted, axis=axes) - mean_est**2)
-    per_member = np.stack(cols, axis=-1)                  # (nodes, N, lags)
-    values_out = per_member.mean(axis=1)
-    stderr_out = per_member.std(axis=1, ddof=1) / math.sqrt(n)
-
-    # the resolution gate matches dissipation_residual (uncentered energy);
-    # the subtracted mean square is constant in t so the derivative agrees
-    m2 = np.mean(values**2, axis=axes)                    # (nodes, N)
-    rate = _dirichlet_rate(grid, s, values)               # mean-free already
-    _check_resolution(times, float(m2[0].mean()), float(rate[0].mean()))
-    m2c = m2 - mean_est**2
-    lhs_members, low_confidence = _time_derivative(times, m2c)
-    residual_members = lhs_members - rate
-    return CovarianceDynamics(
-        times=times,
-        lags=lag_list,
-        values=values_out,
-        stderr=stderr_out,
-        identity_lhs=lhs_members.mean(axis=1),
-        identity_rhs=rate.mean(axis=1),
-        identity_residual=residual_members.mean(axis=1),
-        identity_stderr=residual_members.std(axis=1, ddof=1) / math.sqrt(n),
-        low_confidence=low_confidence,
-        mean_estimate=mean_est,
         n_members=n,
     )
 

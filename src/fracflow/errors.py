@@ -10,8 +10,7 @@ class ConfigurationError(FracflowError, ValueError):
 
 
 class NumericError(FracflowError, ArithmeticError):
-    """A field or coefficient array became non-finite, or an imaginary
-    residue exceeded the discard threshold."""
+    """A field, flux or coefficient array became non-finite."""
 
 
 class ResolutionError(FracflowError):

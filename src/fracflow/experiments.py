@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import difflib
 import math
+import numbers
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -37,7 +38,6 @@ from .random_fields import (
     sample_ensemble,
 )
 from .solver import (
-    EnsembleTrajectory,
     NonlinearitySpec,
     SolverConfig,
     contraction_bound,
@@ -69,11 +69,16 @@ def grid_from_record(record: dict) -> Grid:
     extra = set(record) - {"d", "n", "len"}
     if extra:
         raise ConfigurationError(f"unknown grid keys: {sorted(extra)}")
-    try:
-        return Grid(d=int(record["d"]), n=int(record["n"]),
-                    len=float(record["len"]))
-    except KeyError as exc:
-        raise ConfigurationError(f"grid record missing {exc}")
+    missing = {"d", "n", "len"} - set(record)
+    if missing:
+        raise ConfigurationError(f"grid record missing {sorted(missing)}")
+    for key in ("d", "n", "len"):
+        value = record[key]
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or (key != "len" and not float(value).is_integer())):
+            kind = "a number" if key == "len" else "an integer"
+            raise ConfigurationError(f"grid {key!r} must be {kind}, got {value!r}")
+    return Grid(d=int(record["d"]), n=int(record["n"]), len=float(record["len"]))
 
 
 @dataclass
@@ -133,7 +138,7 @@ def _solve_chunk(payload: dict) -> dict:
 def parallel_picard(grid_rec: dict, measure_rec: dict, nl_rec: dict,
                     solver_rec: dict, n_members: int, seed: int,
                     workers: int = 1, counter_offset: int = 0) -> tuple:
-    """Chunked ensemble Picard solve; returns (EnsembleTrajectory, info).
+    """Chunked ensemble Picard solve; returns (trajectory Ensemble, info).
 
     info carries per-run convergence aggregates (the unconverged_members
     count summed over chunks), all member seeds in order, and flagged
@@ -174,9 +179,8 @@ def parallel_picard(grid_rec: dict, measure_rec: dict, nl_rec: dict,
         raise NumericError("every member chunk failed numerically")
     grid = grid_from_record(grid_rec)
     config = SolverConfig.from_record(solver_rec)
-    values = np.concatenate(blocks, axis=1)
-    traj = EnsembleTrajectory(grid, config.time_grid, values,
-                              config=config, seeds=seeds)
+    traj = Ensemble(grid, np.concatenate(blocks, axis=1), config.time_grid,
+                    seeds)
     info = {"iterations": iterations, "residual": residual,
             "converged": converged, "unconverged_members": unconverged,
             "member_seeds": seeds, "flagged": flagged}
@@ -223,11 +227,6 @@ def get_experiment(name: str) -> Experiment:
 def list_experiments() -> list:
     """(name, statement) pairs in registration order."""
     return [(e.name, e.statement) for e in REGISTRY.values()]
-
-
-def run_registered(config: dict, workers: int = 1) -> ExperimentResult:
-    exp = get_experiment(config["experiment"])
-    return exp.fn(config, workers)
 
 
 def _cfg_parts(config: dict) -> tuple:
@@ -291,9 +290,8 @@ def _linear_spectral_decay(config: dict, workers: int) -> ExperimentResult:
     for s in _S_SWEEP:
         for t in (0.1, 0.5, 1.0):
             op = semigroup_multiplier(grid, s, t)
-            flowed = ens.with_values(
-                apply_multiplier_values(grid, ens.values, op), time=t)
-            est = estimate_spectrum(flowed)
+            est = estimate_spectrum(Ensemble(
+                grid, apply_multiplier_values(grid, ens.values, op), t))
             target = measure.decayed(s, t)
             worst = 0.0
             for idx in zip(*retained):
@@ -341,12 +339,10 @@ def _zero_nonlinearity(config: dict, workers: int) -> ExperimentResult:
         rows.append([float(t), err])
     checks = [CheckResult("matches-semigroup", worst <= 1e-10,
                           f"max rms deviation from P_t u0 = {worst:.2e}")]
-    final = Ensemble(grid, traj.values[-1], time=float(traj.times[-1]),
-                     seeds=info["member_seeds"])
     return ExperimentResult(
         config["experiment"], checks,
         {"free_flow_error": (["t", "rms_error"], rows)},
-        fields={"final_state": final},
+        fields={"final_state": traj.at(-1)},
         member_seeds=info["member_seeds"], flagged=info["flagged"])
 
 
@@ -421,7 +417,7 @@ def _kernel_identities(config: dict, workers: int) -> ExperimentResult:
     for s in _S_SWEEP:
         for t in (0.5, 1.0, 2.0):
             ker = kernel_values(grid, s, t)
-            mass_err = abs(float(np.sum(ker.values)) * grid.cell_volume - 1.0)
+            mass_err = abs(float(np.sum(ker)) * grid.cell_volume - 1.0)
             mass_worst = max(mass_worst, mass_err)
             rows.append([s, t, mass_err])
     checks.append(CheckResult("unit-mass", mass_worst <= 1e-8,
@@ -434,8 +430,8 @@ def _kernel_identities(config: dict, workers: int) -> ExperimentResult:
     base = Grid(1, 128, 24.0)
     for t in (0.5, 1.0, 2.0):
         lam = t ** (-1.0 / (2.0 * s))
-        ker_t = kernel_values(base, s, t).values
-        ker_1 = kernel_values(Grid(1, 128, 24.0 * lam), s, 1.0).values
+        ker_t = kernel_values(base, s, t)
+        ker_1 = kernel_values(Grid(1, 128, 24.0 * lam), s, 1.0)
         rel = float(np.max(np.abs(ker_t - lam * ker_1)) / np.max(ker_t))
         scale_worst = max(scale_worst, rel)
     checks.append(CheckResult("rescaling-law", scale_worst <= 1e-6,
@@ -444,7 +440,7 @@ def _kernel_identities(config: dict, workers: int) -> ExperimentResult:
     gauss_worst = 0.0
     for t in (0.25, 1.0):
         g = Grid(1, 512, 20.0 * math.sqrt(t))
-        ker = kernel_values(g, 1.0, t).values
+        ker = kernel_values(g, 1.0, t)
         x = g.axis_points()
         xc = np.where(x > g.len / 2, x - g.len, x)
         oracle = np.exp(-(xc**2) / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
@@ -561,7 +557,7 @@ def _picard_contraction(config: dict, workers: int) -> ExperimentResult:
     ),
 )
 def _moment_monotonicity(config: dict, workers: int) -> ExperimentResult:
-    grid, measure = _cfg_parts(config)
+    _, measure = _cfg_parts(config)
     spec = NonlinearitySpec.from_record(config["nonlinearity"])
     cfg = SolverConfig.from_record(config["solver"])
     ens = sample_ensemble(measure, config["n_members"], config["seed"])
@@ -582,10 +578,8 @@ def _moment_monotonicity(config: dict, workers: int) -> ExperimentResult:
         "ladder-cauchy", report.cauchy_violations == 0 and not ladder_warned,
         f"{report.cauchy_violations} distance increases"
         f"{_unconverged_note(report, ens.n_members)}"))
-    final = Ensemble(grid, top.values[-1], time=float(top.times[-1]),
-                     seeds=list(ens.seeds))
     return ExperimentResult(config["experiment"], checks, tables,
-                            fields={"final_state": final},
+                            fields={"final_state": top.at(-1)},
                             member_seeds=list(ens.seeds))
 
 
@@ -715,7 +709,7 @@ def _orthogonality(config: dict, workers: int) -> ExperimentResult:
     ),
 )
 def _cutoff_ladder(config: dict, workers: int) -> ExperimentResult:
-    grid, measure = _cfg_parts(config)
+    _, measure = _cfg_parts(config)
     spec = NonlinearitySpec.from_record(config["nonlinearity"])
     cfg = SolverConfig.from_record(config["solver"])
     # mass 6.25 puts the field rms at 2.5, so levels 1, 2 clip hard and
@@ -736,13 +730,11 @@ def _cutoff_ladder(config: dict, workers: int) -> ExperimentResult:
         CheckResult("moment-guard", guard_min >= -3.0,
                     f"min initial-bound z = {guard_min:.2f}"),
     ]
-    final = Ensemble(grid, top.values[-1], time=float(top.times[-1]),
-                     seeds=list(ens.seeds))
     return ExperimentResult(
         config["experiment"], checks,
         {"ladder_distances": (["level_lo", "level_hi", "sup_distance"],
                               rows)},
-        fields={"final_state": final},
+        fields={"final_state": top.at(-1)},
         member_seeds=list(ens.seeds))
 
 
@@ -779,7 +771,7 @@ def _stroock_varopoulos(config: dict, workers: int) -> ExperimentResult:
                           counter_offset=config["n_members"])
     a, b, h, s = 0.5, 1.5, 0.3, 0.75
     rep = stroock_varopoulos_check(e16, a, b, h, s)
-    p = kernel_values(g16, s, h).values
+    p = kernel_values(g16, s, h)
     idx = (np.arange(16)[:, None] - np.arange(16)[None, :]) % 16
     matrix = p[idx] * g16.dx
 
@@ -822,12 +814,11 @@ def _solver_cross_validation(config: dict, workers: int) -> ExperimentResult:
     spec = NonlinearitySpec.from_record(config["nonlinearity"])
     cfg = SolverConfig.from_record(config["solver"])
     ens = sample_ensemble(measure, config["n_members"], config["seed"])
-    u0 = ens.member(0)
 
-    picard_traj, diag = picard_solve(u0, spec, cfg)
-    step_traj = step_solve(u0, spec, cfg)
-    gap = float(spatial_rms(grid, picard_traj.final.values
-                            - step_traj.final.values))
+    picard_traj, diag = picard_solve(ens, spec, cfg)
+    step_traj = step_solve(ens, spec, cfg)
+    gap = float(np.max(spatial_rms(grid, picard_traj.values[-1]
+                                   - step_traj.values[-1])))
     checks = [CheckResult(
         "picard-vs-step", gap <= 10.0 * cfg.tol,
         f"final-time rms gap {gap:.2e} vs cap {10.0 * cfg.tol:.2e}")]
@@ -839,11 +830,11 @@ def _solver_cross_validation(config: dict, workers: int) -> ExperimentResult:
                            time_grid=np.linspace(0.0, t_final, nodes),
                            bielecki_k=cfg.bielecki_k, tol=cfg.tol,
                            max_iter=cfg.max_iter, dealias=cfg.dealias)
-        return step_solve(u0, spec, sub).final.values
+        return step_solve(ens, spec, sub).values[-1]
 
     ref = at_nodes(801)
-    err_coarse = float(spatial_rms(grid, at_nodes(51) - ref))
-    err_fine = float(spatial_rms(grid, at_nodes(101) - ref))
+    err_coarse = float(np.max(spatial_rms(grid, at_nodes(51) - ref)))
+    err_fine = float(np.max(spatial_rms(grid, at_nodes(101) - ref)))
     ratio = err_coarse / err_fine
     checks.append(CheckResult(
         "self-convergence", 3.0 <= ratio <= 5.0,

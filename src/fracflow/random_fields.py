@@ -11,12 +11,17 @@ Cov(u(x), u(x+y)) = sum_k w(k) cos(k.y) exactly and the field is strictly
 stationary under grid translations.  Sampling is driven by counter-based
 Philox streams: (seed, member index) fully determines a draw, regardless
 of how work is scheduled.
+
+:class:`Ensemble` is the one container of the package: a batch of real
+fields on a grid, either a snapshot of the members or their trajectory on
+a time grid.  Sampling, the solvers, the statistics and the field
+artifacts all take and return it.
 """
 
 from __future__ import annotations
 
-import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,14 +29,14 @@ import numpy as np
 from . import _binio
 from .errors import ConfigurationError, NumericError
 from .spectral import (
-    FieldRealization,
     Grid,
     _reverse_modes,
     directional_derivative_multiplier,
     forward_transform,
-    inverse_transform,
+    half_spectrum,
+    real_forward_transform,
+    real_inverse_transform,
     semigroup_multiplier,
-    to_real,
 )
 
 MEASURE_FAMILIES = ("two_mode", "gaussian_bump", "power_law")
@@ -151,29 +156,30 @@ def measure_from_spec(grid: Grid, record: dict) -> SpectralMeasure:
         )
     if mass is None:
         raise ConfigurationError("measure record needs a 'mass' entry")
-    try:
-        if family == "two_mode":
-            return two_mode_measure(grid, params["wavenumber"], mass, mean)
-        if family == "gaussian_bump":
-            return gaussian_bump_measure(grid, params["width"], mass, mean)
-        return power_law_measure(grid, params["nu"], mass, mean)
-    except KeyError as exc:
-        raise ConfigurationError(f"measure family {family!r} missing parameter {exc}")
+    if not isinstance(params, dict):
+        raise ConfigurationError("measure params must be a mapping")
+    name = {"two_mode": "wavenumber", "gaussian_bump": "width",
+            "power_law": "nu"}[family]
+    if name not in params:
+        raise ConfigurationError(
+            f"measure family {family!r} missing parameter {name!r}")
+    mass, mean = _number(mass, "mass"), _number(mean, "mean")
+    raw = params[name]
+    value = [_number(v, name) for v in (raw if isinstance(raw, list) else [raw])]
+    if family == "two_mode":
+        return two_mode_measure(grid, value, mass, mean)
+    if len(value) != 1:
+        raise ConfigurationError(f"measure parameter {name!r} must be a number")
+    if family == "gaussian_bump":
+        return gaussian_bump_measure(grid, value[0], mass, mean)
+    return power_law_measure(grid, value[0], mass, mean)
 
 
-def load_measure(path, grid: Grid) -> SpectralMeasure:
-    with open(path) as fh:
-        try:
-            record = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"{path}: not valid JSON ({exc})")
-    return measure_from_spec(grid, record)
-
-
-def save_measure_spec(record: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(record, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+def _number(value, name: str) -> float:
+    """A real number from a config record (bools and strings rejected)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"measure {name!r} must be a number, got {value!r}")
+    return float(value)
 
 
 # ------------------------------------------------------------------ sampling
@@ -209,64 +215,63 @@ def _member_rng(seed: int, counter: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed).jumped(counter))
 
 
-def sample_field(measure: SpectralMeasure, seed: int, counter: int = 0) -> FieldRealization:
-    """One realization of the Gaussian field with the given spectral measure."""
-    noise = SpectralNoise.draw(measure.grid, seed, counter)
-    return field_from_noise(measure, noise)
-
-
-def field_from_noise(measure: SpectralMeasure, noise: SpectralNoise) -> FieldRealization:
-    grid = measure.grid
-    coeffs = np.sqrt(measure.weights) * noise.coeffs * grid.len**grid.d
-    vals = to_real(inverse_transform(grid, coeffs), context="sample_field")
-    return FieldRealization(grid, vals + measure.mean, time=0.0)
-
-
 @dataclass
 class Ensemble:
-    """A batch of field realizations sharing one grid and one timestamp.
+    """A batch of real fields on one grid: the members at one time (a
+    snapshot) or along a time grid (a trajectory).
 
-    ``values`` has shape (n_members, *grid.shape); ``seeds`` records the
-    (seed, counter) pair of each member so any member can be regenerated.
+    The trailing ``grid.d`` axes of ``values`` are the grid.  The leading
+    axes are the members, (N, *grid.shape), for a snapshot, or the time
+    nodes and then the members, (nodes, N, *grid.shape), for a
+    trajectory.  ``times`` holds one time per node of a trajectory (it is
+    required there); for a snapshot it is its time, a scalar, or None for
+    t = 0.  ``seeds`` records the (seed, counter) pair of each member so
+    any member can be regenerated.
     """
 
     grid: Grid
     values: np.ndarray
-    time: float = 0.0
+    times: np.ndarray | None = None
     seeds: list = field(default_factory=list)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != self.grid.d + 1 or self.values.shape[1:] != self.grid.shape:
+        lead = self.values.ndim - self.grid.d
+        if (lead not in (1, 2) or self.values.shape[lead:] != self.grid.shape
+                or self.values.shape[lead - 1] == 0):
             raise ConfigurationError(
-                f"ensemble values must have shape (N, {', '.join(map(str, self.grid.shape))})"
+                f"ensemble values must have shape ([nodes,] N >= 1, "
+                f"{', '.join(map(str, self.grid.shape))}), got {self.values.shape}"
             )
+        if self.times is not None or lead == 2:
+            self.times = np.asarray(self.times, dtype=np.float64)
+            if self.times.shape != self.values.shape[:lead - 1]:
+                raise ConfigurationError(
+                    "a trajectory needs one time per node, a snapshot one time")
         if not np.all(np.isfinite(self.values)):
-            bad = _nonfinite_members(self.values, self.grid.d)
-            raise NumericError(f"ensemble members {bad} contain non-finite values")
-        if self.seeds and len(self.seeds) != self.values.shape[0]:
+            axes = tuple(a for a in range(self.values.ndim) if a != lead - 1)
+            bad = np.flatnonzero(~np.all(np.isfinite(self.values), axis=axes))
+            raise NumericError(
+                f"ensemble members {bad[:8].tolist()} contain non-finite values")
+        if self.seeds and len(self.seeds) != self.n_members:
             raise ConfigurationError("seeds list does not match member count")
 
     @property
+    def is_trajectory(self) -> bool:
+        return self.values.ndim == self.grid.d + 2
+
+    @property
     def n_members(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[self.values.ndim - self.grid.d - 1]
 
-    def member(self, i: int) -> FieldRealization:
-        return FieldRealization(self.grid, self.values[i], time=self.time)
+    @property
+    def time(self) -> float:
+        """The time of a snapshot."""
+        return 0.0 if self.times is None else float(self.times)
 
-    def members(self) -> list:
-        return [self.member(i) for i in range(self.n_members)]
-
-    def with_values(self, values: np.ndarray, time: float | None = None) -> "Ensemble":
-        return Ensemble(self.grid, values,
-                        time=self.time if time is None else time,
-                        seeds=list(self.seeds))
-
-
-def _nonfinite_members(values: np.ndarray, d: int) -> list:
-    axes = tuple(range(1, d + 1))
-    flags = ~np.all(np.isfinite(values), axis=axes)
-    return list(np.nonzero(flags)[0][:8])
+    def at(self, j: int) -> "Ensemble":
+        """The snapshot of a trajectory at node j."""
+        return Ensemble(self.grid, self.values[j], self.times[j], self.seeds)
 
 
 def sample_ensemble(measure: SpectralMeasure, n_members: int, seed: int,
@@ -279,54 +284,21 @@ def sample_ensemble(measure: SpectralMeasure, n_members: int, seed: int,
     if n_members < 1:
         raise ConfigurationError("n_members must be >= 1")
     grid = measure.grid
-    noise = np.empty((n_members,) + grid.shape, dtype=np.complex128)
+    # the noise and the weights are Hermitian, so the half spectrum of
+    # each draw fixes the real field
+    noise = np.empty((n_members,) + half_spectrum(grid, measure.weights).shape,
+                     dtype=np.complex128)
     seeds = []
     for i in range(n_members):
         c = counter_offset + i
-        noise[i] = SpectralNoise.draw(grid, seed, c).coeffs
+        noise[i] = half_spectrum(grid, SpectralNoise.draw(grid, seed, c).coeffs)
         seeds.append((int(seed), int(c)))
-    coeffs = np.sqrt(measure.weights) * noise * grid.len**grid.d
-    vals = to_real(inverse_transform(grid, coeffs), context="sample_ensemble")
-    return Ensemble(grid, vals + measure.mean, time=0.0, seeds=seeds)
+    coeffs = np.sqrt(half_spectrum(grid, measure.weights)) * noise * grid.len**grid.d
+    vals = real_inverse_transform(grid, coeffs)
+    return Ensemble(grid, vals + measure.mean, seeds=seeds)
 
 
 # ------------------------------------------------------------------ estimators
-
-@dataclass
-class CovarianceEstimate:
-    """B_hat(y) on the lag grid, with member-level standard errors."""
-
-    grid: Grid
-    values: np.ndarray
-    stderr: np.ndarray
-    mean_estimate: float
-    n_members: int
-
-
-def estimate_covariance(ens: Ensemble) -> CovarianceEstimate:
-    """Average u(x) u(x+y) over members and x, minus the squared mean.
-
-    The circular correlation is computed spectrally per member; stderr is
-    the member-level spread of the per-member lag averages.
-    """
-    if ens.n_members < 2:
-        raise ConfigurationError("covariance estimation needs >= 2 members")
-    grid = ens.grid
-    axes = tuple(range(-grid.d, 0))
-    spec = np.abs(np.fft.fftn(ens.values, axes=axes)) ** 2
-    per_member = np.fft.ifftn(spec, axes=axes).real / grid.n**grid.d
-    mu = float(np.mean(ens.values))
-    values = per_member.mean(axis=0) - mu**2
-    stderr = per_member.std(axis=0, ddof=1) / math.sqrt(ens.n_members)
-    return CovarianceEstimate(grid, values, stderr, mu, ens.n_members)
-
-
-def covariance_from_measure(measure: SpectralMeasure) -> np.ndarray:
-    """Exact covariance of the measure on the lag grid: sum_k w(k) cos(k.y)."""
-    grid = measure.grid
-    coeffs = measure.weights.astype(np.complex128) * grid.len**grid.d
-    return to_real(inverse_transform(grid, coeffs), context="covariance_from_measure")
-
 
 @dataclass
 class SpectrumEstimate:
@@ -358,22 +330,6 @@ def estimate_spectrum(ens: Ensemble) -> SpectrumEstimate:
                             ens.n_members)
 
 
-def sobolev_norm(measure: SpectralMeasure, alpha: float) -> float:
-    """Spectral Sobolev norm sqrt( sum_k (1 + |k|^{2 alpha}) w(k) ).
-
-    alpha = 0 gives sqrt(2 * total mass) by the |k|^0 = 1 convention.
-    """
-    alpha = float(alpha)
-    if alpha < 0:
-        raise ConfigurationError(f"alpha must be >= 0, got {alpha}")
-    kabs = measure.grid.k_abs
-    if alpha == 0.0:
-        gain = np.ones_like(kabs)
-    else:
-        gain = kabs ** (2.0 * alpha)
-    return float(math.sqrt(np.sum((1.0 + gain) * measure.weights)))
-
-
 @dataclass
 class OrthogonalityStat:
     value: float
@@ -390,9 +346,9 @@ def directional_orthogonality_stat(ens: Ensemble, g, z,
     grid = ens.grid
     op = directional_derivative_multiplier(grid, z)
     src = ens.values if f is None else _pointwise(f, ens.values)
-    coeffs = forward_transform(grid, src)
-    coeffs *= op.values
-    grad = to_real(inverse_transform(grid, coeffs), context="orthogonality_stat")
+    coeffs = real_forward_transform(grid, src)
+    coeffs *= half_spectrum(grid, op.values)
+    grad = real_inverse_transform(grid, coeffs)
     axes = tuple(range(-grid.d, 0))
     integrand = grad * _pointwise(g, ens.values)
     per_member = np.mean(integrand, axis=axes)
@@ -419,64 +375,11 @@ def _pointwise(fn, values: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class StationarityReport:
-    rows: list          # (label, rms_z_mean, rms_z_second, max_z_mean, max_z_second)
-    rms_z: float        # worst rms over rows and moment orders
-    max_z: float        # worst single grid point, informational only
-
-    def passed(self, threshold: float = 3.0) -> bool:
-        return self.rms_z <= threshold
-
-
-def stationarity_test(ens: Ensemble, shifts) -> StationarityReport:
-    """Compare first and second empirical moments at shifted (and reflected)
-    locations; discrepancies are reported in member-level stderr units.
-
-    Under shift invariance each pointwise z is approximately standard normal,
-    so the rms over the grid is near 1 and the decision statistic is rms_z.
-    The grid maximum is recorded for diagnostics but runs to ~sqrt(2 log n)
-    even on perfectly stationary data, so it is not used for pass/fail.
-    """
-    if ens.n_members < 2:
-        raise ConfigurationError("stationarity test needs >= 2 members")
-    rows = []
-    views = []
-    for shift in shifts:
-        off = (shift,) if np.isscalar(shift) else tuple(shift)
-        if len(off) != ens.grid.d:
-            raise ConfigurationError(f"shift {shift} has wrong dimension")
-        if all(o % ens.grid.n == 0 for o in off):
-            raise ConfigurationError(f"shift {shift} is a full period")
-        rolled = np.roll(ens.values, off, axis=tuple(range(1, ens.grid.d + 1)))
-        views.append((f"shift {off}", rolled))
-    axes = tuple(range(1, ens.grid.d + 1))
-    reflected = np.flip(ens.values, axis=axes)
-    for ax in axes:
-        reflected = np.roll(reflected, 1, axis=ax)
-    views.append(("reflection", reflected))
-    for label, other in views:
-        rms = []
-        mx = []
-        for power in (1, 2):
-            diff = ens.values**power - other**power
-            mean = diff.mean(axis=0)
-            se = diff.std(axis=0, ddof=1) / math.sqrt(ens.n_members)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                zfield = np.where(se > 0, np.abs(mean) / se,
-                                  np.where(mean == 0, 0.0, np.inf))
-            rms.append(float(np.sqrt(np.mean(zfield**2))))
-            mx.append(float(np.max(zfield)))
-        rows.append((label, rms[0], rms[1], mx[0], mx[1]))
-    rms_z = max(max(r[1], r[2]) for r in rows)
-    max_z = max(max(r[3], r[4]) for r in rows)
-    return StationarityReport(rows, rms_z, max_z)
-
-
 # ------------------------------------------------------------------ export
 
 def export_ensemble(ens: Ensemble, base) -> tuple:
-    """Write members as flat binary plus a JSON metadata record."""
+    """Write the members of a snapshot as flat binary plus a JSON metadata
+    record."""
     meta = {
         "kind": "ensemble",
         "grid": {"d": ens.grid.d, "n": ens.grid.n, "len": ens.grid.len},
@@ -493,4 +396,4 @@ def load_ensemble(base) -> Ensemble:
     g = meta["grid"]
     grid = Grid(int(g["d"]), int(g["n"]), float(g["len"]))
     seeds = [tuple(sc) for sc in meta.get("seeds", [])]
-    return Ensemble(grid, values, time=float(meta.get("time", 0.0)), seeds=seeds)
+    return Ensemble(grid, values, float(meta.get("time", 0.0)), seeds)

@@ -30,6 +30,7 @@ from .experiments import (
     measure_from_spec,
 )
 from .random_fields import export_ensemble
+from .spectral import normalize_direction
 
 _TOP_KEYS = {"experiment", "grid", "measure", "nonlinearity", "solver",
              "n_members", "seed", "out"}
@@ -102,7 +103,7 @@ class RunConfig:
         grid = grid_from_record(self.grid)
         measure_from_spec(grid, self.measure)
         NonlinearitySpec.from_record(self.nonlinearity)
-        SolverConfig.from_record(self.solver)
+        normalize_direction(grid, SolverConfig.from_record(self.solver).z)
 
     def to_dict(self) -> dict:
         return {"experiment": self.experiment, "grid": self.grid,

@@ -25,17 +25,20 @@ Every field in the solvers is real, so the sweeps run on the half spectrum
 (rfft layout, see :mod:`fracflow.spectral`): the plan's symbols are the
 rfft-layout slices of the full ones, and the inverse transform returns real
 fields by construction.
+
+The solvers take the initial data as a snapshot :class:`Ensemble` (a single
+field is a one-member batch) and return its trajectory, an Ensemble with
+the config's time grid as node times and the initial data's seeds.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import _binio
 from .errors import (
     ConfigurationError,
     LadderWarning,
@@ -45,7 +48,6 @@ from .errors import (
 )
 from .random_fields import Ensemble
 from .spectral import (
-    FieldRealization,
     Grid,
     _check_s,
     directional_derivative_multiplier,
@@ -205,25 +207,6 @@ def dealias_mask(grid: Grid) -> np.ndarray:
     return keep
 
 
-def eval_nonlinearity(spec: NonlinearitySpec, field_: FieldRealization,
-                      dealias: bool | None = None) -> FieldRealization:
-    """Pointwise flux evaluation, spectrally truncated when dealiasing is
-    active for a polynomial kind."""
-    use_mask = spec.dealias_default if dealias is None else bool(dealias)
-    vals = spec.evaluate(field_.values)
-    if not np.all(np.isfinite(vals)):
-        raise NumericError(
-            f"nonlinearity {spec.kind!r} produced non-finite values "
-            f"at time {field_.time}"
-        )
-    if use_mask and spec.dealias_default:
-        grid = field_.grid
-        coeffs = real_forward_transform(grid, vals)
-        coeffs *= half_spectrum(grid, dealias_mask(grid))
-        vals = real_inverse_transform(grid, coeffs)
-    return FieldRealization(field_.grid, vals, time=field_.time)
-
-
 # ------------------------------------------------------------------ config
 
 @dataclass
@@ -287,103 +270,6 @@ class SolverConfig:
                    dealias=record.get("dealias"))
 
 
-# ------------------------------------------------------------------ trajectories
-
-@dataclass
-class Trajectory:
-    """One realization of u on the time grid: values[j] is the field at
-    time_grid[j]."""
-
-    grid: Grid
-    times: np.ndarray
-    values: np.ndarray
-    config: SolverConfig | None = None
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=np.float64)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        want = (self.times.size,) + self.grid.shape
-        if self.values.shape != want:
-            raise ConfigurationError(
-                f"trajectory values must have shape {want}, got {self.values.shape}"
-            )
-
-    @property
-    def n_nodes(self) -> int:
-        return self.times.size
-
-    def state(self, j: int) -> FieldRealization:
-        return FieldRealization(self.grid, self.values[j], time=float(self.times[j]))
-
-    @property
-    def states(self) -> list:
-        return [self.state(j) for j in range(self.n_nodes)]
-
-    @property
-    def final(self) -> FieldRealization:
-        return self.state(self.n_nodes - 1)
-
-
-@dataclass
-class EnsembleTrajectory:
-    """A batch of trajectories sharing the time grid: values[j, i] is
-    member i at time_grid[j]."""
-
-    grid: Grid
-    times: np.ndarray
-    values: np.ndarray
-    config: SolverConfig | None = None
-    seeds: list = field(default_factory=list)
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=np.float64)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if (self.values.ndim != self.grid.d + 2
-                or self.values.shape[0] != self.times.size
-                or self.values.shape[2:] != self.grid.shape):
-            raise ConfigurationError(
-                "ensemble trajectory values must have shape "
-                f"(n_nodes, N, {', '.join(map(str, self.grid.shape))})"
-            )
-
-    @property
-    def n_nodes(self) -> int:
-        return self.times.size
-
-    @property
-    def n_members(self) -> int:
-        return self.values.shape[1]
-
-    def ensemble_at(self, j: int) -> Ensemble:
-        return Ensemble(self.grid, self.values[j], time=float(self.times[j]),
-                        seeds=list(self.seeds))
-
-    def member(self, i: int) -> Trajectory:
-        return Trajectory(self.grid, self.times, self.values[:, i],
-                          config=self.config)
-
-
-def export_trajectory(traj: Trajectory, base) -> tuple:
-    meta = {
-        "kind": "trajectory",
-        "grid": {"d": traj.grid.d, "n": traj.grid.n, "len": traj.grid.len},
-        "times": traj.times.tolist(),
-        "config": traj.config.to_record() if traj.config is not None else None,
-    }
-    return _binio.write_array(base, traj.values, meta)
-
-
-def load_trajectory(base) -> Trajectory:
-    values, meta = _binio.read_array(base)
-    if meta.get("kind") != "trajectory":
-        raise ConfigurationError(f"{base}: metadata kind is not 'trajectory'")
-    g = meta["grid"]
-    grid = Grid(int(g["d"]), int(g["n"]), float(g["len"]))
-    config = (SolverConfig.from_record(meta["config"])
-              if meta.get("config") else None)
-    return Trajectory(grid, np.asarray(meta["times"]), values, config=config)
-
-
 # ------------------------------------------------------------------ diagnostics
 
 @dataclass
@@ -407,20 +293,6 @@ class PicardDiagnostics:
     converged: bool
     iterations: int
     unconverged_members: int
-
-    def to_text(self) -> str:
-        lines = [
-            f"# bielecki_k {self.bielecki_k:.12e}",
-            f"# rho_multiplier {self.rho_multiplier:.12e}",
-            f"# rho_kernel {self.rho_kernel:.12e}",
-            f"# tol {self.tol:.12e}",
-            f"# converged {int(self.converged)}",
-            "iteration\tresidual\tratio",
-        ]
-        for i, res in enumerate(self.residuals):
-            ratio = self.ratios[i - 1] if i >= 1 else math.nan
-            lines.append(f"{i + 1}\t{res:.12e}\t{ratio:.12e}")
-        return "\n".join(lines) + "\n"
 
 
 # ------------------------------------------------------------------ phi weights
@@ -530,29 +402,12 @@ class _DuhamelPlan:
         return dist
 
 
-def _as_batch(initial):
-    """Normalize FieldRealization | Ensemble input to (grid, values, seeds,
-    is_ensemble)."""
-    if isinstance(initial, Ensemble):
-        return initial.grid, initial.values, list(initial.seeds), True
-    if isinstance(initial, FieldRealization):
-        return initial.grid, initial.values, [], False
-    raise ConfigurationError(
-        "initial data must be a FieldRealization or an Ensemble"
-    )
-
-
-def _wrap(grid, times, values, config, seeds, is_ensemble):
-    if is_ensemble:
-        return EnsembleTrajectory(grid, times, values, config=config, seeds=seeds)
-    return Trajectory(grid, times, values, config=config)
-
-
-def duhamel_apply(traj, spec: NonlinearitySpec, config: SolverConfig):
+def duhamel_apply(traj: Ensemble, spec: NonlinearitySpec,
+                  config: SolverConfig) -> Ensemble:
     """The mild-solution map F evaluated on a trajectory:
     F(u)(t_j) = P_{t_j} u(0) + int_0^{t_j} grad_z P_{t_j - tau} f(u(tau)) dtau,
     with the integral by per-mode product integration."""
-    if not isinstance(traj, (Trajectory, EnsembleTrajectory)):
+    if not traj.is_trajectory:
         raise ConfigurationError("duhamel_apply needs a trajectory")
     if not np.array_equal(traj.times, config.time_grid):
         raise ConfigurationError("trajectory and config disagree on the time grid")
@@ -560,9 +415,18 @@ def duhamel_apply(traj, spec: NonlinearitySpec, config: SolverConfig):
     plan = _DuhamelPlan(grid, spec, config)
     out = traj.values.copy()
     plan.apply(real_forward_transform(grid, out[0]), out)
-    is_ens = isinstance(traj, EnsembleTrajectory)
-    seeds = traj.seeds if is_ens else []
-    return _wrap(grid, config.time_grid, out, config, seeds, is_ens)
+    return Ensemble(grid, out, config.time_grid, traj.seeds)
+
+
+def _check_initial(initial: Ensemble, spec: NonlinearitySpec):
+    """The checks every solver makes on its input."""
+    if initial.is_trajectory:
+        raise ConfigurationError("initial data must be a snapshot ensemble")
+    if not math.isfinite(spec.effective_lipschitz()):
+        raise ConfigurationError(
+            f"nonlinearity {spec.kind!r} is not globally Lipschitz; "
+            "set cutoff_level to run it through the cut-off map"
+        )
 
 
 def _bielecki_distance(grid: Grid, config: SolverConfig,
@@ -600,7 +464,8 @@ def _multiplier_rho(config: SolverConfig, lipschitz: float) -> float:
     return contraction_bound(config.s, lipschitz, config.bielecki_k)
 
 
-def picard_solve(initial, spec: NonlinearitySpec, config: SolverConfig):
+def picard_solve(initial: Ensemble, spec: NonlinearitySpec,
+                 config: SolverConfig) -> tuple:
     """Global fixed-point iteration u_1 = P_t u0, u_{m+1} = F(u_m).
 
     Each member stops on its own once the discrete Bielecki residual of
@@ -613,13 +478,9 @@ def picard_solve(initial, spec: NonlinearitySpec, config: SolverConfig):
     but non-growing run returns with converged = False and the count of
     members still above tol in diag.unconverged_members.
     """
-    grid, u0, seeds, is_ens = _as_batch(initial)
+    _check_initial(initial, spec)
+    grid, u0 = initial.grid, initial.values
     lipschitz = spec.effective_lipschitz()
-    if not math.isfinite(lipschitz):
-        raise ConfigurationError(
-            f"nonlinearity {spec.kind!r} is not globally Lipschitz; "
-            "set cutoff_level to run it through the cut-off map"
-        )
     plan = _DuhamelPlan(grid, spec, config)
     u0_hat = real_forward_transform(grid, u0)
     current = plan.free_flow(u0_hat)
@@ -640,7 +501,7 @@ def picard_solve(initial, spec: NonlinearitySpec, config: SolverConfig):
             converged = True
             break
         going = member_dist > config.tol
-        if member_dist.ndim and not going.all():
+        if not going.all():
             active = np.flatnonzero(going) if active is None else active[going]
     unconverged = 0 if converged else int(np.count_nonzero(going))
     rho = _multiplier_rho(config, lipschitz)
@@ -658,11 +519,11 @@ def picard_solve(initial, spec: NonlinearitySpec, config: SolverConfig):
     if not converged and len(residuals) >= 2 and residuals[-1] > residuals[0]:
         measured = (residuals[-1] / residuals[0]) ** (1.0 / (len(residuals) - 1))
         raise NonContractionError(measured, rho, iterations)
-    traj = _wrap(grid, config.time_grid, current, config, seeds, is_ens)
-    return traj, diag
+    return Ensemble(grid, current, config.time_grid, initial.seeds), diag
 
 
-def step_solve(initial, spec: NonlinearitySpec, config: SolverConfig):
+def step_solve(initial: Ensemble, spec: NonlinearitySpec,
+               config: SolverConfig) -> Ensemble:
     """March node to node with the same product-integration weights,
     restarting the Duhamel identity on each subinterval.
 
@@ -671,13 +532,8 @@ def step_solve(initial, spec: NonlinearitySpec, config: SolverConfig):
     raises StepSizeError.  Independent of picard_solve's iteration path,
     so agreement between the two validates both.
     """
-    grid, u0, seeds, is_ens = _as_batch(initial)
-    lipschitz = spec.effective_lipschitz()
-    if not math.isfinite(lipschitz):
-        raise ConfigurationError(
-            f"nonlinearity {spec.kind!r} is not globally Lipschitz; "
-            "set cutoff_level to run it through the cut-off map"
-        )
+    _check_initial(initial, spec)
+    grid, u0 = initial.grid, initial.values
     plan = _DuhamelPlan(grid, spec, config)
     out = np.empty((config.time_grid.size,) + u0.shape)
     out[0] = u0
@@ -707,7 +563,7 @@ def step_solve(initial, spec: NonlinearitySpec, config: SolverConfig):
             prev_diff = diff
         state_hat = cur_hat
         out[j + 1] = real_inverse_transform(grid, state_hat)
-    return _wrap(grid, config.time_grid, out, config, seeds, is_ens)
+    return Ensemble(grid, out, config.time_grid, initial.seeds)
 
 
 # ------------------------------------------------------------------ constants
@@ -752,27 +608,6 @@ def minimal_K(s: float, lipschitz: float) -> float:
     return k0
 
 
-def bielecki_norm(traj, bielecki_k: float, p: float = 2.0) -> float:
-    """Discrete Bielecki norm: sup_j e^{-K t_j} (moment of |u(t_j)|^p)^{1/p}.
-
-    The moment averages over space, and over members too for ensemble
-    trajectories; p = inf takes the grid (and member) maximum.
-    """
-    if not isinstance(traj, (Trajectory, EnsembleTrajectory)):
-        raise ConfigurationError("bielecki_norm needs a trajectory")
-    if not (bielecki_k >= 0 and math.isfinite(bielecki_k)):
-        raise ConfigurationError(f"bielecki_k must be >= 0, got {bielecki_k}")
-    if p != math.inf and not p >= 2:
-        raise ConfigurationError(f"moment order must be >= 2 or inf, got {p}")
-    axes = tuple(range(1, traj.values.ndim))
-    if p == math.inf:
-        nodal = np.max(np.abs(traj.values), axis=axes)
-    else:
-        nodal = np.mean(np.abs(traj.values) ** p, axis=axes) ** (1.0 / p)
-    weights = np.exp(-bielecki_k * traj.times)
-    return float(np.max(weights * nodal))
-
-
 # ------------------------------------------------------------------ cut-off ladder
 
 @dataclass
@@ -782,8 +617,8 @@ class LadderReport:
     pair_distances maps (n_lo, n_hi) to the per-node rms-over-members L2
     distance between those two ladder solutions; sup_distances is the
     time-sup of each.  cauchy_violations counts increases of the worst
-    distance as the lower cut-off level rises.  guard_z (ensembles only)
-    holds per-node z-scores of the initial-data moment bound
+    distance as the lower cut-off level rises.  guard_z (two or more
+    members only) holds per-node z-scores of the initial-data moment bound
     E|u(t)|^p <= E|h_n(u0)|^p for p = 2, 4.  diagnostics maps each level
     to the PicardDiagnostics of its solve.
     """
@@ -804,17 +639,16 @@ class LadderReport:
 
 
 def _pair_distance(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-node L2 distance, rms over members when batched; node by node,
-    so no whole-trajectory difference is formed."""
+    """Per-node L2 distance, rms over members; node by node, so no
+    whole-trajectory difference is formed."""
     out = np.empty(a.shape[0])
     for j in range(a.shape[0]):
-        dist = np.asarray(l2_norm(grid, a[j] - b[j])).reshape(-1)
-        out[j] = np.sqrt(np.mean(dist**2))
+        out[j] = np.sqrt(np.mean(l2_norm(grid, a[j] - b[j]) ** 2))
     return out
 
 
-def solve_polynomial(initial, spec: NonlinearitySpec, config: SolverConfig,
-                     ladder) -> tuple:
+def solve_polynomial(initial: Ensemble, spec: NonlinearitySpec,
+                     config: SolverConfig, ladder) -> tuple:
     """Approximate a polynomially growing flux by the cut-off ladder:
     for each level n solve with initial data h_n(u0) and flux f(h_n(.)),
     then measure whether the solutions form a Cauchy sequence in n.
@@ -833,16 +667,14 @@ def solve_polynomial(initial, spec: NonlinearitySpec, config: SolverConfig,
         raise ConfigurationError("ladder levels must be positive and finite")
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ConfigurationError("ladder levels must be strictly increasing")
-    grid, u0, seeds, is_ens = _as_batch(initial)
+    grid, u0 = initial.grid, initial.values
 
     solutions = {}
     diagnostics = {}
     for n in levels:
-        spec_n = replace(spec, cutoff_level=n)
-        cut0 = cutoff_map(u0, n)
-        start = (Ensemble(grid, cut0, time=0.0, seeds=seeds) if is_ens
-                 else FieldRealization(grid, cut0, time=0.0))
-        solutions[n], diagnostics[n] = picard_solve(start, spec_n, config)
+        start = replace(initial, values=cutoff_map(u0, n))
+        solutions[n], diagnostics[n] = picard_solve(
+            start, replace(spec, cutoff_level=n), config)
 
     pair_distances = {}
     sup_distances = {}
@@ -860,7 +692,7 @@ def solve_polynomial(initial, spec: NonlinearitySpec, config: SolverConfig,
 
     top = levels[-1]
     guard_z = None
-    if is_ens and solutions[top].n_members >= 2:
+    if initial.n_members >= 2:
         guard_z = {}
         cut0 = cutoff_map(u0, top)
         axes = tuple(range(-grid.d, 0))

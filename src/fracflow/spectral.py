@@ -30,7 +30,10 @@ A symbol applied in this layout must therefore be Hermitian on the full
 grid (validated by :class:`MultiplierOp` when the symbol is built);
 otherwise the product would not describe a real field.  Parseval on the
 half spectrum counts the last-axis indices 1..n/2-1 twice
-(:func:`half_spectrum_weights`).
+(:func:`half_spectrum_weights`).  Every real field (samples, multiplier
+applications, kernels, the solvers) goes through this real pair; the
+complex pair :func:`forward_transform`/:func:`inverse_transform` is left
+for the full periodogram of the spectrum estimator.
 """
 
 from __future__ import annotations
@@ -42,10 +45,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, NumericError, ResolutionError
-
-# Imaginary residue allowed after applying a Hermitian multiplier to a real
-# field, relative to max|result|.
-IMAG_RESIDUE_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -86,11 +85,6 @@ class Grid:
     @property
     def cell_volume(self) -> float:
         return self.dx**self.d
-
-    @property
-    def nyquist(self) -> float:
-        """Largest resolved wavenumber magnitude per axis, pi/dx."""
-        return math.pi / self.dx
 
     def axis_points(self) -> np.ndarray:
         return np.arange(self.n) * self.dx
@@ -195,45 +189,6 @@ def half_spectrum_weights(grid: Grid) -> np.ndarray:
     return w
 
 
-def to_real(values: np.ndarray, context: str = "field") -> np.ndarray:
-    """Discard the imaginary residue of a nominally real array.
-
-    Raises NumericError if the residue exceeds IMAG_RESIDUE_RTOL relative to
-    max|Re values|, which would indicate a non-Hermitian coefficient layout
-    rather than roundoff.
-    """
-    real = np.asarray(values.real, dtype=np.float64)
-    resid = float(np.max(np.abs(values.imag), initial=0.0))
-    scale = float(np.max(np.abs(real), initial=0.0))
-    if resid > IMAG_RESIDUE_RTOL * max(scale, 1e-300):
-        raise NumericError(
-            f"{context}: imaginary residue {resid:.3e} exceeds "
-            f"{IMAG_RESIDUE_RTOL:g} * max|values| = {IMAG_RESIDUE_RTOL * scale:.3e}"
-        )
-    return real
-
-
-@dataclass
-class FieldRealization:
-    """One real scalar field sample on a grid at a fixed time."""
-
-    grid: Grid
-    values: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != self.grid.shape:
-            raise ConfigurationError(
-                f"field shape {self.values.shape} does not match grid {self.grid.shape}"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise NumericError(f"field at t={self.time} contains non-finite values")
-
-    def spatial_mean(self) -> float:
-        return float(np.mean(self.values))
-
-
 @dataclass
 class MultiplierOp:
     """A Fourier multiplier m(k) acting diagonally on coefficients.
@@ -269,23 +224,15 @@ class MultiplierOp:
 
 
 def apply_multiplier_values(grid: Grid, values: np.ndarray, op: MultiplierOp,
-                            context: str = "apply_multiplier") -> np.ndarray:
-    """Multiplier application on a raw (possibly batched) value array."""
-    coeffs = forward_transform(grid, values)
-    coeffs *= op.values
-    out = to_real(inverse_transform(grid, coeffs), context=context)
+                            context: str = "apply_multiplier_values") -> np.ndarray:
+    """Multiplier application on a real (possibly batched) value array, on
+    the half spectrum of the validated symbol."""
+    coeffs = real_forward_transform(grid, values)
+    coeffs *= half_spectrum(grid, op.values)
+    out = real_inverse_transform(grid, coeffs)
     if not np.all(np.isfinite(out)):
         raise NumericError(f"{context}: produced non-finite values")
     return out
-
-
-def apply_multiplier(field: FieldRealization, op: MultiplierOp) -> FieldRealization:
-    """Apply a Hermitian Fourier multiplier to a field realization."""
-    if field.grid != op.grid:
-        raise ConfigurationError("field and multiplier live on different grids")
-    out = apply_multiplier_values(field.grid, field.values, op,
-                                  context=f"multiplier {op.label!r}")
-    return FieldRealization(field.grid, out, time=field.time)
 
 
 def _check_s(s: float, low_open: float = 0.0) -> float:
@@ -293,16 +240,6 @@ def _check_s(s: float, low_open: float = 0.0) -> float:
     if not (low_open < s <= 1.0):
         raise ConfigurationError(f"s must lie in ({low_open}, 1], got {s}")
     return s
-
-
-def fractional_laplacian_multiplier(grid: Grid, s: float) -> MultiplierOp:
-    """Symbol |k|^{2s} of the operator (-Laplace)^s; zero mode annihilated."""
-    s = _check_s(s)
-    return MultiplierOp(grid, grid.k_abs ** (2.0 * s), label=f"(-lap)^{s}")
-
-
-def fractional_laplacian(field: FieldRealization, s: float) -> FieldRealization:
-    return apply_multiplier(field, fractional_laplacian_multiplier(field.grid, s))
 
 
 def semigroup_multiplier(grid: Grid, s: float, t: float) -> MultiplierOp:
@@ -314,16 +251,12 @@ def semigroup_multiplier(grid: Grid, s: float, t: float) -> MultiplierOp:
                         label=f"P_t(s={s}, t={t})")
 
 
-def semigroup_apply(field: FieldRealization, s: float, t: float) -> FieldRealization:
-    """P_t applied to a field; mean-preserving, an L2 contraction."""
-    out = apply_multiplier(field, semigroup_multiplier(field.grid, s, t))
-    out.time = field.time + t
-    return out
-
-
 def normalize_direction(grid: Grid, z) -> np.ndarray:
     """Validate a transport direction and scale it to unit length."""
-    z = np.atleast_1d(np.asarray(z, dtype=np.float64))
+    try:
+        z = np.atleast_1d(np.asarray(z, dtype=np.float64))
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"direction must be numeric, got {z!r}")
     if z.shape != (grid.d,):
         raise ConfigurationError(
             f"direction must have {grid.d} component(s), got shape {z.shape}"
@@ -360,12 +293,6 @@ def grad_semigroup_multiplier(grid: Grid, s: float, t: float, z) -> MultiplierOp
     return MultiplierOp(grid, 1j * zk * decay, label=f"grad P_t(s={s}, t={t})")
 
 
-def grad_semigroup_apply(field: FieldRealization, s: float, t: float, z) -> FieldRealization:
-    out = apply_multiplier(field, grad_semigroup_multiplier(field.grid, s, t, z))
-    out.time = field.time + t
-    return out
-
-
 def gradient_constant(s: float) -> float:
     """c_s = sup_{r>=0} r e^{-r^{2s}} = (2 s e)^{-1/(2s)}.
 
@@ -376,26 +303,7 @@ def gradient_constant(s: float) -> float:
     return (2.0 * s * math.e) ** (-1.0 / (2.0 * s))
 
 
-def smoothing_constant(s: float, alpha: float) -> float:
-    """c_{s,alpha} = 2^{-alpha/2s} * sqrt(sup_r r^{2 alpha} e^{-r^{2s}}).
-
-    Controls the Sobolev gain of the semigroup:
-    ||P_t u0||_{alpha,2} <= (1 + c_{s,alpha} t^{-alpha/2s}) ||u0||_2.
-    The sup is attained at r^{2s} = alpha/s, so it equals
-    (alpha/s)^{alpha/s} e^{-alpha/s}, and 1 when alpha = 0.
-    """
-    s = _check_s(s)
-    alpha = float(alpha)
-    if alpha < 0:
-        raise ConfigurationError(f"alpha must be >= 0, got {alpha}")
-    if alpha == 0.0:
-        return 1.0
-    ratio = alpha / s
-    sup = ratio**ratio * math.exp(-ratio)
-    return 2.0 ** (-alpha / (2.0 * s)) * math.sqrt(sup)
-
-
-def kernel_values(grid: Grid, s: float, t: float) -> FieldRealization:
+def kernel_values(grid: Grid, s: float, t: float) -> np.ndarray:
     """Convolution kernel p_t of the semigroup, periodized on the grid.
 
     Normalized to unit mass: sum_x p_t(x) dx^d = 1 exactly, because the
@@ -407,8 +315,8 @@ def kernel_values(grid: Grid, s: float, t: float) -> FieldRealization:
     s = _check_s(s)
     if not (t > 0.0 and math.isfinite(t)):
         raise ConfigurationError(f"kernel time must be > 0, got {t}")
-    coeffs = np.exp(-t * grid.k_abs ** (2.0 * s)).astype(np.complex128)
-    vals = to_real(inverse_transform(grid, coeffs), context="kernel_values")
+    coeffs = np.exp(-t * half_spectrum(grid, grid.k_abs ** (2.0 * s)))
+    vals = real_inverse_transform(grid, coeffs)
     peak = float(np.max(vals))
     if peak * grid.cell_volume > 0.5:
         raise ResolutionError(
@@ -421,8 +329,7 @@ def kernel_values(grid: Grid, s: float, t: float) -> FieldRealization:
             f"kernel at t={t} has negative lobes ({floor:.3e}) beyond roundoff; "
             "spectral truncation is too severe on this grid"
         )
-    vals = np.maximum(vals, 0.0)
-    return FieldRealization(grid, vals, time=t)
+    return np.maximum(vals, 0.0)
 
 
 def l2_norm(grid: Grid, values: np.ndarray) -> np.ndarray | float:

@@ -10,16 +10,17 @@ import time
 
 import pytest
 
-from fracflow.experiments import get_experiment, run_registered
+from fracflow.experiments import get_experiment
 from fracflow.runner import RunConfig, replay_run, run_experiment
 
 pytestmark = pytest.mark.slow
 
 
 def _run(name):
-    config = get_experiment(name).default_config()
+    experiment = get_experiment(name)
+    config = experiment.default_config()
     t0 = time.perf_counter()
-    result = run_registered(config, workers=1)
+    result = experiment.fn(config, 1)
     wall = time.perf_counter() - t0
     return result, wall
 

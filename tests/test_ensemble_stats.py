@@ -1,6 +1,6 @@
-"""Statistics layer: moments, dissipation, covariance dynamics, and the
-semigroup convexity inequality, each checked against closed-form or
-brute-force oracles on small grids."""
+"""Statistics layer: moment series, dissipation, and the semigroup
+convexity inequality, each checked against closed-form or brute-force
+oracles on small grids."""
 
 import math
 
@@ -8,14 +8,8 @@ import numpy as np
 import pytest
 
 from fracflow.ensemble_stats import (
-    CovarianceDynamics,
-    DissipationReport,
-    MomentSeries,
-    SlackReport,
-    covariance_dynamics,
     dissipation_residual,
     format_table,
-    moment,
     moment_series,
     stroock_varopoulos_check,
 )
@@ -27,10 +21,8 @@ from fracflow.random_fields import (
     two_mode_measure,
 )
 from fracflow.solver import (
-    EnsembleTrajectory,
     NonlinearitySpec,
     SolverConfig,
-    Trajectory,
     picard_solve,
 )
 from fracflow.spectral import (
@@ -48,6 +40,10 @@ def constant_ensemble(grid, levels):
     return Ensemble(grid, values)
 
 
+def trajectory(times, values):
+    return Ensemble(GRID, values, np.asarray(times, dtype=float))
+
+
 def linear_run(measure, n_members, seed, s, t_final, nodes, bielecki_k=2.0):
     """Free flow of a sampled ensemble; zero nonlinearity is exact for the
     product-integration propagator, so this is a closed-form reference."""
@@ -59,100 +55,40 @@ def linear_run(measure, n_members, seed, s, t_final, nodes, bielecki_k=2.0):
     return traj
 
 
-class TestMoment:
+class TestMomentSeries:
+    def test_zero_initial_data(self):
+        values = np.zeros((5, 3, GRID.n))
+        traj = trajectory(np.linspace(0, 1, 5), values)
+        series = moment_series(traj, 2)
+        assert np.all(series.values == 0.0)
+        assert np.all(series.increase_z == 0.0)
+
+    def test_snapshot_rejected(self):
+        with pytest.raises(ConfigurationError, match="trajectory"):
+            moment_series(constant_ensemble(GRID, [1.0, 2.0]), 2)
+        with pytest.raises(ConfigurationError, match="trajectory"):
+            dissipation_residual(constant_ensemble(GRID, [1.0, 2.0]), 0.75)
+
     def test_constant_fields_exact(self):
-        # dyadic constant so the spatial mean introduces no rounding
-        ens = constant_ensemble(GRID, [1.5, 1.5, 1.5])
-        est, se = moment(ens, 2)
-        assert est == 1.5**2
-        assert se == 0.0
-        est5, _ = moment(ens, 5)
-        assert est5 == 1.5**5
-
-    def test_grid_max_without_stderr(self):
-        ens = constant_ensemble(GRID, [1.0, -3.0, 2.0])
-        est, se = moment(ens, math.inf)
-        assert est == 3.0
-        assert math.isnan(se)
-
-    def test_standard_gaussian_second_and_fourth(self):
-        # mass-1 field: E u^2 = 1 and E u^4 = 3 (fourth-moment identity)
-        measure = gaussian_bump_measure(GRID, width=2.0, mass=1.0)
-        ens = sample_ensemble(measure, 600, seed=101)
-        est2, se2 = moment(ens, 2)
-        assert abs(est2 - 1.0) <= 3.0 * se2
-        est4, se4 = moment(ens, 4)
-        assert abs(est4 - 3.0) <= 3.0 * se4
-
-    def test_order_validation(self):
-        ens = constant_ensemble(GRID, [1.0])
+        # dyadic constants so the spatial mean introduces no rounding
+        traj = trajectory([0.0], constant_ensemble(GRID, [1.5] * 3).values[None])
+        series = moment_series(traj, 2)
+        assert series.values[0] == 1.5**2 and series.stderr[0] == 0.0
+        assert moment_series(traj, 5).values[0] == 1.5**5
         with pytest.raises(ConfigurationError):
-            moment(ens, 1.5)
-
-    def test_empty_ensemble_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ens = Ensemble(GRID, np.empty((0, GRID.n)))
-            moment(ens, 2)
+            moment_series(traj, 1.5)
 
     def test_monotone_under_semigroup(self):
         """The flow contracts every L^p norm, pathwise for p = 2."""
         measure = gaussian_bump_measure(GRID, width=3.0, mass=2.0)
         ens = sample_ensemble(measure, 64, seed=7)
         op = semigroup_multiplier(GRID, 0.75, 0.3)
-        flowed = ens.with_values(
-            apply_multiplier_values(GRID, ens.values, op), time=0.3)
-        before2, _ = moment(ens, 2)
-        after2, _ = moment(flowed, 2)
-        assert after2 <= before2
-        before4, _ = moment(ens, 4)
-        after4, _ = moment(flowed, 4)
-        assert after4 <= before4 * (1.0 + 1e-12)
-
-    def test_lyapunov_ordering(self):
-        measure = gaussian_bump_measure(GRID, width=2.5, mass=1.3)
-        ens = sample_ensemble(measure, 200, seed=23)
-        m2, _ = moment(ens, 2)
-        m4, _ = moment(ens, 4)
-        # Cauchy-Schwarz holds pathwise, so no statistical slack needed
-        assert m2**0.5 <= m4**0.25 * (1.0 + 1e-12)
-        per2 = np.mean(ens.values**2, axis=1)
-        per4 = np.mean(ens.values**4, axis=1)
-        assert np.all(per2 <= np.sqrt(per4) * (1.0 + 1e-12))
-
-    def test_stderr_scales_like_root_n(self):
-        measure = gaussian_bump_measure(GRID, width=2.0, mass=1.0)
-        _, se_small = moment(sample_ensemble(measure, 400, seed=51), 2)
-        _, se_big = moment(sample_ensemble(measure, 1600, seed=52), 2)
-        exponent = math.log(se_small / se_big) / math.log(4.0)
-        assert 0.4 <= exponent <= 0.6
-
-
-class TestMomentSeries:
-    def test_zero_initial_data(self):
-        values = np.zeros((5, 3, GRID.n))
-        traj = EnsembleTrajectory(GRID, np.linspace(0, 1, 5), values)
-        series = moment_series(traj, 2)
-        assert np.all(series.values == 0.0)
-        assert np.all(series.increase_z == 0.0)
-
-    def test_list_and_ensemble_forms_agree(self):
-        measure = two_mode_measure(GRID, 3.0, mass=1.0)
-        traj = linear_run(measure, 6, seed=3, s=0.75, t_final=0.2, nodes=6)
-        as_list = [traj.member(i) for i in range(traj.n_members)]
-        a = moment_series(traj, 2)
-        b = moment_series(as_list, 2)
-        assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.stderr, b.stderr)
-        assert np.array_equal(a.increase_z, b.increase_z)
-
-    def test_mismatched_grids_rejected(self):
-        t1 = Trajectory(GRID, np.array([0.0, 0.1]), np.zeros((2, GRID.n)))
-        other = Grid(d=1, n=32, len=2.0 * math.pi)
-        t2 = Trajectory(other, np.array([0.0, 0.1]), np.zeros((2, 32)))
-        with pytest.raises(ConfigurationError):
-            moment_series([t1, t2], 2)
-        with pytest.raises(ConfigurationError):
-            moment_series([], 2)
+        flowed = apply_multiplier_values(GRID, ens.values, op)
+        traj = trajectory([0.0, 0.3], np.stack([ens.values, flowed]))
+        m2 = moment_series(traj, 2).values
+        assert m2[1] <= m2[0]
+        m4 = moment_series(traj, 4).values
+        assert m4[1] <= m4[0] * (1.0 + 1e-12)
 
     def test_linear_flow_matches_spectral_decay_sum(self):
         """E avg u(t)^2 = mean^2 + sum_k w_k e^{-2 t |k|^{2s}} under the
@@ -171,21 +107,21 @@ class TestMomentSeries:
         rng = np.random.default_rng(5)
         base = rng.standard_normal((8, GRID.n))
         values = np.stack([base, 1.1 * base])   # energy rises by 21%
-        traj = EnsembleTrajectory(GRID, np.array([0.0, 0.1]), values)
+        traj = trajectory([0.0, 0.1], values)
         series = moment_series(traj, 2)
         assert series.increase_z[0] > 3.0
 
     def test_infinite_order_series(self):
         ens_values = np.stack([np.full((2, GRID.n), 2.0),
                                np.full((2, GRID.n), 0.5)])
-        traj = EnsembleTrajectory(GRID, np.array([0.0, 1.0]), ens_values)
+        traj = trajectory([0.0, 1.0], ens_values)
         series = moment_series(traj, math.inf)
         assert series.values[0] == 2.0 and series.values[1] == 0.5
         assert np.all(np.isnan(series.stderr))
 
     def test_rows_shape(self):
         values = np.zeros((3, 2, GRID.n))
-        traj = EnsembleTrajectory(GRID, np.array([0.0, 0.5, 1.0]), values)
+        traj = trajectory([0.0, 0.5, 1.0], values)
         rows = moment_series(traj, 2).rows()
         assert len(rows) == 3 and len(rows[0]) == 4
 
@@ -197,7 +133,7 @@ def single_mode_trajectory(s, amp, k0, times, n_members=2):
     snapshots = np.stack([amp * math.exp(-lam * t) * np.cos(k0 * x)
                           for t in times])
     values = np.repeat(snapshots[:, None, :], n_members, axis=1)
-    return EnsembleTrajectory(GRID, times, values), lam
+    return trajectory(times, values), lam
 
 
 class TestDissipation:
@@ -250,100 +186,24 @@ class TestDissipation:
     def test_constant_fields_give_zero_identity(self):
         values = np.broadcast_to(
             np.array([1.0, 2.0])[None, :, None], (4, 2, GRID.n)).copy()
-        traj = EnsembleTrajectory(GRID, np.linspace(0, 1, 4), values)
+        traj = trajectory(np.linspace(0, 1, 4), values)
         report = dissipation_residual(traj, 0.8)
         assert np.all(report.lhs == 0.0)
         assert np.all(report.rhs == 0.0)
         assert np.all(report.residual == 0.0)
         assert report.decay_time == math.inf
 
-    def test_config_echo_checked(self):
-        s = 0.75
-        times = np.linspace(0.0, 0.04, 21)
-        traj, _ = single_mode_trajectory(s, 1.0, 1, times)
-        good = SolverConfig(s=s, z=[1.0], time_grid=times)
-        report = dissipation_residual(traj, s, config=good)
-        assert report.times.size == 21
-        bad = SolverConfig(s=s, z=[1.0], time_grid=np.linspace(0, 0.04, 9))
-        with pytest.raises(ConfigurationError):
-            dissipation_residual(traj, s, config=bad)
-        with pytest.raises(ConfigurationError):
-            dissipation_residual(traj, 0.6, config=good)
-
     def test_needs_two_members(self):
         times = np.linspace(0.0, 0.01, 5)
-        traj = EnsembleTrajectory(GRID, times, np.zeros((5, 1, GRID.n)))
+        traj = trajectory(times, np.zeros((5, 1, GRID.n)))
         with pytest.raises(ConfigurationError):
             dissipation_residual(traj, 0.75)
-
-
-class TestCovarianceDynamics:
-    S = 0.75
-
-    def _run(self, mean=1.5, n_members=300, seed=41):
-        # nonzero mean keeps the initial decay time above the dt gate
-        # (the kappa = 3 pair alone relaxes on a ~0.1 timescale)
-        measure = two_mode_measure(GRID, 3.0, mass=2.0, mean=mean)
-        traj = linear_run(measure, n_members, seed=seed, s=self.S,
-                          t_final=0.02, nodes=21)
-        return measure, traj
-
-    def test_lag_zero_column_is_centered_second_moment(self):
-        _, traj = self._run()
-        report = covariance_dynamics(traj, self.S, lags=[0, 5])
-        series = moment_series(traj, 2)
-        recon = report.values[:, 0] + report.mean_estimate**2
-        assert np.allclose(recon, series.values, rtol=1e-12, atol=1e-14)
-
-    def test_cosine_sum_oracle(self):
-        """Linear flow: B(t, y) = mass e^{-2 t lam} cos(kappa y) for a
-        single +/-kappa pair, within 3 stderr at every node and lag."""
-        measure, traj = self._run()
-        kappa = 3.0
-        lam = kappa ** (2.0 * self.S)
-        dx = GRID.len / GRID.n
-        report = covariance_dynamics(traj, self.S, lags=[0, 5, 17])
-        assert report.mean_estimate == pytest.approx(1.5, abs=1e-12)
-        for col, lag in enumerate(report.lags):
-            y = lag[0] * dx
-            for j, t in enumerate(report.times):
-                oracle = 2.0 * math.exp(-2.0 * lam * t) * math.cos(kappa * y)
-                tol = 3.0 * report.stderr[j, col] + 1e-12
-                assert abs(report.values[j, col] - oracle) <= tol
-
-    def test_identity_matches_dissipation_rate(self):
-        _, traj = self._run()
-        report = covariance_dynamics(traj, self.S, lags=[0])
-        diss = dissipation_residual(traj, self.S)
-        assert np.array_equal(report.identity_rhs, diss.rhs)
-        inner = ~report.low_confidence
-        cap = 1e-2 * np.abs(report.identity_rhs[inner]) \
-            + 3.0 * report.identity_stderr[inner]
-        assert np.all(np.abs(report.identity_residual[inner]) <= cap)
-
-    def test_negative_lag_wraps(self):
-        _, traj = self._run(n_members=8)
-        report = covariance_dynamics(traj, self.S, lags=[-5, GRID.n - 5])
-        assert report.lags[0] == report.lags[1]
-        assert np.array_equal(report.values[:, 0], report.values[:, 1])
-
-    def test_bad_lag_dimension(self):
-        _, traj = self._run(n_members=4)
-        with pytest.raises(ConfigurationError):
-            covariance_dynamics(traj, self.S, lags=[(1, 2)])
-
-    def test_resolution_gate_inherited(self):
-        measure = two_mode_measure(GRID, 3.0, mass=2.0)
-        traj = linear_run(measure, 8, seed=2, s=self.S,
-                          t_final=0.5, nodes=6)
-        with pytest.raises(ResolutionError):
-            covariance_dynamics(traj, self.S, lags=[0])
 
 
 def brute_force_semigroup(grid, s, h, values):
     """Physical-space circulant kernel sum, independent of the multiplier
     path (convolution theorem is the identity under test)."""
-    p = kernel_values(grid, s, h).values
+    p = kernel_values(grid, s, h)
     dx = grid.len / grid.n
     idx = (np.arange(grid.n)[:, None] - np.arange(grid.n)[None, :]) % grid.n
     matrix = p[idx] * dx
@@ -366,7 +226,7 @@ class TestStroockVaropoulos:
         # a = b = 1 on w >= 0: both sides are the same expression
         measure = gaussian_bump_measure(GRID, width=2.0, mass=0.5)
         ens = sample_ensemble(measure, 32, seed=13)
-        ens = ens.with_values(np.abs(ens.values) + 0.25)
+        ens = Ensemble(GRID, np.abs(ens.values) + 0.25)
         report = stroock_varopoulos_check(ens, 1.0, 1.0, 0.2, 0.75)
         assert report.slack == 0.0
         assert report.z_score == 0.0
@@ -391,7 +251,7 @@ class TestStroockVaropoulos:
     def test_nonnegative_fields_fractional_powers(self):
         measure = gaussian_bump_measure(GRID, width=2.0, mass=1.0)
         ens = sample_ensemble(measure, 300, seed=71)
-        ens = ens.with_values(np.abs(ens.values) + 0.1)
+        ens = Ensemble(GRID, np.abs(ens.values) + 0.1)
         report = stroock_varopoulos_check(ens, 0.5, 1.5, 0.15, 0.8)
         assert report.slack > 0.0
         assert report.passed()

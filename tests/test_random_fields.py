@@ -1,7 +1,7 @@
-"""Tests for measure construction, Gaussian sampling, and the statistical
-estimators.  Statistical assertions use fixed seeds and member-level standard
-errors; exact identities (Hermitian symmetry, determinism, cosine-sum
-covariance) are checked at roundoff scale.
+"""Tests for measure construction, Gaussian sampling, the Ensemble
+container and the statistical estimators.  Statistical assertions use fixed
+seeds and member-level standard errors; exact identities (Hermitian
+symmetry, determinism) are checked at roundoff scale.
 """
 
 import json
@@ -18,30 +18,22 @@ from fracflow.random_fields import (
     Ensemble,
     SpectralMeasure,
     SpectralNoise,
-    covariance_from_measure,
     directional_orthogonality_stat,
-    estimate_covariance,
     estimate_spectrum,
     export_ensemble,
     gaussian_bump_measure,
     load_ensemble,
-    load_measure,
     measure_from_spec,
     power_law_measure,
     sample_ensemble,
-    sample_field,
-    save_measure_spec,
-    sobolev_norm,
-    stationarity_test,
     two_mode_measure,
 )
 from fracflow.spectral import (
     Grid,
-    MultiplierOp,
     _reverse_modes,
     apply_multiplier_values,
+    inverse_transform,
     semigroup_multiplier,
-    smoothing_constant,
 )
 
 
@@ -146,13 +138,11 @@ class TestMeasureFamilies:
 
 
 class TestMeasureSpecRecords:
-    def test_round_trip_through_file(self, tmp_path):
+    def test_record_builds_the_family(self):
         record = {"family": "gaussian_bump", "mass": 1.5, "mean": 0.25,
                   "params": {"width": 2.0}}
-        path = tmp_path / "measure.json"
-        save_measure_spec(record, path)
-        m = load_measure(path, GRID)
-        direct = measure_from_spec(GRID, record)
+        m = measure_from_spec(GRID, record)
+        direct = gaussian_bump_measure(GRID, width=2.0, mass=1.5, mean=0.25)
         assert np.array_equal(m.weights, direct.weights)
         assert m.mean == 0.25
 
@@ -175,11 +165,18 @@ class TestMeasureSpecRecords:
             measure_from_spec(GRID, {"family": "power_law", "mass": 1.0,
                                      "params": {}})
 
-    def test_invalid_json_file(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigurationError, match="not valid JSON"):
-            load_measure(path, GRID)
+    @pytest.mark.parametrize("record", [
+        {"family": "gaussian_bump", "mass": 1.0, "params": {"width": "wide"}},
+        {"family": "gaussian_bump", "mass": 1.0, "params": {"width": [1, 2]}},
+        {"family": "power_law", "mass": "1", "params": {"nu": 1.0}},
+        {"family": "power_law", "mass": 1.0, "mean": None, "params": {"nu": 1.0}},
+        {"family": "two_mode", "mass": 1.0, "params": {"wavenumber": ["3"]}},
+        {"family": "two_mode", "mass": True, "params": {"wavenumber": 3}},
+        {"family": "two_mode", "mass": 1.0, "params": [3.0]},
+    ])
+    def test_non_numeric_entries_rejected(self, record):
+        with pytest.raises(ConfigurationError):
+            measure_from_spec(GRID, record)
 
 
 # ------------------------------------------------------------------ sampling
@@ -227,10 +224,18 @@ class TestSamplingDeterminism:
         assert np.array_equal(full.values[3:], tail.values)
         assert full.seeds[3:] == tail.seeds
 
-    def test_single_field_matches_member_zero(self):
-        f = sample_field(bump(), seed=9)
-        ens = sample_ensemble(bump(), 1, seed=9)
-        assert np.array_equal(f.values, ens.values[0])
+    @pytest.mark.parametrize("d,n", [(1, 64), (2, 16)])
+    def test_real_synthesis_matches_complex_synthesis(self, d, n):
+        """The half-spectrum synthesis equals the full complex one at
+        roundoff, and its imaginary residue would be roundoff too."""
+        g = Grid(d=d, n=n, len=2 * math.pi)
+        m = gaussian_bump_measure(g, width=2.0, mass=1.0, mean=0.5)
+        ens = sample_ensemble(m, 3, seed=8)
+        for i in range(3):
+            noise = SpectralNoise.draw(g, 8, i).coeffs
+            full = inverse_transform(g, np.sqrt(m.weights) * noise * g.len**d)
+            assert np.max(np.abs(full.imag)) <= 1e-13
+            assert np.max(np.abs(ens.values[i] - full.real - 0.5)) <= 1e-13
 
     @given(seed=st.integers(min_value=0, max_value=2**32),
            offset=st.integers(min_value=0, max_value=50))
@@ -278,6 +283,8 @@ class TestEnsembleContainer:
     def test_shape_validation(self):
         with pytest.raises(ConfigurationError):
             Ensemble(GRID, np.zeros((3, GRID.n + 1)))
+        with pytest.raises(ConfigurationError):
+            Ensemble(GRID, np.empty((0, GRID.n)))       # no members
 
     def test_nonfinite_member_reported(self):
         vals = np.zeros((4, GRID.n))
@@ -289,11 +296,34 @@ class TestEnsembleContainer:
         with pytest.raises(ConfigurationError):
             Ensemble(GRID, np.zeros((3, GRID.n)), seeds=[(0, 0)])
 
-    def test_member_view(self):
-        ens = sample_ensemble(bump(), 3, seed=4)
-        f = ens.member(1)
-        assert np.array_equal(f.values, ens.values[1])
-        assert f.time == ens.time
+    def test_trajectory_layout_and_snapshot_view(self):
+        times = np.linspace(0, 1, 4)
+        vals = np.random.default_rng(0).standard_normal((4, 2) + GRID.shape)
+        traj = Ensemble(GRID, vals, times, seeds=[(1, 0), (1, 1)])
+        assert traj.is_trajectory and traj.n_members == 2
+        snap = traj.at(2)
+        assert not snap.is_trajectory and snap.n_members == 2
+        assert snap.time == times[2]
+        assert np.array_equal(snap.values, vals[2])
+        assert snap.seeds == traj.seeds
+        assert Ensemble(GRID, vals[0]).time == 0.0
+
+    def test_times_validation(self):
+        vals = np.zeros((3, 2) + GRID.shape)
+        with pytest.raises(ConfigurationError):
+            Ensemble(GRID, vals)                       # trajectory needs times
+        with pytest.raises(ConfigurationError):
+            Ensemble(GRID, vals, np.linspace(0, 1, 4))  # one time per node
+        with pytest.raises(ConfigurationError):
+            Ensemble(GRID, vals[0], np.linspace(0, 1, 2))
+        with pytest.raises(ConfigurationError):
+            Ensemble(GRID, np.zeros(GRID.shape))        # no member axis
+
+    def test_nonfinite_trajectory_member_reported(self):
+        vals = np.zeros((3, 4) + GRID.shape)
+        vals[1, 3, 7] = np.nan
+        with pytest.raises(NumericError, match=r"\[3\]"):
+            Ensemble(GRID, vals, np.linspace(0, 1, 3))
 
     def test_export_load_round_trip(self, tmp_path):
         ens = sample_ensemble(bump(), 5, seed=77)
@@ -314,48 +344,7 @@ class TestEnsembleContainer:
             load_ensemble(tmp_path / "ens")
 
 
-# ------------------------------------------------------------------ covariance
-
-class TestCovariance:
-    def test_cosine_sum_oracle_small_grid(self):
-        # literal sum over modes on a 16-point grid
-        g = Grid(d=1, n=16, len=2 * math.pi)
-        rng = np.random.default_rng(5)
-        w = rng.random(g.shape)
-        w = 0.5 * (w + _reverse_modes(w, 1))
-        m = SpectralMeasure(g, w)
-        y = g.axis_points()
-        k = g.axis_wavenumbers
-        want = np.array([np.sum(w * np.cos(k * yy)) for yy in y])
-        got = covariance_from_measure(m)
-        assert np.max(np.abs(got - want)) <= 1e-12
-
-    def test_estimate_matches_measure(self):
-        m = bump()
-        ens = sample_ensemble(m, 800, seed=15)
-        est = estimate_covariance(ens)
-        want = covariance_from_measure(m)
-        z = (est.values - want) / est.stderr
-        assert np.max(np.abs(z)) <= 4.0
-        assert math.sqrt(np.mean(z**2)) <= 1.6
-
-    def test_lag_zero_is_the_pooled_variance(self):
-        ens = sample_ensemble(bump(), 40, seed=2)
-        est = estimate_covariance(ens)
-        var = float(np.mean((ens.values - np.mean(ens.values)) ** 2))
-        assert math.isclose(est.values[0], var, rel_tol=1e-10)
-
-    def test_constant_ensemble_has_zero_covariance(self):
-        ens = Ensemble(GRID, np.full((4, GRID.n), 2.0))
-        est = estimate_covariance(ens)
-        assert np.max(np.abs(est.values)) <= 1e-12
-        assert est.mean_estimate == 2.0
-
-    def test_needs_two_members(self):
-        ens = sample_ensemble(bump(), 1, seed=0)
-        with pytest.raises(ConfigurationError):
-            estimate_covariance(ens)
-
+# ------------------------------------------------------------------ spectrum
 
 class TestSpectrum:
     def test_two_mode_recovery(self):
@@ -389,8 +378,7 @@ class TestSpectrum:
         m, s, t = bump(), 0.75, 0.4
         ens = sample_ensemble(m, 800, seed=52)
         op = semigroup_multiplier(GRID, s, t)
-        flowed = ens.with_values(
-            apply_multiplier_values(GRID, ens.values, op), time=t)
+        flowed = Ensemble(GRID, apply_multiplier_values(GRID, ens.values, op), t)
         est = estimate_spectrum(flowed)
         want = m.decayed(s, t)
         sig = want.weights > 1e-10 * np.max(want.weights)
@@ -404,38 +392,9 @@ class TestSpectrum:
         assert abs(est.measure.mean - 1.5) <= 1e-12
 
 
-# ------------------------------------------------------------------ norms
+# ------------------------------------------------------------------ moments
 
-class TestSobolevNorm:
-    def test_alpha_zero_frozen_value(self):
-        # (1 + |k|^0) = 2 at every mode, so the norm is sqrt(2 mass)
-        m = bump(mass=1.0)
-        assert math.isclose(sobolev_norm(m, 0.0), math.sqrt(2.0), rel_tol=1e-12)
-
-    def test_two_mode_closed_form(self):
-        # both support modes sit at |k| = 3: norm^2 = mass (1 + 3^{2 alpha})
-        m = two_mode_measure(GRID, 3.0, mass=2.0)
-        want = math.sqrt(2.0 * (1.0 + 9.0))
-        assert math.isclose(sobolev_norm(m, 1.0), want, rel_tol=1e-12)
-        assert math.isclose(sobolev_norm(m, 1.0), 4.47213595499958, rel_tol=1e-12)
-
-    def test_negative_alpha_rejected(self):
-        with pytest.raises(ConfigurationError):
-            sobolev_norm(bump(), -0.5)
-
-    @pytest.mark.parametrize("s", [0.6, 1.0])
-    @pytest.mark.parametrize("alpha", [0.5, 1.0])
-    def test_smoothing_inequality_along_the_flow(self, s, alpha):
-        """sqrt(sum (1+|k|^{2a}) e^{-2t|k|^{2s}} w) stays below
-        (1 + c_{s,a} t^{-a/2s}) sqrt(sum w) at every positive time."""
-        m = bump(mass=1.7)
-        c = smoothing_constant(s, alpha)
-        l2 = math.sqrt(m.total_mass)
-        for t in np.logspace(-3, 1, 25):
-            lhs = sobolev_norm(m.decayed(s, float(t)), alpha)
-            rhs = (1.0 + c * float(t) ** (-alpha / (2 * s))) * l2
-            assert lhs <= rhs * (1.0 + 1e-12)
-
+class TestSpectralMoments:
     @given(alpha=st.floats(min_value=0.2, max_value=2.0),
            ratio=st.floats(min_value=0.05, max_value=0.95),
            seed=st.integers(min_value=0, max_value=10**6))
@@ -494,36 +453,3 @@ class TestOrthogonality:
         ens = sample_ensemble(bump(), 4, seed=1)
         with pytest.raises(ConfigurationError):
             directional_orthogonality_stat(ens, g=lambda u: u[..., :4], z=1.0)
-
-
-# ------------------------------------------------------------------ stationarity
-
-class TestStationarity:
-    def test_homogeneous_ensemble_passes(self):
-        ens = sample_ensemble(bump(), 400, seed=31)
-        rep = stationarity_test(ens, shifts=[1, 7, 64])
-        assert rep.passed()
-        assert rep.rms_z <= 2.0
-
-    def test_modulated_ensemble_flagged(self):
-        ens = sample_ensemble(bump(), 400, seed=31)
-        envelope = 1.0 + 0.3 * np.cos(GRID.coordinates()[0])
-        rep = stationarity_test(ens.with_values(ens.values * envelope[None, :]),
-                                shifts=[1, 7, 64])
-        assert not rep.passed()
-        assert rep.rms_z > 3.0
-
-    def test_full_period_shift_rejected(self):
-        ens = sample_ensemble(bump(), 10, seed=0)
-        with pytest.raises(ConfigurationError):
-            stationarity_test(ens, shifts=[GRID.n])
-
-    def test_wrong_dimension_shift_rejected(self):
-        ens = sample_ensemble(bump(), 10, seed=0)
-        with pytest.raises(ConfigurationError):
-            stationarity_test(ens, shifts=[(1, 1)])
-
-    def test_needs_two_members(self):
-        ens = sample_ensemble(bump(), 1, seed=0)
-        with pytest.raises(ConfigurationError):
-            stationarity_test(ens, shifts=[1])

@@ -357,6 +357,25 @@ class TestCli:
         assert rc == 2
         assert "mystery" in captured.err
 
+    @pytest.mark.parametrize("data", [
+        {**SMALL, "grid": {"n": "abc"}},
+        {**SMALL, "grid": {"n": 256.7}},
+        {**SMALL, "grid": {"len": "long"}},
+        {**SMALL, "grid": {"d": True}},
+        {**SMALL, "measure": {"params": {"width": "wide"}}},
+        {**SMALL, "measure": {"mass": [1.0]}},
+        {"experiment": "linear-spectral-decay", "solver": {"z": [1, 0, 3]}},
+        {"experiment": "linear-spectral-decay", "solver": {"z": ["x"]}},
+    ], ids=["n-string", "n-fraction", "len-string", "d-bool", "width-string",
+            "mass-list", "z-3d-on-1d-grid", "z-string"])
+    def test_malformed_config_exit_two(self, tmp_path, capsys, data):
+        rc = cli_main(["run", self.write_config(tmp_path, data),
+                       "--workers", "1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "configuration error" in captured.err
+        assert captured.out == ""
+
     def test_seed_override(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, SMALL)
         out = tmp_path / "run"

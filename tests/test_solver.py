@@ -18,49 +18,58 @@ from fracflow.errors import (
     NonContractionError,
     StepSizeError,
 )
-from fracflow.random_fields import gaussian_bump_measure, sample_ensemble
+from fracflow.random_fields import (
+    Ensemble,
+    gaussian_bump_measure,
+    sample_ensemble,
+)
 from fracflow.solver import (
-    EnsembleTrajectory,
     _DuhamelPlan,
     NonlinearitySpec,
     SolverConfig,
-    Trajectory,
     _bielecki_distance,
     _phi1,
     _phi2,
-    bielecki_norm,
     contraction_bound,
     cutoff_map,
     dealias_mask,
     duhamel_apply,
-    eval_nonlinearity,
-    export_trajectory,
-    load_trajectory,
     minimal_K,
     picard_solve,
     solve_polynomial,
     step_solve,
 )
 from fracflow.spectral import (
-    FieldRealization,
     Grid,
     apply_multiplier_values,
     directional_derivative_multiplier,
     forward_transform,
     gradient_constant,
+    half_spectrum,
     inverse_transform,
     l2_norm,
     real_forward_transform,
+    real_inverse_transform,
     semigroup_multiplier,
-    to_real,
 )
 
 GRID = Grid(d=1, n=256, len=2 * math.pi)
 
 
 def bump_field(seed=5, mass=1.0, grid=GRID):
+    """A single field, as the one-member ensemble the solvers take."""
     m = gaussian_bump_measure(grid, width=2.0, mass=mass)
-    return sample_ensemble(m, 1, seed=seed).member(0)
+    return sample_ensemble(m, 1, seed=seed)
+
+
+def member(ens, i):
+    """Member i of a snapshot as a one-member ensemble."""
+    return Ensemble(ens.grid, ens.values[i:i + 1], seeds=ens.seeds[i:i + 1])
+
+
+def trajectory(cfg, values):
+    """A trajectory ensemble on the config's time grid."""
+    return Ensemble(GRID, values, cfg.time_grid)
 
 
 def make_config(s=0.75, T=0.5, nodes=26, K=3.0, **kw):
@@ -154,6 +163,21 @@ class TestNonlinearitySpec:
 
 
 class TestDealiasing:
+    """The dealiasing mask acts in the solver's flux, _DuhamelPlan.flux_hat:
+    the coefficients of grad_z f(u), masked when dealiasing is on."""
+
+    G32 = Grid(d=1, n=32, len=2 * math.pi)
+
+    def flux_hat(self, grid, spec, values, dealias):
+        cfg = SolverConfig(s=0.75, z=1.0, time_grid=np.linspace(0, 1, 3),
+                           dealias=dealias)
+        return _DuhamelPlan(grid, spec, cfg).flux_hat(values)
+
+    def unmasked(self, grid, f_values):
+        """grad_z of the pointwise flux values, with no mask."""
+        deriv = directional_derivative_multiplier(grid, 1.0).values
+        return real_forward_transform(grid, f_values) * half_spectrum(grid, deriv)
+
     def test_mask_keeps_low_third(self):
         g = Grid(d=1, n=12, len=2 * math.pi)
         mask = dealias_mask(g)
@@ -162,24 +186,27 @@ class TestDealiasing:
 
     def test_quadratic_aliasing_removed(self):
         """cos(10x)^2/2 on n = 32: mode 20 would alias onto -12; the 2/3
-        mask keeps |j| <= 10, so the result is the pure projection 1/4."""
-        g = Grid(d=1, n=32, len=2 * math.pi)
-        x = g.coordinates()[0]
-        field = FieldRealization(g, np.cos(10 * x))
-        out = eval_nonlinearity(NonlinearitySpec.burgers(), field, dealias=True)
-        assert np.max(np.abs(out.values - 0.25)) <= 1e-13
+        mask keeps |j| <= 10, so the flux is the pure projection 1/4, whose
+        gradient vanishes."""
+        x = self.G32.coordinates()[0]
+        out = self.flux_hat(self.G32, NonlinearitySpec.burgers(cutoff_level=2.0),
+                            np.cos(10 * x), dealias=True)
+        assert np.max(np.abs(real_inverse_transform(self.G32, out))) <= 1e-13
 
     def test_dealias_off_keeps_pointwise_values(self):
-        g = Grid(d=1, n=32, len=2 * math.pi)
-        x = g.coordinates()[0]
-        field = FieldRealization(g, np.cos(10 * x))
-        out = eval_nonlinearity(NonlinearitySpec.burgers(), field, dealias=False)
-        assert np.max(np.abs(out.values - 0.5 * np.cos(10 * x) ** 2)) <= 1e-15
+        """Unmasked, the flux is the gradient of the pointwise values,
+        alias included: 1/4 + cos(12x)/4 on the grid, gradient -3 sin(12x)."""
+        x = self.G32.coordinates()[0]
+        out = self.flux_hat(self.G32, NonlinearitySpec.burgers(cutoff_level=2.0),
+                            np.cos(10 * x), dealias=False)
+        assert np.array_equal(out, self.unmasked(self.G32, 0.5 * np.cos(10 * x) ** 2))
+        grad = real_inverse_transform(self.G32, out)
+        assert np.max(np.abs(grad + 3.0 * np.sin(12 * x))) <= 1e-13
 
     def test_tanh_never_masked(self):
-        field = bump_field()
-        out = eval_nonlinearity(NonlinearitySpec.tanh(1.0), field, dealias=True)
-        assert np.array_equal(out.values, np.tanh(field.values))
+        u = bump_field().values
+        out = self.flux_hat(GRID, NonlinearitySpec.tanh(1.0), u, dealias=True)
+        assert np.array_equal(out, self.unmasked(GRID, np.tanh(u)))
 
 
 # ------------------------------------------------------------------ config, types
@@ -213,38 +240,6 @@ class TestSolverConfig:
                                       "time_grid": [0, 1], "theta": 2})
         with pytest.raises(ConfigurationError, match="missing"):
             SolverConfig.from_record({"s": 0.75})
-
-
-class TestTrajectoryTypes:
-    def test_shape_validation(self):
-        with pytest.raises(ConfigurationError):
-            Trajectory(GRID, np.linspace(0, 1, 3), np.zeros((2, GRID.n)))
-        with pytest.raises(ConfigurationError):
-            EnsembleTrajectory(GRID, np.linspace(0, 1, 3),
-                               np.zeros((3, GRID.n)))
-
-    def test_views(self):
-        times = np.linspace(0, 1, 4)
-        vals = np.random.default_rng(0).standard_normal((4, 2) + GRID.shape)
-        traj = EnsembleTrajectory(GRID, times, vals)
-        assert traj.n_nodes == 4 and traj.n_members == 2
-        ens = traj.ensemble_at(2)
-        assert ens.time == times[2]
-        assert np.array_equal(ens.values, vals[2])
-        member = traj.member(1)
-        assert np.array_equal(member.values, vals[:, 1])
-        assert member.final.time == 1.0
-
-    def test_export_round_trip(self, tmp_path):
-        cfg = make_config(nodes=6)
-        u0 = bump_field()
-        traj, _ = picard_solve(u0, NonlinearitySpec.tanh(0.3), cfg)
-        export_trajectory(traj, tmp_path / "traj")
-        back = load_trajectory(tmp_path / "traj")
-        assert np.array_equal(back.values, traj.values)
-        assert np.array_equal(back.times, traj.times)
-        assert back.config.s == cfg.s
-        assert back.config.bielecki_k == cfg.bielecki_k
 
 
 # ------------------------------------------------------------------ phi weights
@@ -287,8 +282,8 @@ class TestDuhamelApply:
     def test_zero_flux_gives_free_flow(self):
         cfg = make_config()
         u0 = bump_field()
-        traj = Trajectory(GRID, cfg.time_grid,
-                          np.repeat(u0.values[None], cfg.time_grid.size, axis=0))
+        traj = trajectory(cfg, np.repeat(u0.values[None], cfg.time_grid.size,
+                                         axis=0))
         F = duhamel_apply(traj, NonlinearitySpec.zero(), cfg)
         for j, t in enumerate(cfg.time_grid):
             lin = apply_multiplier_values(
@@ -297,8 +292,8 @@ class TestDuhamelApply:
 
     def test_constant_field_is_fixed(self):
         cfg = make_config()
-        vals = np.full((cfg.time_grid.size,) + GRID.shape, 1.3)
-        traj = Trajectory(GRID, cfg.time_grid, vals)
+        vals = np.full((cfg.time_grid.size, 1) + GRID.shape, 1.3)
+        traj = trajectory(cfg, vals)
         F = duhamel_apply(traj, NonlinearitySpec.tanh(0.5), cfg)
         assert np.max(np.abs(F.values - 1.3)) == 0.0
 
@@ -310,20 +305,20 @@ class TestDuhamelApply:
         x = GRID.coordinates()[0]
         u = np.cos(k0 * x)
         lam = k0 ** (2 * s)
-        traj = Trajectory(GRID, cfg.time_grid,
-                          np.repeat(u[None], cfg.time_grid.size, axis=0))
+        traj = trajectory(cfg, np.repeat(u[None, None], cfg.time_grid.size,
+                                         axis=0))
         F = duhamel_apply(traj, NonlinearitySpec.power(C, 0.0), cfg)
         for j, t in enumerate(cfg.time_grid):
             decay = math.exp(-t * lam)
             oracle = decay * np.cos(k0 * x) \
                 - C * k0 * np.sin(k0 * x) * (1.0 - decay) / lam
-            assert np.max(np.abs(F.values[j] - oracle)) <= 1e-8  # measured ~1e-15
+            assert np.max(np.abs(F.values[j, 0] - oracle)) <= 1e-8  # measured ~1e-15
 
     def test_input_trajectory_unchanged(self):
         cfg = make_config()
         rng = np.random.default_rng(2)
-        vals = rng.standard_normal((cfg.time_grid.size,) + GRID.shape)
-        traj = Trajectory(GRID, cfg.time_grid, vals.copy())
+        vals = rng.standard_normal((cfg.time_grid.size, 2) + GRID.shape)
+        traj = trajectory(cfg, vals.copy())
         F = duhamel_apply(traj, NonlinearitySpec.tanh(0.5), cfg)
         assert np.array_equal(traj.values, vals)
         assert not np.array_equal(F.values, vals)
@@ -332,10 +327,11 @@ class TestDuhamelApply:
     def test_time_grid_mismatch_rejected(self):
         cfg = make_config(nodes=5)
         other = make_config(nodes=7)
-        traj = Trajectory(GRID, other.time_grid,
-                          np.zeros((7,) + GRID.shape))
+        traj = Ensemble(GRID, np.zeros((7, 1) + GRID.shape), other.time_grid)
         with pytest.raises(ConfigurationError):
             duhamel_apply(traj, NonlinearitySpec.zero(), cfg)
+        with pytest.raises(ConfigurationError, match="trajectory"):
+            duhamel_apply(bump_field(), NonlinearitySpec.zero(), cfg)
 
 
 # ------------------------------------------------------------------ picard
@@ -353,7 +349,7 @@ class TestPicardSolve:
 
     def test_constant_initial_data_stays_constant(self):
         cfg = make_config()
-        u0 = FieldRealization(GRID, np.full(GRID.shape, 0.8))
+        u0 = Ensemble(GRID, np.full((1,) + GRID.shape, 0.8))
         traj, diag = picard_solve(u0, NonlinearitySpec.tanh(0.5), cfg)
         assert diag.converged
         assert np.max(np.abs(traj.values - 0.8)) <= 1e-12
@@ -377,6 +373,9 @@ class TestPicardSolve:
         traj, _ = picard_solve(u0, NonlinearitySpec.tanh(0.5), cfg)
         means = traj.values.mean(axis=tuple(range(1, traj.values.ndim)))
         assert np.max(np.abs(means - u0.values.mean())) <= 1e-13
+        assert traj.is_trajectory and traj.n_members == 1
+        assert np.array_equal(traj.times, cfg.time_grid)
+        assert traj.seeds == u0.seeds
 
     def test_batch_equals_single_member(self):
         m = gaussian_bump_measure(GRID, 2.0, 1.0)
@@ -384,9 +383,9 @@ class TestPicardSolve:
         cfg = make_config()
         spec = NonlinearitySpec.tanh(0.5)
         etraj, _ = picard_solve(ens, spec, cfg)
-        straj, _ = picard_solve(ens.member(2), spec, cfg)
-        assert np.array_equal(etraj.values[:, 2], straj.values)
-        assert isinstance(etraj, EnsembleTrajectory)
+        straj, _ = picard_solve(member(ens, 2), spec, cfg)
+        assert np.array_equal(etraj.values[:, 2], straj.values[:, 0])
+        assert etraj.is_trajectory
         assert etraj.seeds == ens.seeds
 
     def test_members_stop_on_their_own(self):
@@ -400,8 +399,8 @@ class TestPicardSolve:
         etraj, ediag = picard_solve(ens, spec, cfg)
         sweeps = []
         for i in range(ens.n_members):
-            straj, sdiag = picard_solve(ens.member(i), spec, cfg)
-            assert np.array_equal(etraj.values[:, i], straj.values)
+            straj, sdiag = picard_solve(member(ens, i), spec, cfg)
+            assert np.array_equal(etraj.values[:, i], straj.values[:, 0])
             sweeps.append(sdiag.iterations)
         assert len(set(sweeps)) > 1
         assert ediag.iterations == max(sweeps)
@@ -420,8 +419,7 @@ class TestPicardSolve:
         half = make_config(T=0.25, nodes=21, tol=1e-10)
         t_full, _ = picard_solve(bump_field(), spec, full)
         t_half, _ = picard_solve(bump_field(), spec, half)
-        restart = FieldRealization(GRID, t_half.values[-1], time=0.0)
-        t_rest, _ = picard_solve(restart, spec, half)
+        t_rest, _ = picard_solve(Ensemble(GRID, t_half.values[-1]), spec, half)
         err = l2_norm(GRID, t_rest.values[-1] - t_full.values[-1])
         assert err <= 10 * full.tol
 
@@ -447,15 +445,23 @@ class TestPicardSolve:
         with pytest.raises(ConfigurationError, match="cutoff"):
             picard_solve(bump_field(), NonlinearitySpec.burgers(), cfg)
 
-    def test_diagnostics_text(self):
+    def test_trajectory_initial_data_rejected(self):
         cfg = make_config()
-        _, diag = picard_solve(bump_field(), NonlinearitySpec.tanh(0.3), cfg)
-        text = diag.to_text()
-        assert "iteration\tresidual\tratio" in text
-        assert text.count("\n") >= diag.iterations + 5
+        traj, _ = picard_solve(bump_field(), NonlinearitySpec.tanh(0.3), cfg)
+        with pytest.raises(ConfigurationError, match="snapshot"):
+            picard_solve(traj, NonlinearitySpec.tanh(0.3), cfg)
+        with pytest.raises(ConfigurationError, match="snapshot"):
+            step_solve(traj, NonlinearitySpec.tanh(0.3), cfg)
 
 
 # ------------------------------------------------------------------ half spectrum
+
+def real_part(values):
+    """The real part of a nominally real complex array, after checking that
+    the imaginary residue is roundoff."""
+    assert np.max(np.abs(values.imag)) <= 1e-10 * np.max(np.abs(values.real))
+    return values.real
+
 
 def complex_reference_apply(grid, spec, cfg, u0, values):
     """The Duhamel map on the full spectrum, as an oracle for the solver's
@@ -481,7 +487,7 @@ def complex_reference_apply(grid, spec, cfg, u0, values):
         g_next = flux_hat(values[j + 1])
         vhat = np.exp(-a) * vhat + h * (_phi1(a) - _phi2(a)) * g_prev \
             + h * _phi2(a) * g_next
-        out[j + 1] = to_real(inverse_transform(
+        out[j + 1] = real_part(inverse_transform(
             grid, np.exp(-t[j + 1] * lam) * u0_hat + vhat))
         g_prev = g_next
     return out
@@ -492,7 +498,7 @@ def complex_reference_picard(grid, spec, cfg, u0):
     iterate and the number of sweeps."""
     lam = grid.k_abs ** (2.0 * cfg.s)
     u0_hat = forward_transform(grid, u0)
-    current = np.stack([to_real(inverse_transform(grid, np.exp(-t * lam) * u0_hat))
+    current = np.stack([real_part(inverse_transform(grid, np.exp(-t * lam) * u0_hat))
                         for t in cfg.time_grid])
     for sweep in range(1, cfg.max_iter + 1):
         new = complex_reference_apply(grid, spec, cfg, u0, current)
@@ -530,7 +536,7 @@ class TestHalfSpectrumEquivalence:
         values = ens.values[None] + 0.3 * rng.standard_normal(
             (cfg.time_grid.size,) + ens.values.shape)
         values[0] = ens.values
-        traj = EnsembleTrajectory(grid, cfg.time_grid, values)
+        traj = Ensemble(grid, values, cfg.time_grid)
         got = duhamel_apply(traj, spec, cfg).values
         want = complex_reference_apply(grid, spec, cfg, ens.values, values)
         assert np.max(np.abs(got - want)) <= 1e-12
@@ -594,7 +600,7 @@ class TestStepSolve:
 
     def test_constant_initial_data(self):
         cfg = make_config()
-        u0 = FieldRealization(GRID, np.full(GRID.shape, -0.6))
+        u0 = Ensemble(GRID, np.full((1,) + GRID.shape, -0.6))
         traj = step_solve(u0, NonlinearitySpec.tanh(1.0), cfg)
         assert np.max(np.abs(traj.values + 0.6)) <= 1e-12
 
@@ -636,8 +642,8 @@ class TestStepSolve:
         cfg = make_config()
         spec = NonlinearitySpec.tanh(0.5)
         etraj = step_solve(ens, spec, cfg)
-        straj = step_solve(ens.member(1), spec, cfg)
-        assert np.array_equal(etraj.values[:, 1], straj.values)
+        straj = step_solve(member(ens, 1), spec, cfg)
+        assert np.array_equal(etraj.values[:, 1], straj.values[:, 0])
 
 
 # ------------------------------------------------------------------ constants
@@ -690,40 +696,6 @@ class TestContractionConstants:
             contraction_bound(0.75, -1.0, 1.0)
         with pytest.raises(ConfigurationError):
             minimal_K(0.75, 0.0)
-
-
-class TestBieleckiNorm:
-    def test_constant_trajectory_unweighted(self):
-        times = np.linspace(0, 1, 5)
-        traj = Trajectory(GRID, times, np.full((5,) + GRID.shape, -2.0))
-        assert bielecki_norm(traj, 0.0, p=2.0) == pytest.approx(2.0)
-        assert bielecki_norm(traj, 0.0, p=math.inf) == pytest.approx(2.0)
-
-    def test_large_weight_selects_initial_node(self):
-        times = np.linspace(0, 1, 5)
-        vals = np.ones((5,) + GRID.shape) * np.arange(1, 6)[:, None]
-        traj = Trajectory(GRID, times, vals)
-        assert bielecki_norm(traj, 50.0, p=2.0) == pytest.approx(1.0)
-        assert bielecki_norm(traj, 0.0, p=2.0) == pytest.approx(5.0)
-
-    def test_p_homogeneity(self):
-        cfg = make_config(nodes=6)
-        traj, _ = picard_solve(bump_field(), NonlinearitySpec.tanh(0.3), cfg)
-        doubled = Trajectory(GRID, traj.times, 2.0 * traj.values)
-        for p in (2.0, 4.0, math.inf):
-            assert bielecki_norm(doubled, 1.0, p=p) == pytest.approx(
-                2.0 * bielecki_norm(traj, 1.0, p=p), rel=1e-12)
-
-    def test_ensemble_moment_and_validation(self):
-        m = gaussian_bump_measure(GRID, 2.0, 1.0)
-        ens = sample_ensemble(m, 3, seed=2)
-        cfg = make_config(nodes=4)
-        traj, _ = picard_solve(ens, NonlinearitySpec.tanh(0.2), cfg)
-        v = bielecki_norm(traj, 0.0, p=2.0)
-        want = np.max(np.sqrt(np.mean(traj.values**2, axis=(1, 2))))
-        assert v == pytest.approx(float(want), rel=1e-12)
-        with pytest.raises(ConfigurationError):
-            bielecki_norm(traj, 1.0, p=1.0)
 
 
 # ------------------------------------------------------------------ ladder
