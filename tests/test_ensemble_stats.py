@@ -119,6 +119,68 @@ class TestMomentSeries:
         assert series.values[0] == 2.0 and series.values[1] == 0.5
         assert np.all(np.isnan(series.stderr))
 
+    def test_grid_max_without_stderr(self):
+        traj = trajectory([0.0], constant_ensemble(GRID, [1.0, -3.0, 2.0]).values[None])
+        series = moment_series(traj, math.inf)
+        assert series.values[0] == 3.0
+        assert math.isnan(series.stderr[0]) and series.increase_z.size == 0
+
+    @pytest.mark.parametrize("p", [1.0, 1.99, math.nan])
+    def test_order_validation(self, p):
+        traj = trajectory([0.0, 1.0], np.ones((2, 2, GRID.n)))
+        with pytest.raises(ConfigurationError, match="order"):
+            moment_series(traj, p)
+
+    def test_standard_gaussian_second_and_fourth(self):
+        # mass-1 field: E u^2 = 1 and E u^4 = 3 (fourth-moment identity)
+        measure = gaussian_bump_measure(GRID, width=2.0, mass=1.0)
+        ens = sample_ensemble(measure, 600, seed=101)
+        traj = trajectory([0.0], ens.values[None])
+        m2 = moment_series(traj, 2)
+        assert abs(m2.values[0] - 1.0) <= 3.0 * m2.stderr[0]
+        m4 = moment_series(traj, 4)
+        assert abs(m4.values[0] - 3.0) <= 3.0 * m4.stderr[0]
+
+    def test_lyapunov_ordering(self):
+        measure = gaussian_bump_measure(GRID, width=2.5, mass=1.3)
+        ens = sample_ensemble(measure, 200, seed=23)
+        traj = trajectory([0.0], ens.values[None])
+        m2 = moment_series(traj, 2).values[0]
+        m4 = moment_series(traj, 4).values[0]
+        # Cauchy-Schwarz holds pathwise, so no statistical slack needed
+        assert m2**0.5 <= m4**0.25 * (1.0 + 1e-12)
+        for i in range(0, ens.n_members, 20):
+            one = trajectory([0.0], ens.values[None, i:i + 1])
+            per2 = moment_series(one, 2).values[0]
+            per4 = moment_series(one, 4).values[0]
+            assert per2 <= math.sqrt(per4) * (1.0 + 1e-12)
+
+    def test_stderr_scales_like_root_n(self):
+        measure = gaussian_bump_measure(GRID, width=2.0, mass=1.0)
+        se_small, se_big = (
+            moment_series(trajectory(
+                [0.0], sample_ensemble(measure, n, seed=seed).values[None]), 2).stderr[0]
+            for n, seed in ((400, 51), (1600, 52)))
+        exponent = math.log(se_small / se_big) / math.log(4.0)
+        assert 0.4 <= exponent <= 0.6
+
+    def test_members_reduce_individually(self):
+        """The series is the member mean of each member's own series, and
+        its stderr is the spread of those over members; a one-member
+        trajectory has no stderr and no increment z-score."""
+        measure = two_mode_measure(GRID, 3.0, mass=1.0)
+        traj = linear_run(measure, 6, seed=3, s=0.75, t_final=0.2, nodes=6)
+        batch = moment_series(traj, 2)
+        singles = []
+        for i in range(traj.n_members):
+            one = moment_series(trajectory(traj.times, traj.values[:, i:i + 1]), 2)
+            assert np.all(np.isnan(one.stderr)) and np.all(np.isnan(one.increase_z))
+            singles.append(one.values)
+        singles = np.stack(singles, axis=1)
+        assert np.array_equal(batch.values, singles.mean(axis=1))
+        assert np.array_equal(batch.stderr,
+                              singles.std(axis=1, ddof=1) / math.sqrt(6))
+
     def test_rows_shape(self):
         values = np.zeros((3, 2, GRID.n))
         traj = trajectory([0.0, 0.5, 1.0], values)

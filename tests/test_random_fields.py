@@ -319,6 +319,25 @@ class TestEnsembleContainer:
         with pytest.raises(ConfigurationError):
             Ensemble(GRID, np.zeros(GRID.shape))        # no member axis
 
+    def test_empty_trajectory_rejected(self):
+        with pytest.raises(ConfigurationError):
+            Ensemble(GRID, np.empty((3, 0, GRID.n)), np.linspace(0, 1, 3))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_single_field_validation(self, d):
+        """A single field travels as a one-member batch: its grid shape and
+        finiteness are checked on d = 1 and 2."""
+        g = Grid(d, 16, 1.0)
+        with pytest.raises(ConfigurationError):
+            Ensemble(g, np.zeros((1,) + (8,) * d))
+        with pytest.raises(ConfigurationError):
+            Ensemble(g, np.zeros(g.shape))                 # no member axis
+        bad = np.zeros((1,) + g.shape)
+        bad[(0,) + (3,) * d] = np.nan
+        with pytest.raises(NumericError, match=r"\[0\]"):
+            Ensemble(g, bad)
+        assert Ensemble(g, np.zeros((1,) + g.shape)).n_members == 1
+
     def test_nonfinite_trajectory_member_reported(self):
         vals = np.zeros((3, 4) + GRID.shape)
         vals[1, 3, 7] = np.nan

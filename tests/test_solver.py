@@ -20,7 +20,9 @@ from fracflow.errors import (
 )
 from fracflow.random_fields import (
     Ensemble,
+    export_ensemble,
     gaussian_bump_measure,
+    load_ensemble,
     sample_ensemble,
 )
 from fracflow.solver import (
@@ -453,6 +455,21 @@ class TestPicardSolve:
         with pytest.raises(ConfigurationError, match="snapshot"):
             step_solve(traj, NonlinearitySpec.tanh(0.3), cfg)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_final_state_export_round_trip(self, d, tmp_path):
+        """The final snapshot of a solve, written as a run writes its
+        final_state artifact, reloads bit for bit with time t_final."""
+        grid = GRID if d == 1 else Grid(d=2, n=16, len=2 * math.pi)
+        cfg = SolverConfig(s=0.75, z=[1.0] + [0.0] * (d - 1),
+                           time_grid=np.linspace(0.0, 0.5, 6), bielecki_k=3.0)
+        ens = sample_ensemble(gaussian_bump_measure(grid, 2.0, 1.0), 3, seed=4)
+        traj, _ = picard_solve(ens, NonlinearitySpec.tanh(0.3), cfg)
+        export_ensemble(traj.at(-1), tmp_path / "final_state")
+        back = load_ensemble(tmp_path / "final_state")
+        assert np.array_equal(back.values, traj.values[-1])
+        assert back.time == 0.5 and back.grid == grid
+        assert back.seeds == ens.seeds and not back.is_trajectory
+
 
 # ------------------------------------------------------------------ half spectrum
 
@@ -644,6 +661,53 @@ class TestStepSolve:
         etraj = step_solve(ens, spec, cfg)
         straj = step_solve(member(ens, 1), spec, cfg)
         assert np.array_equal(etraj.values[:, 1], straj.values[:, 0])
+
+
+# ------------------------------------------------------------------ bielecki
+
+class TestBieleckiDistance:
+    """The weighted metric sup_j e^{-K t_j} max_members rms of the Picard
+    residual, through the reference the fused residual is tested against."""
+
+    def test_constant_trajectory_unweighted(self):
+        cfg = make_config(T=1.0, nodes=5, K=0.0)
+        vals = np.full((5, 1) + GRID.shape, -2.0)
+        assert _bielecki_distance(GRID, cfg, vals, 0.0 * vals) == pytest.approx(2.0)
+
+    def test_large_weight_selects_initial_node(self):
+        vals = np.ones((5, 1) + GRID.shape) * np.arange(1, 6)[:, None, None]
+        zero = np.zeros_like(vals)
+        heavy = make_config(T=1.0, nodes=5, K=50.0)
+        flat = make_config(T=1.0, nodes=5, K=0.0)
+        assert _bielecki_distance(GRID, heavy, vals, zero) == pytest.approx(1.0)
+        assert _bielecki_distance(GRID, flat, vals, zero) == pytest.approx(5.0)
+
+    def test_homogeneity_symmetry_and_translation(self):
+        cfg = make_config(nodes=6, K=1.0)
+        traj, _ = picard_solve(bump_field(), NonlinearitySpec.tanh(0.3), cfg)
+        a = traj.values
+        b = np.roll(a, 17, axis=-1)
+        zero = np.zeros_like(a)
+        base = _bielecki_distance(GRID, cfg, a, zero)
+        assert _bielecki_distance(GRID, cfg, 2.0 * a, zero) == pytest.approx(
+            2.0 * base, rel=1e-12)
+        assert _bielecki_distance(GRID, cfg, a, b) == _bielecki_distance(GRID, cfg, b, a)
+        assert _bielecki_distance(GRID, cfg, a + 0.7, b + 0.7) == pytest.approx(
+            _bielecki_distance(GRID, cfg, a, b), rel=1e-12)
+
+    def test_max_over_members(self):
+        m = gaussian_bump_measure(GRID, 2.0, 1.0)
+        ens = sample_ensemble(m, 3, seed=2)
+        cfg = make_config(nodes=4, K=0.5)
+        traj, _ = picard_solve(ens, NonlinearitySpec.tanh(0.2), cfg)
+        v = _bielecki_distance(GRID, cfg, traj.values, np.zeros_like(traj.values))
+        rms = np.sqrt(np.mean(traj.values**2, axis=2))          # (nodes, N)
+        want = np.max(np.exp(-cfg.bielecki_k * cfg.time_grid)[:, None] * rms)
+        assert v == pytest.approx(float(want), rel=1e-12)
+        # the worst member, not the ensemble's pooled moment
+        pooled = np.max(np.sqrt(np.mean(traj.values**2, axis=(1, 2)))
+                        * np.exp(-cfg.bielecki_k * cfg.time_grid))
+        assert v > pooled
 
 
 # ------------------------------------------------------------------ constants

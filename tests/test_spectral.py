@@ -268,6 +268,22 @@ def test_semigroup_strong_continuity():
     assert errs[-1] < 0.05 * sp.l2_norm(g, u)
 
 
+@pytest.mark.parametrize("s", [0.6, 1.0])
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_semigroup_smoothing_inequality(s, alpha):
+    """||(-lap)^{alpha/2} P_t u||_2 <= c t^{-alpha/2s} ||u||_2 with
+    c = sup_r r^alpha e^{-r^{2s}}, at every positive time: the Sobolev
+    gain of the flow, mode by mode."""
+    g = sp.Grid(1, 128, 10.0)
+    u = random_field(g, 9)
+    c = golden_max(lambda r: r**alpha * math.exp(-(r ** (2 * s))))
+    l2 = sp.l2_norm(g, u)
+    for t in np.logspace(-3, 1, 25):
+        flowed = apply(g, u, sp.semigroup_multiplier(g, s, float(t)))
+        lhs = sp.l2_norm(g, apply(g, flowed, fractional_laplacian(g, alpha / 2)))
+        assert lhs <= c * float(t) ** (-alpha / (2 * s)) * l2 * (1.0 + 1e-12)
+
+
 # ----------------------------------------------------- gradient semigroup
 
 def test_grad_semigroup_bound_log_spaced():
