@@ -1,4 +1,7 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the
+number check every config record makes."""
+
+import numbers
 
 
 class FracflowError(Exception):
@@ -30,6 +33,10 @@ class NonContractionError(FracflowError):
             f"measured ratio {measured_ratio:.6g} vs contraction bound {bound:.6g}"
         )
 
+    def __reduce__(self):
+        # rebuilt from its fields, so it can cross a process boundary
+        return type(self), (self.measured_ratio, self.bound, self.iterations)
+
 
 class StepSizeError(FracflowError):
     """The inner fixed-point loop of the marching solver diverged; the
@@ -43,3 +50,14 @@ class LadderWarning(UserWarning):
     def __init__(self, message: str, data=None):
         super().__init__(message)
         self.data = data
+
+
+def require_number(value, what: str, integer: bool = False):
+    """A real number from a config record, as float (as int when
+    ``integer``, which also rejects fractional values); bools, strings,
+    None and containers raise ConfigurationError naming ``what``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or (integer and not float(value).is_integer())):
+        kind = "an integer" if integer else "a number"
+        raise ConfigurationError(f"{what} must be {kind}, got {value!r}")
+    return int(value) if integer else float(value)

@@ -6,20 +6,27 @@ the free flow, kernel identities, Picard contraction rates, moment
 monotonicity, the dissipation identity, and so on).  The registry is what
 the command line lists and runs; tests drive the same entry points.
 
-Ensembles are always processed in member chunks of fixed size CHUNK, and
-chunk results are reduced in chunk order.  Together with counter-based
+Ensemble solves run in member chunks of fixed size CHUNK, and chunk
+results are reduced in chunk order.  Together with counter-based
 per-member seeding this makes every number independent of the worker
-count.
+count.  parallel_picard runs one solve this way; parallel_ladder runs
+every level of a cut-off ladder as (level, chunk) tasks of one process
+pool, so the ladder experiments use the workers too.  A chunk returns its
+residual series unjudged: the NonContractionError rule of picard_solve is
+applied once per solve, to the series merged over its chunks, which is
+the whole batch's series.  picard-contraction still solves its ensemble
+in one process.
 """
 
 from __future__ import annotations
 
 import difflib
 import math
-import numbers
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -29,7 +36,12 @@ from .ensemble_stats import (
     moment_series,
     stroock_varopoulos_check,
 )
-from .errors import ConfigurationError, LadderWarning, NumericError
+from .errors import (
+    ConfigurationError,
+    LadderWarning,
+    NumericError,
+    require_number,
+)
 from .random_fields import (
     Ensemble,
     directional_orthogonality_stat,
@@ -39,11 +51,15 @@ from .random_fields import (
 )
 from .solver import (
     NonlinearitySpec,
+    PicardDiagnostics,
     SolverConfig,
+    _picard_iterate,
     contraction_bound,
+    ladder_levels,
+    ladder_report,
+    ladder_rung,
     minimal_K,
     picard_solve,
-    solve_polynomial,
     step_solve,
 )
 from .spectral import (
@@ -72,13 +88,9 @@ def grid_from_record(record: dict) -> Grid:
     missing = {"d", "n", "len"} - set(record)
     if missing:
         raise ConfigurationError(f"grid record missing {sorted(missing)}")
-    for key in ("d", "n", "len"):
-        value = record[key]
-        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                or (key != "len" and not float(value).is_integer())):
-            kind = "a number" if key == "len" else "an integer"
-            raise ConfigurationError(f"grid {key!r} must be {kind}, got {value!r}")
-    return Grid(d=int(record["d"]), n=int(record["n"]), len=float(record["len"]))
+    return Grid(d=require_number(record["d"], "grid 'd'", integer=True),
+                n=require_number(record["n"], "grid 'n'", integer=True),
+                len=require_number(record["len"], "grid 'len'"))
 
 
 @dataclass
@@ -115,24 +127,87 @@ class ExperimentResult:
 
 def _solve_chunk(payload: dict) -> dict:
     """One member chunk, rebuilt from plain records so it can cross a
-    process boundary.  Numeric blowup inside a chunk is reported, not
-    raised: the run continues with those members flagged."""
+    process boundary.  A ladder chunk (level n set) solves with data
+    h_n(u0) and flux f(h_n(.)).  The chunk's residual series comes back
+    unjudged, for the growth rule to see the merged series.  Numeric
+    blowup inside a chunk is reported, not raised: the run continues
+    with those members flagged."""
     grid = grid_from_record(payload["grid"])
     measure = measure_from_spec(grid, payload["measure"])
     spec = NonlinearitySpec.from_record(payload["nonlinearity"])
     config = SolverConfig.from_record(payload["solver"])
     ens = sample_ensemble(measure, payload["size"], payload["seed"],
                           counter_offset=payload["offset"] + payload["start"])
+    if payload["level"] is not None:
+        ens, spec = ladder_rung(ens, spec, payload["level"])
     try:
-        traj, diag = picard_solve(ens, spec, config)
+        traj, diag = _picard_iterate(ens, spec, config)
     except NumericError as exc:
         return {"start": payload["start"], "size": payload["size"],
                 "seeds": ens.seeds, "values": None, "error": str(exc)}
     return {"start": payload["start"], "size": payload["size"],
             "seeds": ens.seeds, "values": traj.values, "error": None,
-            "iterations": diag.iterations, "converged": diag.converged,
-            "residual": diag.residuals[-1] if diag.residuals else 0.0,
-            "unconverged_members": diag.unconverged_members}
+            "diagnostics": diag}
+
+
+def _chunk_payloads(grid_rec: dict, measure_rec: dict, nl_rec: dict,
+                    solver_rec: dict, n_members: int, seed: int,
+                    counter_offset: int = 0, level=None) -> list:
+    if n_members < 1:
+        raise ConfigurationError("n_members must be >= 1")
+    return [{"grid": grid_rec, "measure": measure_rec,
+             "nonlinearity": nl_rec, "solver": solver_rec,
+             "seed": seed, "offset": counter_offset, "level": level,
+             "start": start, "size": min(CHUNK, n_members - start)}
+            for start in range(0, n_members, CHUNK)]
+
+
+@contextmanager
+def _chunk_results(payloads: list, workers: int):
+    """An iterator over the chunk results in submission order, solved on a
+    process pool when there are workers and chunks to share, else one by
+    one as it is read.  Reading it as it comes keeps only the unmerged
+    chunks in memory; the pool shuts down on leaving the block."""
+    if workers > 1 and len(payloads) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield pool.map(_solve_chunk, payloads, chunksize=1)
+    else:
+        yield map(_solve_chunk, payloads)
+
+
+def _merge_chunks(grid_rec: dict, solver_rec: dict, n_members: int,
+                  results) -> tuple:
+    """(trajectory Ensemble, merged PicardDiagnostics, flagged entries) of
+    one solve's chunk results, in chunk order; flagged holds (index,
+    seed, message) for each member of a chunk that failed numerically.
+
+    Each chunk is copied into place as it is read, so only one chunk's
+    array is alive beside the trajectory; a single chunk is the
+    trajectory as it is."""
+    values, seeds, diags, flagged = None, [], [], []
+    for res in results:
+        if res["error"] is not None:
+            for j in range(res["size"]):
+                flagged.append((res["start"] + j, res["seeds"][j],
+                                res["error"]))
+            continue
+        block = res["values"]
+        if res["size"] == n_members:
+            values = block
+        else:
+            if values is None:
+                values = np.empty(block.shape[:1] + (n_members,)
+                                  + block.shape[2:])
+            values[:, len(seeds):len(seeds) + res["size"]] = block
+        seeds.extend(res["seeds"])
+        diags.append(res["diagnostics"])
+    if not seeds:
+        raise NumericError("every member chunk failed numerically")
+    if len(seeds) < n_members:          # flagged members leave no rows
+        values = values[:, :len(seeds)].copy()
+    config = SolverConfig.from_record(solver_rec)
+    traj = Ensemble(grid_from_record(grid_rec), values, config.time_grid, seeds)
+    return traj, PicardDiagnostics.merge(diags), flagged
 
 
 def parallel_picard(grid_rec: dict, measure_rec: dict, nl_rec: dict,
@@ -140,51 +215,52 @@ def parallel_picard(grid_rec: dict, measure_rec: dict, nl_rec: dict,
                     workers: int = 1, counter_offset: int = 0) -> tuple:
     """Chunked ensemble Picard solve; returns (trajectory Ensemble, info).
 
-    info carries per-run convergence aggregates (the unconverged_members
-    count summed over chunks), all member seeds in order, and flagged
-    (index, seed, message) entries for chunks that failed numerically.
-    Identical output for any worker count.
+    info carries the PicardDiagnostics merged over the chunks
+    (diagnostics) and its converged flag, all member seeds in order, and
+    flagged (index, seed, message) entries for chunks that failed
+    numerically.  Raises NonContractionError by the rule of picard_solve,
+    applied to the merged series.  Identical output for any worker count.
     """
-    if n_members < 1:
-        raise ConfigurationError("n_members must be >= 1")
-    payloads = []
-    for start in range(0, n_members, CHUNK):
-        payloads.append({
-            "grid": grid_rec, "measure": measure_rec,
-            "nonlinearity": nl_rec, "solver": solver_rec,
-            "seed": seed, "offset": counter_offset,
-            "start": start, "size": min(CHUNK, n_members - start),
-        })
-    if workers > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_solve_chunk, payloads, chunksize=1))
-    else:
-        results = [_solve_chunk(p) for p in payloads]
-
-    blocks, seeds, flagged = [], [], []
-    iterations, residual, converged, unconverged = 0, 0.0, True, 0
-    for res in results:     # chunk order == submission order
-        if res["error"] is not None:
-            for j in range(res["size"]):
-                flagged.append((res["start"] + j, res["seeds"][j],
-                                res["error"]))
-            continue
-        blocks.append(res["values"])
-        seeds.extend(res["seeds"])
-        iterations = max(iterations, res["iterations"])
-        residual = max(residual, res["residual"])
-        converged = converged and res["converged"]
-        unconverged += res["unconverged_members"]
-    if not blocks:
-        raise NumericError("every member chunk failed numerically")
-    grid = grid_from_record(grid_rec)
-    config = SolverConfig.from_record(solver_rec)
-    traj = Ensemble(grid, np.concatenate(blocks, axis=1), config.time_grid,
-                    seeds)
-    info = {"iterations": iterations, "residual": residual,
-            "converged": converged, "unconverged_members": unconverged,
-            "member_seeds": seeds, "flagged": flagged}
+    payloads = _chunk_payloads(grid_rec, measure_rec, nl_rec, solver_rec,
+                               n_members, seed, counter_offset)
+    with _chunk_results(payloads, workers) as results:
+        traj, diag, flagged = _merge_chunks(grid_rec, solver_rec, n_members,
+                                            results)
+    diag.raise_if_growing()
+    info = {"converged": diag.converged, "diagnostics": diag,
+            "member_seeds": list(traj.seeds), "flagged": flagged}
     return traj, info
+
+
+def parallel_ladder(grid_rec: dict, measure_rec: dict, nl_rec: dict,
+                    solver_rec: dict, n_members: int, seed: int, ladder,
+                    workers: int = 1) -> tuple:
+    """The cut-off ladder of solve_polynomial on the chunked path; returns
+    (top-level trajectory Ensemble, LadderReport).
+
+    Every (level, chunk) pair is one task of one pool, and every level
+    solves the same members.  Each level's chunks merge as in
+    parallel_picard; then, level by level in increasing order, a failed
+    chunk raises NumericError and a growing merged series raises
+    NonContractionError, as the in-memory ladder would.  Identical
+    output for any worker count, and equal to solve_polynomial on the
+    same sample.
+    """
+    levels = ladder_levels(NonlinearitySpec.from_record(nl_rec), ladder)
+    rungs = [_chunk_payloads(grid_rec, measure_rec, nl_rec, solver_rec,
+                             n_members, seed, level=n) for n in levels]
+    solutions, diagnostics = {}, {}
+    with _chunk_results([p for rung in rungs for p in rung],
+                        workers) as results:
+        for n, rung in zip(levels, rungs):
+            traj, diag, flagged = _merge_chunks(
+                grid_rec, solver_rec, n_members, islice(results, len(rung)))
+            if flagged:
+                raise NumericError(f"ladder level {n:g}: {flagged[0][2]}")
+            diag.raise_if_growing()
+            solutions[n], diagnostics[n] = traj, diag
+    report = ladder_report(solutions, diagnostics)
+    return solutions[report.top_level], report
 
 
 # ----------------------------------------------------------------- registry
@@ -246,6 +322,19 @@ def _unconverged_note(report, n_members: int) -> str:
                      f"{diag.residuals[-1]:.3g}, {diag.unconverged_members} of "
                      f"{n_members} members above tol)")
     return f"; unconverged rungs: {', '.join(rungs)}" if rungs else ""
+
+
+def _run_ladder(config: dict, workers: int) -> tuple:
+    """(top-level trajectory, LadderReport, whether LadderWarning was
+    raised) of the ladder 1, 2, 4, 8 of a config on the chunked path."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        top, report = parallel_ladder(
+            config["grid"], config["measure"], config["nonlinearity"],
+            config["solver"], config["n_members"], config["seed"],
+            (1, 2, 4, 8), workers)
+    warned = any(issubclass(w.category, LadderWarning) for w in caught)
+    return top, report, warned
 
 
 def _uniform_grid(t_final: float, nodes: int) -> list:
@@ -557,14 +646,7 @@ def _picard_contraction(config: dict, workers: int) -> ExperimentResult:
     ),
 )
 def _moment_monotonicity(config: dict, workers: int) -> ExperimentResult:
-    _, measure = _cfg_parts(config)
-    spec = NonlinearitySpec.from_record(config["nonlinearity"])
-    cfg = SolverConfig.from_record(config["solver"])
-    ens = sample_ensemble(measure, config["n_members"], config["seed"])
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        top, report = solve_polynomial(ens, spec, cfg, ladder=(1, 2, 4, 8))
-    ladder_warned = any(issubclass(w.category, LadderWarning) for w in caught)
+    top, report, ladder_warned = _run_ladder(config, workers)
     checks, tables = [], {}
     for p in (2, 4, 6):
         series = moment_series(top, p)
@@ -577,10 +659,10 @@ def _moment_monotonicity(config: dict, workers: int) -> ExperimentResult:
     checks.append(CheckResult(
         "ladder-cauchy", report.cauchy_violations == 0 and not ladder_warned,
         f"{report.cauchy_violations} distance increases"
-        f"{_unconverged_note(report, ens.n_members)}"))
+        f"{_unconverged_note(report, top.n_members)}"))
     return ExperimentResult(config["experiment"], checks, tables,
                             fields={"final_state": top.at(-1)},
-                            member_seeds=list(ens.seeds))
+                            member_seeds=list(top.seeds))
 
 
 @_register(
@@ -709,16 +791,9 @@ def _orthogonality(config: dict, workers: int) -> ExperimentResult:
     ),
 )
 def _cutoff_ladder(config: dict, workers: int) -> ExperimentResult:
-    _, measure = _cfg_parts(config)
-    spec = NonlinearitySpec.from_record(config["nonlinearity"])
-    cfg = SolverConfig.from_record(config["solver"])
     # mass 6.25 puts the field rms at 2.5, so levels 1, 2 clip hard and
     # 4, 8 clip rarely: the distances have room to shrink
-    ens = sample_ensemble(measure, config["n_members"], config["seed"])
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        top, report = solve_polynomial(ens, spec, cfg, ladder=(1, 2, 4, 8))
-    ladder_warned = any(issubclass(w.category, LadderWarning) for w in caught)
+    top, report, ladder_warned = _run_ladder(config, workers)
     rows = [[pair[0], pair[1], sup]
             for pair, sup in sorted(report.sup_distances.items())]
     guard_min = min(float(np.min(v)) for v in report.guard_z.values())
@@ -726,7 +801,7 @@ def _cutoff_ladder(config: dict, workers: int) -> ExperimentResult:
         CheckResult("cauchy-distances",
                     report.cauchy_violations == 0 and not ladder_warned,
                     f"{report.cauchy_violations} increases across min "
-                    f"levels{_unconverged_note(report, ens.n_members)}"),
+                    f"levels{_unconverged_note(report, top.n_members)}"),
         CheckResult("moment-guard", guard_min >= -3.0,
                     f"min initial-bound z = {guard_min:.2f}"),
     ]
@@ -735,7 +810,7 @@ def _cutoff_ladder(config: dict, workers: int) -> ExperimentResult:
         {"ladder_distances": (["level_lo", "level_hi", "sup_distance"],
                               rows)},
         fields={"final_state": top.at(-1)},
-        member_seeds=list(ens.seeds))
+        member_seeds=list(top.seeds))
 
 
 @_register(

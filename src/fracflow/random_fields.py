@@ -21,13 +21,12 @@ artifacts all take and return it.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _binio
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError, NumericError, require_number
 from .spectral import (
     Grid,
     _reverse_modes,
@@ -163,9 +162,11 @@ def measure_from_spec(grid: Grid, record: dict) -> SpectralMeasure:
     if name not in params:
         raise ConfigurationError(
             f"measure family {family!r} missing parameter {name!r}")
-    mass, mean = _number(mass, "mass"), _number(mean, "mean")
+    mass = require_number(mass, "measure 'mass'")
+    mean = require_number(mean, "measure 'mean'")
     raw = params[name]
-    value = [_number(v, name) for v in (raw if isinstance(raw, list) else [raw])]
+    value = [require_number(v, f"measure {name!r}")
+             for v in (raw if isinstance(raw, list) else [raw])]
     if family == "two_mode":
         return two_mode_measure(grid, value, mass, mean)
     if len(value) != 1:
@@ -173,13 +174,6 @@ def measure_from_spec(grid: Grid, record: dict) -> SpectralMeasure:
     if family == "gaussian_bump":
         return gaussian_bump_measure(grid, value[0], mass, mean)
     return power_law_measure(grid, value[0], mass, mean)
-
-
-def _number(value, name: str) -> float:
-    """A real number from a config record (bools and strings rejected)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigurationError(f"measure {name!r} must be a number, got {value!r}")
-    return float(value)
 
 
 # ------------------------------------------------------------------ sampling

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 
 from .ensemble_stats import format_table
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_number
 from .experiments import (
     ExperimentResult,
     NonlinearitySpec,
@@ -72,11 +72,9 @@ class RunConfig:
             raise ConfigurationError("config needs an 'experiment' name")
         exp = get_experiment(name)
         merged = _deep_merge(exp.default_config(), data)
-        try:
-            n_members = int(merged["n_members"])
-            seed = int(merged["seed"])
-        except (TypeError, ValueError):
-            raise ConfigurationError("n_members and seed must be integers")
+        n_members = require_number(merged["n_members"], "n_members",
+                                   integer=True)
+        seed = require_number(merged["seed"], "seed", integer=True)
         if n_members < 1:
             raise ConfigurationError(f"n_members must be >= 1, got {n_members}")
         cfg = cls(experiment=name, grid=merged["grid"],

@@ -45,6 +45,7 @@ from .errors import (
     NonContractionError,
     NumericError,
     StepSizeError,
+    require_number,
 )
 from .random_fields import Ensemble
 from .spectral import (
@@ -96,12 +97,15 @@ class NonlinearitySpec:
                 f"unknown nonlinearity kind {self.kind!r}; "
                 f"choose from {NONLINEARITY_KINDS}"
             )
-        if not (self.scale >= 0 and math.isfinite(self.scale)):
+        scale = require_number(self.scale, "nonlinearity 'scale'")
+        if not (scale >= 0 and math.isfinite(scale)):
             raise ConfigurationError(f"scale must be >= 0, got {self.scale}")
-        if not (self.exponent >= 0 and math.isfinite(self.exponent)):
+        exponent = require_number(self.exponent, "nonlinearity 'exponent'")
+        if not (exponent >= 0 and math.isfinite(exponent)):
             raise ConfigurationError(f"exponent must be >= 0, got {self.exponent}")
         if self.cutoff_level is not None and not (
-            self.cutoff_level > 0 and math.isfinite(self.cutoff_level)
+            require_number(self.cutoff_level, "cutoff level") > 0
+            and math.isfinite(self.cutoff_level)
         ):
             raise ConfigurationError(
                 f"cutoff level must be positive, got {self.cutoff_level}"
@@ -228,8 +232,15 @@ class SolverConfig:
     dealias: bool | None = None
 
     def __post_init__(self):
-        self.s = _check_s(self.s, low_open=0.5)
-        t = np.asarray(self.time_grid, dtype=np.float64)
+        self.s = _check_s(require_number(self.s, "solver 's'"), low_open=0.5)
+        try:
+            t = np.asarray(self.time_grid)
+        except ValueError:          # ragged nesting
+            t = None
+        if t is None or t.dtype.kind not in "iuf":
+            raise ConfigurationError(
+                f"time_grid must be a list of numbers, got {self.time_grid!r}")
+        t = np.asarray(t, dtype=np.float64)
         if t.ndim != 1 or t.size < 2:
             raise ConfigurationError("time_grid must hold at least [0, t1]")
         if t[0] != 0.0:
@@ -237,13 +248,19 @@ class SolverConfig:
         if not np.all(np.isfinite(t)) or np.any(np.diff(t) <= 0):
             raise ConfigurationError("time_grid must be finite and strictly increasing")
         self.time_grid = t
-        if not (self.bielecki_k >= 0 and math.isfinite(self.bielecki_k)):
+        k = require_number(self.bielecki_k, "solver 'bielecki_k'")
+        if not (k >= 0 and math.isfinite(k)):
             raise ConfigurationError(f"bielecki_k must be >= 0, got {self.bielecki_k}")
-        if not (self.tol > 0):
+        if not (require_number(self.tol, "solver 'tol'") > 0):
             raise ConfigurationError(f"tol must be positive, got {self.tol}")
-        if int(self.max_iter) < 1:
+        self.max_iter = require_number(self.max_iter, "solver 'max_iter'",
+                                       integer=True)
+        if self.max_iter < 1:
             raise ConfigurationError("max_iter must be >= 1")
-        self.max_iter = int(self.max_iter)
+        if self.dealias is not None and not isinstance(self.dealias,
+                                                       (bool, np.bool_)):
+            raise ConfigurationError(
+                f"dealias must be true, false or null, got {self.dealias!r}")
 
     def to_record(self) -> dict:
         z = np.atleast_1d(np.asarray(self.z, dtype=np.float64))
@@ -285,14 +302,45 @@ class PicardDiagnostics:
     """
 
     residuals: list
-    ratios: list
     rho_multiplier: float
     rho_kernel: float
     bielecki_k: float
     tol: float
     converged: bool
-    iterations: int
     unconverged_members: int
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residuals)
+
+    @property
+    def ratios(self) -> list:
+        """Successive residual ratios (after a zero residual, none)."""
+        r = self.residuals
+        return [b / a for a, b in zip(r, r[1:]) if a > 0]
+
+    @classmethod
+    def merge(cls, parts: list) -> "PicardDiagnostics":
+        """The diagnostics of one solve run as member chunks: at each sweep
+        the largest residual of the chunks still iterating, converged when
+        every chunk converged, unconverged members summed.  Members iterate
+        independently, so this is the whole batch's series."""
+        sweeps = max(d.iterations for d in parts)
+        residuals = [max(d.residuals[m] for d in parts if m < d.iterations)
+                     for m in range(sweeps)]
+        return replace(
+            parts[0], residuals=residuals,
+            converged=all(d.converged for d in parts),
+            unconverged_members=sum(d.unconverged_members for d in parts))
+
+    def raise_if_growing(self):
+        """The NonContractionError rule: a solve that reached the iteration
+        cap with its last residual above its first is not contracting."""
+        r = self.residuals
+        if not self.converged and len(r) >= 2 and r[-1] > r[0]:
+            measured = (r[-1] / r[0]) ** (1.0 / (len(r) - 1))
+            raise NonContractionError(measured, self.rho_multiplier,
+                                      self.iterations)
 
 
 # ------------------------------------------------------------------ phi weights
@@ -478,6 +526,15 @@ def picard_solve(initial: Ensemble, spec: NonlinearitySpec,
     but non-growing run returns with converged = False and the count of
     members still above tol in diag.unconverged_members.
     """
+    traj, diag = _picard_iterate(initial, spec, config)
+    diag.raise_if_growing()
+    return traj, diag
+
+
+def _picard_iterate(initial: Ensemble, spec: NonlinearitySpec,
+                    config: SolverConfig) -> tuple:
+    """picard_solve without the growth rule: member chunks return their
+    series, and the rule is applied once to the merged one."""
     _check_initial(initial, spec)
     grid, u0 = initial.grid, initial.values
     lipschitz = spec.effective_lipschitz()
@@ -486,39 +543,27 @@ def picard_solve(initial: Ensemble, spec: NonlinearitySpec,
     current = plan.free_flow(u0_hat)
     current[0] = u0
     residuals: list[float] = []
-    ratios: list[float] = []
     converged = False
-    iterations = 0
     active = None                     # None: every member still iterates
     for _ in range(config.max_iter):
         member_dist = plan.apply(u0_hat, current, active)
         dist = float(np.max(member_dist))
-        if residuals and residuals[-1] > 0:
-            ratios.append(dist / residuals[-1])
         residuals.append(dist)
-        iterations += 1
         if dist <= config.tol:
             converged = True
             break
         going = member_dist > config.tol
         if not going.all():
             active = np.flatnonzero(going) if active is None else active[going]
-    unconverged = 0 if converged else int(np.count_nonzero(going))
-    rho = _multiplier_rho(config, lipschitz)
     diag = PicardDiagnostics(
         residuals=residuals,
-        ratios=ratios,
-        rho_multiplier=rho,
+        rho_multiplier=_multiplier_rho(config, lipschitz),
         rho_kernel=_kernel_rho(grid, config, lipschitz),
         bielecki_k=config.bielecki_k,
         tol=config.tol,
         converged=converged,
-        iterations=iterations,
-        unconverged_members=unconverged,
+        unconverged_members=0 if converged else int(np.count_nonzero(going)),
     )
-    if not converged and len(residuals) >= 2 and residuals[-1] > residuals[0]:
-        measured = (residuals[-1] / residuals[0]) ** (1.0 / (len(residuals) - 1))
-        raise NonContractionError(measured, rho, iterations)
     return Ensemble(grid, current, config.time_grid, initial.seeds), diag
 
 
@@ -647,15 +692,8 @@ def _pair_distance(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def solve_polynomial(initial: Ensemble, spec: NonlinearitySpec,
-                     config: SolverConfig, ladder) -> tuple:
-    """Approximate a polynomially growing flux by the cut-off ladder:
-    for each level n solve with initial data h_n(u0) and flux f(h_n(.)),
-    then measure whether the solutions form a Cauchy sequence in n.
-
-    Returns the top-level trajectory and a LadderReport; a non-decreasing
-    distance profile emits LadderWarning (the data stays in the report).
-    """
+def ladder_levels(spec: NonlinearitySpec, ladder) -> list:
+    """The validated cut-off levels of a ladder for a polynomial flux."""
     if spec.kind not in ("burgers_quadratic", "polynomial"):
         raise ConfigurationError(
             f"cut-off ladder applies to polynomial kinds, not {spec.kind!r}"
@@ -667,15 +705,41 @@ def solve_polynomial(initial: Ensemble, spec: NonlinearitySpec,
         raise ConfigurationError("ladder levels must be positive and finite")
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ConfigurationError("ladder levels must be strictly increasing")
-    grid, u0 = initial.grid, initial.values
+    return levels
 
+
+def ladder_rung(initial: Ensemble, spec: NonlinearitySpec,
+                level: float) -> tuple:
+    """Initial data h_n(u0) and flux f(h_n(.)) of ladder level n."""
+    return (replace(initial, values=cutoff_map(initial.values, level)),
+            replace(spec, cutoff_level=level))
+
+
+def solve_polynomial(initial: Ensemble, spec: NonlinearitySpec,
+                     config: SolverConfig, ladder) -> tuple:
+    """Approximate a polynomially growing flux by the cut-off ladder:
+    for each level n solve with initial data h_n(u0) and flux f(h_n(.)),
+    then measure whether the solutions form a Cauchy sequence in n.
+
+    Returns the top-level trajectory and a LadderReport; a non-decreasing
+    distance profile emits LadderWarning (the data stays in the report).
+    """
     solutions = {}
     diagnostics = {}
-    for n in levels:
-        start = replace(initial, values=cutoff_map(u0, n))
+    for n in ladder_levels(spec, ladder):
         solutions[n], diagnostics[n] = picard_solve(
-            start, replace(spec, cutoff_level=n), config)
+            *ladder_rung(initial, spec, n), config)
+    report = ladder_report(solutions, diagnostics)
+    return solutions[report.top_level], report
 
+
+def ladder_report(solutions: dict, diagnostics: dict) -> LadderReport:
+    """The LadderReport of rung trajectories and their PicardDiagnostics,
+    both keyed by level in increasing order; emits LadderWarning on a
+    non-decreasing distance profile."""
+    levels = list(solutions)
+    top = levels[-1]
+    grid, times = solutions[top].grid, solutions[top].times
     pair_distances = {}
     sup_distances = {}
     for i, ni in enumerate(levels):
@@ -690,11 +754,10 @@ def solve_polynomial(initial: Ensemble, spec: NonlinearitySpec,
                  for n in levels[:-1]]
         violations = sum(1 for a, b in zip(worst, worst[1:]) if b > a)
 
-    top = levels[-1]
     guard_z = None
-    if initial.n_members >= 2:
+    if solutions[top].n_members >= 2:
         guard_z = {}
-        cut0 = cutoff_map(u0, top)
+        cut0 = solutions[top].values[0]          # h_top(u0)
         axes = tuple(range(-grid.d, 0))
         for p in (2, 4):
             start_p = np.mean(np.abs(cut0) ** p, axis=axes)
@@ -709,7 +772,7 @@ def solve_polynomial(initial: Ensemble, spec: NonlinearitySpec,
 
     report = LadderReport(
         levels=levels,
-        times=config.time_grid,
+        times=times,
         pair_distances=pair_distances,
         sup_distances=sup_distances,
         cauchy_violations=violations,
@@ -723,4 +786,4 @@ def solve_polynomial(initial: Ensemble, spec: NonlinearitySpec,
             "level rose; solutions are not behaving like a Cauchy sequence",
             data=report,
         ))
-    return solutions[top], report
+    return report

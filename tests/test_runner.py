@@ -11,9 +11,15 @@ import numpy as np
 import pytest
 
 import fracflow
+import fracflow.experiments
+import fracflow.solver
 from fracflow.cli import main as cli_main
 from fracflow.ensemble_stats import format_table
-from fracflow.errors import ConfigurationError
+from fracflow.errors import (
+    ConfigurationError,
+    NonContractionError,
+    NumericError,
+)
 from fracflow.experiments import (
     CHUNK,
     REGISTRY,
@@ -21,11 +27,23 @@ from fracflow.experiments import (
     Experiment,
     ExperimentResult,
     get_experiment,
+    grid_from_record,
     list_experiments,
+    parallel_ladder,
     parallel_picard,
 )
-from fracflow.random_fields import load_ensemble
+from fracflow.random_fields import (
+    load_ensemble,
+    measure_from_spec,
+    sample_ensemble,
+)
 from fracflow.runner import RunConfig, RunManifest, replay_run, run_experiment
+from fracflow.solver import (
+    NonlinearitySpec,
+    SolverConfig,
+    picard_solve,
+    solve_polynomial,
+)
 
 SMALL = {"experiment": "zero-nonlinearity", "n_members": 8, "seed": 11}
 
@@ -286,16 +304,144 @@ class TestParallelPicard:
         rec.update(kw)
         return rec
 
+    def whole_batch(self, nl_rec, solver_rec, n, seed):
+        """picard_solve on the whole sample that parallel_picard chunks."""
+        grid = grid_from_record(self.GRID)
+        ens = sample_ensemble(measure_from_spec(grid, self.MEASURE), n, seed)
+        return picard_solve(ens, NonlinearitySpec.from_record(nl_rec),
+                            SolverConfig.from_record(solver_rec))
+
     def test_unconverged_members_summed_over_chunks(self):
         # two chunks; tol 1e-14 is out of reach in 2 sweeps for every member
         n = CHUNK + 3
         _, info = parallel_picard(self.GRID, self.MEASURE, self.TANH,
                                   self.solver(tol=1e-14, max_iter=2), n, seed=5)
         assert not info["converged"]
-        assert info["unconverged_members"] == n
+        assert info["diagnostics"].unconverged_members == n
         _, info = parallel_picard(self.GRID, self.MEASURE, self.TANH,
                                   self.solver(), n, seed=5)
-        assert info["converged"] and info["unconverged_members"] == 0
+        assert info["converged"]
+        assert info["diagnostics"].unconverged_members == 0
+
+    def test_failed_chunk_flags_its_members(self, monkeypatch):
+        real = fracflow.experiments._picard_iterate
+
+        def first_chunk_fails(ens, spec, config):
+            if ens.seeds[0] == (5, 0):
+                raise NumericError("synthetic blowup")
+            return real(ens, spec, config)
+
+        n = 2 * CHUNK + 3
+        whole, _ = parallel_picard(self.GRID, self.MEASURE, self.TANH,
+                                   self.solver(), n, seed=5)
+        monkeypatch.setattr(fracflow.experiments, "_picard_iterate",
+                            first_chunk_fails)
+        traj, info = parallel_picard(self.GRID, self.MEASURE, self.TANH,
+                                     self.solver(), n, seed=5)
+        assert [f[0] for f in info["flagged"]] == list(range(CHUNK))
+        assert {f[2] for f in info["flagged"]} == {"synthetic blowup"}
+        assert info["member_seeds"] == whole.seeds[CHUNK:]
+        assert np.array_equal(traj.values, whole.values[:, CHUNK:])
+
+    @pytest.mark.parametrize("solver_kw", [{}, {"tol": 1e-12, "max_iter": 6}],
+                             ids=["converging", "capped"])
+    def test_merged_diagnostics_equal_whole_batch(self, solver_kw):
+        n = CHUNK + 3
+        rec = self.solver(**solver_kw)
+        traj, info = parallel_picard(self.GRID, self.MEASURE, self.TANH, rec,
+                                     n, seed=5, workers=2)
+        whole, diag = self.whole_batch(self.TANH, rec, n, seed=5)
+        merged = info["diagnostics"]
+        assert merged.residuals == diag.residuals
+        assert merged.iterations == diag.iterations
+        assert merged.converged == diag.converged == info["converged"]
+        assert merged.unconverged_members == diag.unconverged_members
+        assert np.array_equal(traj.values, whole.values)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_growing_run_raises_noncontraction(self, workers):
+        # two chunks; with K = 0.01 the tanh(30) map does not contract
+        n = CHUNK + 3
+        nl = {"kind": "lipschitz_tanh", "scale": 30.0}
+        rec = self.solver(s=1.0, time_grid=np.linspace(0, 2, 21).tolist(),
+                          bielecki_k=0.01, max_iter=8)
+        with pytest.raises(NonContractionError) as whole:
+            self.whole_batch(nl, rec, n, seed=5)
+        with pytest.raises(NonContractionError) as pooled:
+            parallel_picard(self.GRID, self.MEASURE, nl, rec, n, seed=5,
+                            workers=workers)
+        assert pooled.value.measured_ratio == whole.value.measured_ratio
+        assert pooled.value.iterations == whole.value.iterations == 8
+
+
+class TestParallelLadder:
+    CONFIG = {"experiment": "cutoff-ladder", "n_members": CHUNK + 3,
+              "grid": {"n": 32}}
+
+    @pytest.fixture
+    def captured(self, monkeypatch):
+        """The rung trajectories each ladder path hands to ladder_report."""
+        calls = []
+        real = fracflow.solver.ladder_report
+
+        def capture(solutions, diagnostics):
+            calls.append(solutions)
+            return real(solutions, diagnostics)
+
+        monkeypatch.setattr(fracflow.solver, "ladder_report", capture)
+        monkeypatch.setattr(fracflow.experiments, "ladder_report", capture)
+        return calls
+
+    def test_equals_in_memory_ladder(self, captured):
+        cfg = RunConfig.from_dict(self.CONFIG)
+        args = (cfg.grid, cfg.measure, cfg.nonlinearity, cfg.solver,
+                cfg.n_members, cfg.seed, (1, 2, 4, 8))
+        top, report = parallel_ladder(*args, workers=2)
+        grid = grid_from_record(cfg.grid)
+        ens = sample_ensemble(measure_from_spec(grid, cfg.measure),
+                              cfg.n_members, cfg.seed)
+        ref_top, ref = solve_polynomial(
+            ens, NonlinearitySpec.from_record(cfg.nonlinearity),
+            SolverConfig.from_record(cfg.solver), (1, 2, 4, 8))
+        pooled, in_memory = captured
+        assert list(pooled) == list(in_memory) == [1.0, 2.0, 4.0, 8.0]
+        for n in pooled:
+            assert np.array_equal(pooled[n].values, in_memory[n].values)
+            assert report.diagnostics[n] == ref.diagnostics[n]
+        assert np.array_equal(top.values, ref_top.values)
+        assert top.seeds == ref_top.seeds
+        assert report.pair_distances.keys() == ref.pair_distances.keys()
+        for pair, d in report.pair_distances.items():
+            assert np.array_equal(d, ref.pair_distances[pair])
+        for p, z in report.guard_z.items():
+            assert np.array_equal(z, ref.guard_z[p])
+        assert report.unconverged_levels == ref.unconverged_levels
+        assert report.cauchy_violations == ref.cauchy_violations
+
+    def test_failed_chunk_raises(self, monkeypatch):
+        real = fracflow.experiments._picard_iterate
+
+        def level_two_fails(ens, spec, config):
+            if spec.cutoff_level == 2.0 and ens.seeds[0][1] == 0:
+                raise NumericError("synthetic blowup")
+            return real(ens, spec, config)
+
+        monkeypatch.setattr(fracflow.experiments, "_picard_iterate",
+                            level_two_fails)
+        cfg = RunConfig.from_dict(self.CONFIG)
+        with pytest.raises(NumericError, match="ladder level 2: synthetic"):
+            parallel_ladder(cfg.grid, cfg.measure, cfg.nonlinearity,
+                            cfg.solver, cfg.n_members, cfg.seed, (1, 2, 4))
+
+    def test_on_disk_bytes_worker_independent(self, tmp_path):
+        cfg = RunConfig.from_dict(self.CONFIG)
+        m1, _ = run_experiment(cfg, workers=1, out=tmp_path / "w1")
+        m2, _ = run_experiment(cfg, workers=2, out=tmp_path / "w2")
+        assert m1.tables == m2.tables
+        assert m1.member_seeds == m2.member_seeds
+        for name in ("ladder_distances.tsv", "final_state.bin"):
+            assert (tmp_path / "w1" / name).read_bytes() == \
+                (tmp_path / "w2" / name).read_bytes()
 
 
 class TestCli:
@@ -366,8 +512,18 @@ class TestCli:
         {**SMALL, "measure": {"mass": [1.0]}},
         {"experiment": "linear-spectral-decay", "solver": {"z": [1, 0, 3]}},
         {"experiment": "linear-spectral-decay", "solver": {"z": ["x"]}},
+        {**SMALL, "solver": {"s": "abc"}},
+        {**SMALL, "solver": {"time_grid": ["a", "b"]}},
+        {**SMALL, "solver": {"tol": "tiny"}},
+        {**SMALL, "solver": {"bielecki_k": None}},
+        {**SMALL, "nonlinearity": {"scale": "big"}},
+        {**SMALL, "solver": {"max_iter": 2.5}},
+        {**SMALL, "solver": {"dealias": "yes"}},
+        {**SMALL, "n_members": 2.5},
     ], ids=["n-string", "n-fraction", "len-string", "d-bool", "width-string",
-            "mass-list", "z-3d-on-1d-grid", "z-string"])
+            "mass-list", "z-3d-on-1d-grid", "z-string", "s-string",
+            "time-grid-strings", "tol-string", "k-null", "scale-string",
+            "max-iter-fraction", "dealias-string", "members-fraction"])
     def test_malformed_config_exit_two(self, tmp_path, capsys, data):
         rc = cli_main(["run", self.write_config(tmp_path, data),
                        "--workers", "1"])

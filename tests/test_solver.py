@@ -4,6 +4,7 @@ marching solvers against each other, contraction constants, and the
 cut-off ladder."""
 
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -432,6 +433,13 @@ class TestPicardSolve:
             picard_solve(bump_field(), NonlinearitySpec.tanh(30.0), cfg)
         assert info.value.measured_ratio > 1.0
         assert info.value.iterations == 8
+
+    def test_noncontraction_error_pickles(self):
+        exc = NonContractionError(1.25, 0.5, 8)
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is NonContractionError
+        assert (back.measured_ratio, back.bound, back.iterations) == (1.25, 0.5, 8)
+        assert str(back) == str(exc)
 
     def test_capped_but_shrinking_returns_unconverged(self):
         L = 2.0
