@@ -8,6 +8,9 @@ for a + b = 2.  The series statistics take a trajectory :class:`Ensemble`
 Every estimator reduces member-level statistics (one number per
 realization first, then mean and standard error over members), so spatial
 correlation within a realization can never understate the error bars.
+The dissipation residual exposes the two stages apart
+(dissipation_series per member, reduce_dissipation across members), so
+member chunks solved elsewhere can return their series alone.
 Summation is numpy pairwise reduction in member order, making every
 reported number reproducible bit-for-bit for a fixed member ordering.
 """
@@ -174,19 +177,31 @@ class DissipationReport:
                 for j in range(self.times.size)]
 
 
-def dissipation_residual(traj: Ensemble, s: float) -> DissipationReport:
+def dissipation_series(traj: Ensemble, s: float) -> np.ndarray:
+    """The per-member part of dissipation_residual: (nodes, members, 2)
+    holding m2 = avg_x u^2 and the Dirichlet rate of each member at each
+    node.  Members are independent here, so a member chunk's series is
+    the whole batch's series at that chunk's members."""
     _check_trajectory(traj)
-    grid, times, values = traj.grid, traj.times, traj.values
-    if values.shape[1] < 2:
-        raise ConfigurationError("dissipation residual needs >= 2 members")
+    values = traj.values
     axes = tuple(range(2, values.ndim))
     m2 = np.mean(values**2, axis=axes)                    # (nodes, N)
-    rate = _dirichlet_rate(grid, s, values)               # (nodes, N)
+    rate = _dirichlet_rate(traj.grid, s, values)          # (nodes, N)
+    return np.stack([m2, rate], axis=-1)
+
+
+def reduce_dissipation(times: np.ndarray, series: np.ndarray) -> DissipationReport:
+    """The member-axis part of dissipation_residual, on the
+    dissipation_series of every member in member order."""
+    if series.shape[1] < 2:
+        raise ConfigurationError("dissipation residual needs >= 2 members")
+    m2 = np.ascontiguousarray(series[..., 0])
+    rate = np.ascontiguousarray(series[..., 1])
     decay_time = _check_resolution(times, float(m2[0].mean()),
                                    float(rate[0].mean()))
     lhs_members, low_confidence = _time_derivative(times, m2)
     residual_members = lhs_members - rate
-    n = values.shape[1]
+    n = series.shape[1]
     stderr = residual_members.std(axis=1, ddof=1) / math.sqrt(n)
     return DissipationReport(
         times=times,
@@ -198,6 +213,12 @@ def dissipation_residual(traj: Ensemble, s: float) -> DissipationReport:
         decay_time=decay_time,
         n_members=n,
     )
+
+
+def dissipation_residual(traj: Ensemble, s: float) -> DissipationReport:
+    """The dissipation identity on a whole trajectory: dissipation_series,
+    then reduce_dissipation."""
+    return reduce_dissipation(traj.times, dissipation_series(traj, s))
 
 
 @dataclass

@@ -9,13 +9,17 @@ the command line lists and runs; tests drive the same entry points.
 Ensemble solves run in member chunks of fixed size CHUNK, and chunk
 results are reduced in chunk order.  Together with counter-based
 per-member seeding this makes every number independent of the worker
-count.  parallel_picard runs one solve this way; parallel_ladder runs
-every level of a cut-off ladder as (level, chunk) tasks of one process
-pool, so the ladder experiments use the workers too.  A chunk returns its
-residual series unjudged: the NonContractionError rule of picard_solve is
-applied once per solve, to the series merged over its chunks, which is
-the whole batch's series.  picard-contraction still solves its ensemble
-in one process.
+count.  _pooled_solves runs the chunks of several solves as the tasks of
+one process pool and merges each solve in chunk order: parallel_picard
+is its one-solve case, parallel_ladder runs every level of a cut-off
+ladder through it, and energy-dissipation submits its three solves (the
+linear gate, tanh and Burgers) at once.  Energy-dissipation's chunks
+return each member's dissipation series (avg_x u^2 and the Dirichlet
+rate per node), not its trajectory, and the parent reduces the merged
+series across members.  A chunk returns its residual series unjudged:
+the NonContractionError rule of picard_solve is applied once per solve,
+to the series merged over its chunks, which is the whole batch's series.
+picard-contraction still solves its ensemble in one process.
 """
 
 from __future__ import annotations
@@ -31,9 +35,10 @@ from itertools import islice
 import numpy as np
 
 from .ensemble_stats import (
-    dissipation_residual,
+    dissipation_series,
     format_table,
     moment_series,
+    reduce_dissipation,
     stroock_varopoulos_check,
 )
 from .errors import (
@@ -128,10 +133,12 @@ class ExperimentResult:
 def _solve_chunk(payload: dict) -> dict:
     """One member chunk, rebuilt from plain records so it can cross a
     process boundary.  A ladder chunk (level n set) solves with data
-    h_n(u0) and flux f(h_n(.)).  The chunk's residual series comes back
-    unjudged, for the growth rule to see the merged series.  Numeric
-    blowup inside a chunk is reported, not raised: the run continues
-    with those members flagged."""
+    h_n(u0) and flux f(h_n(.)).  values is the chunk's trajectory, or for
+    a dissipation chunk its per-member dissipation_series; the member
+    axis is 1 in both.  The chunk's residual series comes back unjudged,
+    for the growth rule to see the merged series.  Numeric blowup inside
+    a chunk is reported, not raised: the run continues with those members
+    flagged."""
     grid = grid_from_record(payload["grid"])
     measure = measure_from_spec(grid, payload["measure"])
     spec = NonlinearitySpec.from_record(payload["nonlinearity"])
@@ -145,45 +152,37 @@ def _solve_chunk(payload: dict) -> dict:
     except NumericError as exc:
         return {"start": payload["start"], "size": payload["size"],
                 "seeds": ens.seeds, "values": None, "error": str(exc)}
+    values = (dissipation_series(traj, config.s) if payload["dissipation"]
+              else traj.values)
     return {"start": payload["start"], "size": payload["size"],
-            "seeds": ens.seeds, "values": traj.values, "error": None,
+            "seeds": ens.seeds, "values": values, "error": None,
             "diagnostics": diag}
 
 
 def _chunk_payloads(grid_rec: dict, measure_rec: dict, nl_rec: dict,
                     solver_rec: dict, n_members: int, seed: int,
-                    counter_offset: int = 0, level=None) -> list:
+                    counter_offset: int = 0, level=None,
+                    dissipation: bool = False) -> list:
     if n_members < 1:
         raise ConfigurationError("n_members must be >= 1")
     return [{"grid": grid_rec, "measure": measure_rec,
              "nonlinearity": nl_rec, "solver": solver_rec,
              "seed": seed, "offset": counter_offset, "level": level,
+             "dissipation": dissipation,
              "start": start, "size": min(CHUNK, n_members - start)}
             for start in range(0, n_members, CHUNK)]
 
 
-@contextmanager
-def _chunk_results(payloads: list, workers: int):
-    """An iterator over the chunk results in submission order, solved on a
-    process pool when there are workers and chunks to share, else one by
-    one as it is read.  Reading it as it comes keeps only the unmerged
-    chunks in memory; the pool shuts down on leaving the block."""
-    if workers > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield pool.map(_solve_chunk, payloads, chunksize=1)
-    else:
-        yield map(_solve_chunk, payloads)
-
-
-def _merge_chunks(grid_rec: dict, solver_rec: dict, n_members: int,
-                  results) -> tuple:
-    """(trajectory Ensemble, merged PicardDiagnostics, flagged entries) of
-    one solve's chunk results, in chunk order; flagged holds (index,
-    seed, message) for each member of a chunk that failed numerically.
+def _merge_chunks(results, n_members: int) -> tuple:
+    """(values, seeds, merged PicardDiagnostics, flagged entries) of one
+    solve's chunk results, in chunk order.  values joins the chunks'
+    values (trajectories or dissipation series) along the member axis 1;
+    flagged holds (index, seed, message) for each member of a chunk that
+    failed numerically, and those members leave no rows.
 
     Each chunk is copied into place as it is read, so only one chunk's
-    array is alive beside the trajectory; a single chunk is the
-    trajectory as it is."""
+    array is alive beside the merged one; a single chunk is the merged
+    array as it is."""
     values, seeds, diags, flagged = None, [], [], []
     for res in results:
         if res["error"] is not None:
@@ -203,11 +202,40 @@ def _merge_chunks(grid_rec: dict, solver_rec: dict, n_members: int,
         diags.append(res["diagnostics"])
     if not seeds:
         raise NumericError("every member chunk failed numerically")
-    if len(seeds) < n_members:          # flagged members leave no rows
+    if len(seeds) < n_members:
         values = values[:, :len(seeds)].copy()
-    config = SolverConfig.from_record(solver_rec)
-    traj = Ensemble(grid_from_record(grid_rec), values, config.time_grid, seeds)
-    return traj, PicardDiagnostics.merge(diags), flagged
+    return values, seeds, PicardDiagnostics.merge(diags), flagged
+
+
+@contextmanager
+def _pooled_solves(solves: list, workers: int):
+    """Several solves, each given as its list of chunk payloads, run as
+    the tasks of one process pool (or one by one as they are read, with
+    one worker or one chunk); yields an iterator of each solve's
+    _merge_chunks, in the order given.
+
+    Chunks are merged as they are read, so only the unmerged ones are
+    held.  A caller that stops reading leaves the later solves unread:
+    they add no seeds or flags and raise nothing, and on leaving the
+    block the pool shuts down and drops the chunks not yet started."""
+    payloads = [p for solve in solves for p in solve]
+    pool = (ProcessPoolExecutor(max_workers=workers)
+            if workers > 1 and len(payloads) > 1 else None)
+    try:
+        results = (map(_solve_chunk, payloads) if pool is None
+                   else pool.map(_solve_chunk, payloads, chunksize=1))
+        yield (_merge_chunks(islice(results, len(solve)),
+                             sum(p["size"] for p in solve))
+               for solve in solves)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+
+def _trajectory(grid_rec: dict, solver_rec: dict, values: np.ndarray,
+                seeds: list) -> Ensemble:
+    return Ensemble(grid_from_record(grid_rec), values,
+                    SolverConfig.from_record(solver_rec).time_grid, seeds)
 
 
 def parallel_picard(grid_rec: dict, measure_rec: dict, nl_rec: dict,
@@ -223,9 +251,9 @@ def parallel_picard(grid_rec: dict, measure_rec: dict, nl_rec: dict,
     """
     payloads = _chunk_payloads(grid_rec, measure_rec, nl_rec, solver_rec,
                                n_members, seed, counter_offset)
-    with _chunk_results(payloads, workers) as results:
-        traj, diag, flagged = _merge_chunks(grid_rec, solver_rec, n_members,
-                                            results)
+    with _pooled_solves([payloads], workers) as solves:
+        values, seeds, diag, flagged = next(solves)
+    traj = _trajectory(grid_rec, solver_rec, values, seeds)
     diag.raise_if_growing()
     info = {"converged": diag.converged, "diagnostics": diag,
             "member_seeds": list(traj.seeds), "flagged": flagged}
@@ -250,15 +278,13 @@ def parallel_ladder(grid_rec: dict, measure_rec: dict, nl_rec: dict,
     rungs = [_chunk_payloads(grid_rec, measure_rec, nl_rec, solver_rec,
                              n_members, seed, level=n) for n in levels]
     solutions, diagnostics = {}, {}
-    with _chunk_results([p for rung in rungs for p in rung],
-                        workers) as results:
-        for n, rung in zip(levels, rungs):
-            traj, diag, flagged = _merge_chunks(
-                grid_rec, solver_rec, n_members, islice(results, len(rung)))
+    with _pooled_solves(rungs, workers) as solves:
+        for n, (values, seeds, diag, flagged) in zip(levels, solves):
             if flagged:
                 raise NumericError(f"ladder level {n:g}: {flagged[0][2]}")
             diag.raise_if_growing()
-            solutions[n], diagnostics[n] = traj, diag
+            solutions[n] = _trajectory(grid_rec, solver_rec, values, seeds)
+            diagnostics[n] = diag
     report = ladder_report(solutions, diagnostics)
     return solutions[report.top_level], report
 
@@ -680,62 +706,71 @@ def _moment_monotonicity(config: dict, workers: int) -> ExperimentResult:
     ),
 )
 def _energy_dissipation(config: dict, workers: int) -> ExperimentResult:
-    s = float(config["solver"]["s"])
     n_members = config["n_members"]
-    dt = float(np.max(np.diff(np.asarray(config["solver"]["time_grid"]))))
+    times = SolverConfig.from_record(config["solver"]).time_grid
+    dt = float(np.max(np.diff(times)))
     checks, tables = [], {}
     seeds, flagged = [], []
-
-    def run(nl_rec, measure_rec, offset):
-        traj, info = parallel_picard(
-            config["grid"], measure_rec, nl_rec, config["solver"],
-            n_members, config["seed"], workers, counter_offset=offset)
-        seeds.extend(info["member_seeds"])
-        flagged.extend(info["flagged"])
-        return dissipation_residual(traj, s)
 
     # linear gate: single +/-1 pair plus a mean, where the centered
     # stencil bias (2 lam dt)^2/6 sits below the dt^2 cap
     gate_measure = {"family": "two_mode", "mass": 1.0, "mean": 1.0,
                     "params": {"wavenumber": 1.0}}
-    gate = run({"kind": "zero"}, gate_measure, offset=0)
-    inner = ~gate.low_confidence
-    gate_ok = bool(np.all(
-        np.abs(gate.residual[inner])
-        <= dt**2 * np.abs(gate.rhs[inner]) + 3.0 * gate.stderr[inner]))
-    checks.append(CheckResult(
-        "linear-gate", gate_ok,
-        f"interior residual within dt^2 relative + 3 stderr (dt={dt:g})"))
-    tables["dissipation_linear"] = (
-        ["t", "lhs", "rhs", "residual", "stderr", "low_confidence"],
-        gate.rows())
+    solves = (({"kind": "zero"}, gate_measure),
+              (config["nonlinearity"], config["measure"]),
+              ({"kind": "burgers_quadratic", "cutoff_level": 2.0},
+               config["measure"]))
+    # one pool for all three; disjoint counter blocks: gate 0..N,
+    # tanh N..2N, burgers 2N..3N.  Chunks return per-member series.
+    payloads = [_chunk_payloads(config["grid"], measure_rec, nl_rec,
+                                config["solver"], n_members, config["seed"],
+                                counter_offset=k * n_members,
+                                dissipation=True)
+                for k, (nl_rec, measure_rec) in enumerate(solves)]
+    with _pooled_solves(payloads, workers) as merged:
 
-    sign_ok = bool(np.all(gate.rhs <= 0.0))
-    if not gate_ok:
-        checks.append(CheckResult("tanh-identity", False,
-                                  "skipped: linear gate failed"))
-        checks.append(CheckResult("burgers-identity", False,
-                                  "skipped: linear gate failed"))
-    else:
-        for k, (label, nl_rec) in enumerate((
-                ("tanh", config["nonlinearity"]),
-                ("burgers", {"kind": "burgers_quadratic",
-                             "cutoff_level": 2.0}))):
-            # disjoint counter blocks: gate 0..N, tanh N..2N, burgers 2N..3N
-            report = run(nl_rec, config["measure"],
-                         offset=(1 + k) * n_members)
-            inner = ~report.low_confidence
-            cap = np.maximum(0.05 * np.abs(report.rhs[inner]),
-                             3.0 * report.stderr[inner])
-            worst = float(np.max(np.abs(report.residual[inner]) - cap))
-            ok = bool(np.all(np.abs(report.residual[inner]) <= cap))
-            checks.append(CheckResult(
-                f"{label}-identity", ok,
-                f"worst interior excess over cap = {worst:.2e}"))
-            sign_ok = sign_ok and bool(np.all(report.rhs <= 0.0))
-            tables[f"dissipation_{label}"] = (
-                ["t", "lhs", "rhs", "residual", "stderr", "low_confidence"],
-                report.rows())
+        def next_report():
+            series, member_seeds, diag, member_flags = next(merged)
+            diag.raise_if_growing()
+            seeds.extend(member_seeds)
+            flagged.extend(member_flags)
+            return reduce_dissipation(times, series)
+
+        gate = next_report()
+        inner = ~gate.low_confidence
+        gate_ok = bool(np.all(
+            np.abs(gate.residual[inner])
+            <= dt**2 * np.abs(gate.rhs[inner]) + 3.0 * gate.stderr[inner]))
+        checks.append(CheckResult(
+            "linear-gate", gate_ok,
+            f"interior residual within dt^2 relative + 3 stderr (dt={dt:g})"))
+        tables["dissipation_linear"] = (
+            ["t", "lhs", "rhs", "residual", "stderr", "low_confidence"],
+            gate.rows())
+
+        sign_ok = bool(np.all(gate.rhs <= 0.0))
+        if not gate_ok:
+            # the tanh and burgers solves are left unread
+            checks.append(CheckResult("tanh-identity", False,
+                                      "skipped: linear gate failed"))
+            checks.append(CheckResult("burgers-identity", False,
+                                      "skipped: linear gate failed"))
+        else:
+            for label in ("tanh", "burgers"):
+                report = next_report()
+                inner = ~report.low_confidence
+                cap = np.maximum(0.05 * np.abs(report.rhs[inner]),
+                                 3.0 * report.stderr[inner])
+                worst = float(np.max(np.abs(report.residual[inner]) - cap))
+                ok = bool(np.all(np.abs(report.residual[inner]) <= cap))
+                checks.append(CheckResult(
+                    f"{label}-identity", ok,
+                    f"worst interior excess over cap = {worst:.2e}"))
+                sign_ok = sign_ok and bool(np.all(report.rhs <= 0.0))
+                tables[f"dissipation_{label}"] = (
+                    ["t", "lhs", "rhs", "residual", "stderr",
+                     "low_confidence"],
+                    report.rows())
     checks.append(CheckResult("rhs-sign", sign_ok,
                               "rhs <= 0 at every node (exact)"))
     return ExperimentResult(config["experiment"], checks, tables,

@@ -291,19 +291,15 @@ class SolverConfig:
 
 @dataclass
 class PicardDiagnostics:
-    """Per-iteration residuals of the fixed-point iteration plus the two
-    theoretical contraction bounds they are compared against.
-
-    rho_multiplier uses the closed-form constant sup_r r e^{-r^{2s}};
-    rho_kernel replaces it with the measured L1 norm of grad_z p_1 on the
-    run grid (reported for reference, same K and Gamma factor).
+    """Per-iteration residuals of the fixed-point iteration plus the
+    theoretical contraction bound rho_multiplier they are compared
+    against, built on the closed-form constant sup_r r e^{-r^{2s}}.
     Each residual is the largest over the members still iterating at that
     sweep; unconverged_members counts those still above tol at the last.
     """
 
     residuals: list
     rho_multiplier: float
-    rho_kernel: float
     bielecki_k: float
     tol: float
     converged: bool
@@ -486,24 +482,6 @@ def _bielecki_distance(grid: Grid, config: SolverConfig,
     return float(np.max(weights[:, None] * rms))
 
 
-def _kernel_rho(grid: Grid, config: SolverConfig, lipschitz: float) -> float:
-    """Alternative contraction diagnostic: the measured L1 norm of
-    grad_z p_1 on this grid, in place of the closed-form constant."""
-    if lipschitz == 0.0:
-        return 0.0
-    if not math.isfinite(lipschitz):
-        return math.inf
-    s = config.s
-    deriv = directional_derivative_multiplier(grid, config.z).values
-    coeffs = half_spectrum(grid, deriv * np.exp(-grid.k_abs ** (2.0 * s)))
-    vals = real_inverse_transform(grid, coeffs)
-    c_kern = float(np.sum(np.abs(vals)) * grid.cell_volume)
-    if config.bielecki_k <= 0.0:
-        return math.inf
-    gamma = math.gamma(1.0 - 1.0 / (2.0 * s))
-    return c_kern * lipschitz * gamma * config.bielecki_k ** (-1.0 + 1.0 / (2.0 * s))
-
-
 def _multiplier_rho(config: SolverConfig, lipschitz: float) -> float:
     if lipschitz == 0.0:
         return 0.0
@@ -558,7 +536,6 @@ def _picard_iterate(initial: Ensemble, spec: NonlinearitySpec,
     diag = PicardDiagnostics(
         residuals=residuals,
         rho_multiplier=_multiplier_rho(config, lipschitz),
-        rho_kernel=_kernel_rho(grid, config, lipschitz),
         bielecki_k=config.bielecki_k,
         tol=config.tol,
         converged=converged,

@@ -9,8 +9,10 @@ import pytest
 
 from fracflow.ensemble_stats import (
     dissipation_residual,
+    dissipation_series,
     format_table,
     moment_series,
+    reduce_dissipation,
     stroock_varopoulos_check,
 )
 from fracflow.errors import ConfigurationError, ResolutionError
@@ -260,6 +262,24 @@ class TestDissipation:
         traj = trajectory(times, np.zeros((5, 1, GRID.n)))
         with pytest.raises(ConfigurationError):
             dissipation_residual(traj, 0.75)
+
+    def test_series_of_member_blocks_reduce_to_the_whole(self):
+        # the per-member stage of blocks (as member chunks return it),
+        # joined in member order, reduces bit for bit to the one-call report
+        measure = two_mode_measure(GRID, 1.0, mass=1.0)
+        traj = linear_run(measure, 300, seed=77, s=0.75, t_final=0.04,
+                          nodes=21)
+        whole = dissipation_residual(traj, 0.75)
+        blocks = [trajectory(traj.times, traj.values[:, lo:hi])
+                  for lo, hi in ((0, 256), (256, 300))]
+        joined = np.concatenate(
+            [dissipation_series(b, 0.75) for b in blocks], axis=1)
+        assert joined.shape == (21, 300, 2)
+        split = reduce_dissipation(traj.times, joined)
+        for name in ("lhs", "rhs", "residual", "stderr", "low_confidence"):
+            assert np.array_equal(getattr(split, name), getattr(whole, name))
+        assert split.decay_time == whole.decay_time
+        assert split.n_members == whole.n_members == 300
 
 
 def brute_force_semigroup(grid, s, h, values):

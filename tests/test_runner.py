@@ -14,7 +14,7 @@ import fracflow
 import fracflow.experiments
 import fracflow.solver
 from fracflow.cli import main as cli_main
-from fracflow.ensemble_stats import format_table
+from fracflow.ensemble_stats import dissipation_residual, format_table
 from fracflow.errors import (
     ConfigurationError,
     NonContractionError,
@@ -442,6 +442,104 @@ class TestParallelLadder:
         for name in ("ladder_distances.tsv", "final_state.bin"):
             assert (tmp_path / "w1" / name).read_bytes() == \
                 (tmp_path / "w2" / name).read_bytes()
+
+
+class TestEnergyDissipationPool:
+    # two chunks per solve; the gate's exact linear check still passes on
+    # this grid, so all three solves are reported
+    CONFIG = {"experiment": "energy-dissipation", "n_members": CHUNK + 1,
+              "grid": {"n": 64}}
+    FIELDS = ("lhs", "rhs", "residual", "stderr", "low_confidence")
+
+    @pytest.fixture
+    def reports(self, monkeypatch):
+        """The reports energy-dissipation reduces from its chunk series."""
+        calls = []
+        real = fracflow.experiments.reduce_dissipation
+
+        def capture(times, series):
+            calls.append(real(times, series))
+            return calls[-1]
+
+        monkeypatch.setattr(fracflow.experiments, "reduce_dissipation",
+                            capture)
+        return calls
+
+    def solves(self, cfg):
+        """(nonlinearity, measure, counter offset) of the gate, tanh and
+        Burgers solves, as energy-dissipation draws them."""
+        gate = {"family": "two_mode", "mass": 1.0, "mean": 1.0,
+                "params": {"wavenumber": 1.0}}
+        n = cfg.n_members
+        return [({"kind": "zero"}, gate, 0),
+                (cfg.nonlinearity, cfg.measure, n),
+                ({"kind": "burgers_quadratic", "cutoff_level": 2.0},
+                 cfg.measure, 2 * n)]
+
+    def test_reduced_series_equal_trajectory_path(self, reports):
+        cfg = RunConfig.from_dict(self.CONFIG)
+        result = get_experiment("energy-dissipation").fn(cfg.to_dict(), 2)
+        assert [c.name for c in result.checks][:3] == [
+            "linear-gate", "tanh-identity", "burgers-identity"]
+        assert len(reports) == 3
+        seeds = []
+        for report, (nl, measure, offset) in zip(reports,
+                                                 self.solves(cfg)):
+            traj, info = parallel_picard(cfg.grid, measure, nl, cfg.solver,
+                                         cfg.n_members, cfg.seed, workers=1,
+                                         counter_offset=offset)
+            ref = dissipation_residual(traj, cfg.solver["s"])
+            for name in self.FIELDS:
+                assert np.array_equal(getattr(report, name),
+                                      getattr(ref, name)), name
+            assert report.n_members == ref.n_members == cfg.n_members
+            seeds += info["member_seeds"]
+        assert result.member_seeds == seeds
+        assert result.flagged == []
+
+    def test_tables_worker_independent(self, tmp_path):
+        cfg = RunConfig.from_dict(self.CONFIG)
+        m1, _ = run_experiment(cfg, workers=1, out=tmp_path / "w1")
+        m2, _ = run_experiment(cfg, workers=2, out=tmp_path / "w2")
+        assert sorted(m1.tables) == ["dissipation_burgers",
+                                     "dissipation_linear", "dissipation_tanh"]
+        assert m1.tables == m2.tables
+        assert m1.member_seeds == m2.member_seeds
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_gate_drops_later_solves_unread(self, monkeypatch,
+                                                   workers):
+        n = self.CONFIG["n_members"]
+        real_series = fracflow.experiments.dissipation_series
+        real_iterate = fracflow.experiments._picard_iterate
+
+        def gate_off_balance(traj, s):
+            series = real_series(traj, s)
+            if traj.seeds[0][1] < n:          # the gate's counter block
+                series[..., 1] -= 1.0         # a rate the flow never had
+            return series
+
+        def burgers_blows_up(ens, spec, config):
+            if spec.kind == "burgers_quadratic":
+                raise NumericError("synthetic blowup")
+            return real_iterate(ens, spec, config)
+
+        # module globals: forked pool workers inherit both patches
+        monkeypatch.setattr(fracflow.experiments, "dissipation_series",
+                            gate_off_balance)
+        monkeypatch.setattr(fracflow.experiments, "_picard_iterate",
+                            burgers_blows_up)
+        cfg = RunConfig.from_dict(self.CONFIG)
+        result = get_experiment("energy-dissipation").fn(cfg.to_dict(),
+                                                         workers)
+        checks = {c.name: c for c in result.checks}
+        assert not checks["linear-gate"].passed
+        for name in ("tanh-identity", "burgers-identity"):
+            assert not checks[name].passed
+            assert checks[name].detail == "skipped: linear gate failed"
+        assert list(result.tables) == ["dissipation_linear"]
+        assert result.member_seeds == [(cfg.seed, j) for j in range(n)]
+        assert result.flagged == []
 
 
 class TestCli:
