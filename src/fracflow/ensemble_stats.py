@@ -8,9 +8,12 @@ for a + b = 2.  The series statistics take a trajectory :class:`Ensemble`
 Every estimator reduces member-level statistics (one number per
 realization first, then mean and standard error over members), so spatial
 correlation within a realization can never understate the error bars.
-The dissipation residual exposes the two stages apart
-(dissipation_series per member, reduce_dissipation across members), so
-member chunks solved elsewhere can return their series alone.
+The moment series and the dissipation residual expose the two stages
+apart (member_moments and dissipation_series per member and per node,
+reduce_moments and reduce_dissipation across members), so member chunks
+solved elsewhere reach their statistics as (nodes, members) series alone.
+The per-member stages run node by node: their temporaries are one
+node's (members, grid) size, never a whole trajectory's.
 Summation is numpy pairwise reduction in member order, making every
 reported number reproducible bit-for-bit for a fixed member ordering.
 """
@@ -77,20 +80,29 @@ def _check_trajectory(traj: Ensemble):
         raise ConfigurationError("expected a trajectory ensemble")
 
 
-def moment_series(traj: Ensemble, p: float) -> MomentSeries:
-    _check_trajectory(traj)
-    times, values = traj.times, traj.values
-    n_members = values.shape[1]
-    axes = tuple(range(2, values.ndim))
+def member_moments(values: np.ndarray, p: float) -> np.ndarray:
+    """The per-member part of moment_series: avg_x |u|^p (max_x |u| for
+    p = inf) of each member at each node of trajectory values (node,
+    member, grid), as a (nodes, members) array.  Node by node, so no
+    whole-trajectory power is formed."""
+    if not (p == math.inf or p >= 2):
+        raise ConfigurationError(f"moment order must be >= 2 or inf, got {p}")
+    axes = tuple(range(1, values.ndim - 1))
     if p == math.inf:
-        per_member = np.max(np.abs(values), axis=axes)     # (nodes, N)
+        return np.stack([np.max(np.abs(v), axis=axes) for v in values])
+    return np.stack([np.mean(np.abs(v) ** p, axis=axes) for v in values])
+
+
+def reduce_moments(times: np.ndarray, per_member: np.ndarray,
+                   p: float) -> MomentSeries:
+    """The member-axis part of moment_series, on the member_moments of
+    every member in member order."""
+    n_members = per_member.shape[1]
+    if p == math.inf:
         series = np.max(per_member, axis=1)
         stderr = np.full(series.shape, math.nan)
         increase = np.full(times.size - 1, math.nan)
         return MomentSeries(p, times, series, stderr, increase, n_members)
-    if not p >= 2:
-        raise ConfigurationError(f"moment order must be >= 2 or inf, got {p}")
-    per_member = np.mean(np.abs(values) ** p, axis=axes)   # (nodes, N)
     series = per_member.mean(axis=1)
     if n_members > 1:
         stderr = per_member.std(axis=1, ddof=1) / math.sqrt(n_members)
@@ -110,20 +122,22 @@ def moment_series(traj: Ensemble, p: float) -> MomentSeries:
     return MomentSeries(p, times, series, stderr, increase, n_members)
 
 
-def _dirichlet_rate(grid: Grid, s: float, values: np.ndarray) -> np.ndarray:
-    """-2 avg_x |(-lap)^{s/2} u|^2 per (node, member), via Parseval.
+def moment_series(traj: Ensemble, p: float) -> MomentSeries:
+    """E avg_x |u|^p along a whole trajectory: member_moments, then
+    reduce_moments."""
+    _check_trajectory(traj)
+    return reduce_moments(traj.times, member_moments(traj.values, p), p)
 
-    Runs on the half spectrum with the Parseval weights folded into the
-    symbol, and blocked over members so the spectra of a large ensemble
-    never exist all at once (the output is only (nodes, members))."""
+
+def _dirichlet_rate(grid: Grid, s: float, node: np.ndarray) -> np.ndarray:
+    """-2 avg_x |(-lap)^{s/2} u|^2 per member of one node's (member, grid)
+    values, via Parseval on the half spectrum with the Parseval weights
+    folded into the symbol."""
     sym = half_spectrum(grid, grid.k_abs ** (2.0 * s)) * half_spectrum_weights(grid)
-    axes = tuple(range(2, values.ndim))
-    out = np.empty(values.shape[:2])
-    for lo in range(0, values.shape[1], 256):
-        block = values[:, lo:lo + 256]
-        coeffs = real_forward_transform(grid, block)
-        out[:, lo:lo + 256] = np.sum(sym * np.abs(coeffs) ** 2, axis=axes)
-    return -2.0 * out / grid.len ** (2 * grid.d)
+    axes = tuple(range(1, node.ndim))
+    coeffs = real_forward_transform(grid, node)
+    return -2.0 * np.sum(sym * np.abs(coeffs) ** 2, axis=axes) \
+        / grid.len ** (2 * grid.d)
 
 
 def _time_derivative(times: np.ndarray, series: np.ndarray) -> tuple:
@@ -181,13 +195,16 @@ def dissipation_series(traj: Ensemble, s: float) -> np.ndarray:
     """The per-member part of dissipation_residual: (nodes, members, 2)
     holding m2 = avg_x u^2 and the Dirichlet rate of each member at each
     node.  Members are independent here, so a member chunk's series is
-    the whole batch's series at that chunk's members."""
+    the whole batch's series at that chunk's members.  Node by node, so
+    the temporaries are one node's size, never the trajectory's."""
     _check_trajectory(traj)
     values = traj.values
-    axes = tuple(range(2, values.ndim))
-    m2 = np.mean(values**2, axis=axes)                    # (nodes, N)
-    rate = _dirichlet_rate(traj.grid, s, values)          # (nodes, N)
-    return np.stack([m2, rate], axis=-1)
+    axes = tuple(range(1, values.ndim - 1))
+    out = np.empty(values.shape[:2] + (2,))
+    for j, node in enumerate(values):
+        out[j, :, 0] = np.mean(node**2, axis=axes)
+        out[j, :, 1] = _dirichlet_rate(traj.grid, s, node)
+    return out
 
 
 def reduce_dissipation(times: np.ndarray, series: np.ndarray) -> DissipationReport:

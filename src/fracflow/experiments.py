@@ -13,10 +13,17 @@ count.  _pooled_solves runs the chunks of several solves as the tasks of
 one process pool and merges each solve in chunk order: parallel_picard
 is its one-solve case, parallel_ladder runs every level of a cut-off
 ladder through it, and energy-dissipation submits its three solves (the
-linear gate, tanh and Burgers) at once.  Energy-dissipation's chunks
-return each member's dissipation series (avg_x u^2 and the Dirichlet
-rate per node), not its trajectory, and the parent reduces the merged
-series across members.  A chunk returns its residual series unjudged:
+linear gate, tanh and Burgers) at once.  No process holds a
+whole-ensemble trajectory: every statistic reduces each member first and
+only then reduces across members.  Energy-dissipation's chunks return
+each member's dissipation series (avg_x u^2 and the Dirichlet rate per
+node), not their trajectories, and the parent reduces the merged series
+across members.  The ladder's (level, chunk) tasks are submitted chunk
+by chunk; as a chunk's levels arrive the parent reduces them to per-member
+pair distances and top-level moments plus the top level's last node, and
+drops them.  So a worker holds one chunk's trajectory, and the parent
+(nodes, members) series, the final state and about one chunk's levels.
+A chunk returns its residual series unjudged:
 the NonContractionError rule of picard_solve is applied once per solve,
 to the series merged over its chunks, which is the whole batch's series.
 picard-contraction still solves its ensemble in one process.
@@ -39,6 +46,7 @@ from .ensemble_stats import (
     format_table,
     moment_series,
     reduce_dissipation,
+    reduce_moments,
     stroock_varopoulos_check,
 )
 from .errors import (
@@ -58,9 +66,11 @@ from .solver import (
     NonlinearitySpec,
     PicardDiagnostics,
     SolverConfig,
+    LadderMembers,
     _picard_iterate,
     contraction_bound,
     ladder_levels,
+    ladder_members,
     ladder_report,
     ladder_rung,
     minimal_K,
@@ -133,12 +143,13 @@ class ExperimentResult:
 def _solve_chunk(payload: dict) -> dict:
     """One member chunk, rebuilt from plain records so it can cross a
     process boundary.  A ladder chunk (level n set) solves with data
-    h_n(u0) and flux f(h_n(.)).  values is the chunk's trajectory, or for
-    a dissipation chunk its per-member dissipation_series; the member
-    axis is 1 in both.  The chunk's residual series comes back unjudged,
-    for the growth rule to see the merged series.  Numeric blowup inside
-    a chunk is reported, not raised: the run continues with those members
-    flagged."""
+    h_n(u0) and flux f(h_n(.)).  values is the chunk's trajectory (the
+    parent reduces a ladder chunk's per member as soon as the chunk's
+    levels are in), or for a dissipation chunk its per-member
+    dissipation_series; the member axis is 1 in both.  The chunk's
+    residual series comes back unjudged, for the growth rule to see the
+    merged series.  Numeric blowup inside a chunk is reported, not
+    raised: the run continues with those members flagged."""
     grid = grid_from_record(payload["grid"])
     measure = measure_from_spec(grid, payload["measure"])
     spec = NonlinearitySpec.from_record(payload["nonlinearity"])
@@ -176,7 +187,9 @@ def _chunk_payloads(grid_rec: dict, measure_rec: dict, nl_rec: dict,
 def _merge_chunks(results, n_members: int) -> tuple:
     """(values, seeds, merged PicardDiagnostics, flagged entries) of one
     solve's chunk results, in chunk order.  values joins the chunks'
-    values (trajectories or dissipation series) along the member axis 1;
+    values along the member axis 1: whole trajectories for
+    parallel_picard, (nodes, members, 2) dissipation series for
+    energy-dissipation; the ladder reduces its chunks without it;
     flagged holds (index, seed, message) for each member of a chunk that
     failed numerically, and those members leave no rows.
 
@@ -208,34 +221,35 @@ def _merge_chunks(results, n_members: int) -> tuple:
 
 
 @contextmanager
-def _pooled_solves(solves: list, workers: int):
-    """Several solves, each given as its list of chunk payloads, run as
-    the tasks of one process pool (or one by one as they are read, with
-    one worker or one chunk); yields an iterator of each solve's
-    _merge_chunks, in the order given.
-
-    Chunks are merged as they are read, so only the unmerged ones are
-    held.  A caller that stops reading leaves the later solves unread:
-    they add no seeds or flags and raise nothing, and on leaving the
-    block the pool shuts down and drops the chunks not yet started."""
-    payloads = [p for solve in solves for p in solve]
+def _chunk_results(payloads: list, workers: int):
+    """Yields the results of chunk payloads in the order given, run as the
+    tasks of one process pool (or one by one as they are read, with one
+    worker or one chunk).  On leaving the block the pool shuts down and
+    drops the chunks not yet started."""
     pool = (ProcessPoolExecutor(max_workers=workers)
             if workers > 1 and len(payloads) > 1 else None)
     try:
-        results = (map(_solve_chunk, payloads) if pool is None
-                   else pool.map(_solve_chunk, payloads, chunksize=1))
-        yield (_merge_chunks(islice(results, len(solve)),
-                             sum(p["size"] for p in solve))
-               for solve in solves)
+        yield (map(_solve_chunk, payloads) if pool is None
+               else pool.map(_solve_chunk, payloads, chunksize=1))
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
 
 
-def _trajectory(grid_rec: dict, solver_rec: dict, values: np.ndarray,
-                seeds: list) -> Ensemble:
-    return Ensemble(grid_from_record(grid_rec), values,
-                    SolverConfig.from_record(solver_rec).time_grid, seeds)
+@contextmanager
+def _pooled_solves(solves: list, workers: int):
+    """Several solves, each given as its list of chunk payloads, run as
+    the chunk results of one pool; yields an iterator of each solve's
+    _merge_chunks, in the order given.
+
+    Chunks are merged as they are read, so only the unmerged ones are
+    held.  A caller that stops reading leaves the later solves unread:
+    they add no seeds or flags and raise nothing."""
+    with _chunk_results([p for solve in solves for p in solve],
+                        workers) as results:
+        yield (_merge_chunks(islice(results, len(solve)),
+                             sum(p["size"] for p in solve))
+               for solve in solves)
 
 
 def parallel_picard(grid_rec: dict, measure_rec: dict, nl_rec: dict,
@@ -253,7 +267,8 @@ def parallel_picard(grid_rec: dict, measure_rec: dict, nl_rec: dict,
                                n_members, seed, counter_offset)
     with _pooled_solves([payloads], workers) as solves:
         values, seeds, diag, flagged = next(solves)
-    traj = _trajectory(grid_rec, solver_rec, values, seeds)
+    traj = Ensemble(grid_from_record(grid_rec), values,
+                    SolverConfig.from_record(solver_rec).time_grid, seeds)
     diag.raise_if_growing()
     info = {"converged": diag.converged, "diagnostics": diag,
             "member_seeds": list(traj.seeds), "flagged": flagged}
@@ -264,29 +279,55 @@ def parallel_ladder(grid_rec: dict, measure_rec: dict, nl_rec: dict,
                     solver_rec: dict, n_members: int, seed: int, ladder,
                     workers: int = 1) -> tuple:
     """The cut-off ladder of solve_polynomial on the chunked path; returns
-    (top-level trajectory Ensemble, LadderReport).
+    (final_state, moments, LadderReport): the top level's last-node
+    snapshot Ensemble with every member seed, and the top level's
+    member_moments for each p of LADDER_MOMENTS.
 
-    Every (level, chunk) pair is one task of one pool, and every level
-    solves the same members.  Each level's chunks merge as in
-    parallel_picard; then, level by level in increasing order, a failed
-    chunk raises NumericError and a growing merged series raises
-    NonContractionError, as the in-memory ladder would.  Identical
-    output for any worker count, and equal to solve_polynomial on the
-    same sample.
+    Every (level, chunk) pair is one task of one pool, submitted chunk by
+    chunk, and every level solves the same members.  As soon as a chunk's
+    levels are in, they are reduced to its LadderMembers and last node and
+    dropped, so the parent holds one chunk's trajectories at a time (plus
+    any that arrive early).  When all chunks are in, level by level in
+    increasing order, a failed chunk raises NumericError and a growing
+    merged series raises NonContractionError, as the in-memory ladder
+    would.  Identical output for any worker count, and equal to
+    solve_polynomial on the same sample.
     """
+    grid = grid_from_record(grid_rec)
+    times = SolverConfig.from_record(solver_rec).time_grid
     levels = ladder_levels(NonlinearitySpec.from_record(nl_rec), ladder)
     rungs = [_chunk_payloads(grid_rec, measure_rec, nl_rec, solver_rec,
                              n_members, seed, level=n) for n in levels]
-    solutions, diagnostics = {}, {}
-    with _pooled_solves(rungs, workers) as solves:
-        for n, (values, seeds, diag, flagged) in zip(levels, solves):
-            if flagged:
-                raise NumericError(f"ladder level {n:g}: {flagged[0][2]}")
-            diag.raise_if_growing()
-            solutions[n] = _trajectory(grid_rec, solver_rec, values, seeds)
-            diagnostics[n] = diag
-    report = ladder_report(solutions, diagnostics)
-    return solutions[report.top_level], report
+    chunks = list(zip(*rungs))
+    parts, finals, seeds = [], [], []
+    diagnostics = {n: [] for n in levels}
+    errors = {n: [] for n in levels}
+    with _chunk_results([p for chunk in chunks for p in chunk],
+                        workers) as results:
+        for _ in chunks:
+            chunk = dict(zip(levels, islice(results, len(levels))))
+            for n, res in chunk.items():
+                if res["error"] is None:
+                    diagnostics[n].append(res["diagnostics"])
+                else:
+                    errors[n].append(res["error"])
+            if any(res["error"] is not None for res in chunk.values()):
+                continue
+            parts.append(ladder_members(
+                grid, {n: res["values"] for n, res in chunk.items()}))
+            top = chunk[levels[-1]]
+            # a copy, not a view, so the rest of the trajectory is freed
+            finals.append(top["values"][-1].copy())
+            seeds.extend(top["seeds"])
+    for n in levels:
+        if errors[n]:
+            raise NumericError(f"ladder level {n:g}: {errors[n][0]}")
+        diagnostics[n] = PicardDiagnostics.merge(diagnostics[n])
+        diagnostics[n].raise_if_growing()
+    members = LadderMembers.join(parts)
+    final_state = Ensemble(grid, np.concatenate(finals), times[-1], seeds)
+    return final_state, members.moments, ladder_report(times, members,
+                                                      diagnostics)
 
 
 # ----------------------------------------------------------------- registry
@@ -337,30 +378,36 @@ def _cfg_parts(config: dict) -> tuple:
     return grid, measure
 
 
-def _unconverged_note(report, n_members: int) -> str:
-    """Detail-line suffix naming the ladder rungs whose solve stopped at
-    max_iter unconverged, with how many of the n_members were still above
-    tol; empty when every rung converged."""
-    rungs = []
-    for n in report.unconverged_levels:
-        diag = report.diagnostics[n]
-        rungs.append(f"n={n:g} ({diag.iterations} sweeps, residual "
-                     f"{diag.residuals[-1]:.3g}, {diag.unconverged_members} of "
-                     f"{n_members} members above tol)")
-    return f"; unconverged rungs: {', '.join(rungs)}" if rungs else ""
+def _unconverged_note(solves: dict, n_members: int,
+                      noun: str = "rungs") -> str:
+    """Detail-line suffix naming the solves (label -> PicardDiagnostics)
+    that stopped at max_iter unconverged, with how many of the n_members
+    were still above tol; empty when every solve converged."""
+    named = [f"{label} ({diag.iterations} sweeps, residual "
+             f"{diag.residuals[-1]:.3g}, {diag.unconverged_members} of "
+             f"{n_members} members above tol)"
+             for label, diag in solves.items() if not diag.converged]
+    return f"; unconverged {noun}: {', '.join(named)}" if named else ""
+
+
+def _rung_note(report, n_members: int) -> str:
+    """_unconverged_note of a LadderReport's rungs, named n=level."""
+    return _unconverged_note({f"n={n:g}": report.diagnostics[n]
+                              for n in report.levels}, n_members)
 
 
 def _run_ladder(config: dict, workers: int) -> tuple:
-    """(top-level trajectory, LadderReport, whether LadderWarning was
-    raised) of the ladder 1, 2, 4, 8 of a config on the chunked path."""
+    """(top-level final state, top-level member moments, LadderReport,
+    whether LadderWarning was raised) of the ladder 1, 2, 4, 8 of a config
+    on the chunked path."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        top, report = parallel_ladder(
+        final, moments, report = parallel_ladder(
             config["grid"], config["measure"], config["nonlinearity"],
             config["solver"], config["n_members"], config["seed"],
             (1, 2, 4, 8), workers)
     warned = any(issubclass(w.category, LadderWarning) for w in caught)
-    return top, report, warned
+    return final, moments, report, warned
 
 
 def _uniform_grid(t_final: float, nodes: int) -> list:
@@ -672,10 +719,10 @@ def _picard_contraction(config: dict, workers: int) -> ExperimentResult:
     ),
 )
 def _moment_monotonicity(config: dict, workers: int) -> ExperimentResult:
-    top, report, ladder_warned = _run_ladder(config, workers)
+    final, moments, report, ladder_warned = _run_ladder(config, workers)
     checks, tables = [], {}
     for p in (2, 4, 6):
-        series = moment_series(top, p)
+        series = reduce_moments(report.times, moments[p], p)
         worst = series.max_increase_z()
         checks.append(CheckResult(
             f"moment-p{p}-nonincreasing", worst <= 3.0,
@@ -685,10 +732,10 @@ def _moment_monotonicity(config: dict, workers: int) -> ExperimentResult:
     checks.append(CheckResult(
         "ladder-cauchy", report.cauchy_violations == 0 and not ladder_warned,
         f"{report.cauchy_violations} distance increases"
-        f"{_unconverged_note(report, top.n_members)}"))
+        f"{_rung_note(report, final.n_members)}"))
     return ExperimentResult(config["experiment"], checks, tables,
-                            fields={"final_state": top.at(-1)},
-                            member_seeds=list(top.seeds))
+                            fields={"final_state": final},
+                            member_seeds=list(final.seeds))
 
 
 @_register(
@@ -729,21 +776,25 @@ def _energy_dissipation(config: dict, workers: int) -> ExperimentResult:
                 for k, (nl_rec, measure_rec) in enumerate(solves)]
     with _pooled_solves(payloads, workers) as merged:
 
-        def next_report():
+        def next_report(label):
+            """The solve's DissipationReport and its unconverged note."""
             series, member_seeds, diag, member_flags = next(merged)
             diag.raise_if_growing()
             seeds.extend(member_seeds)
             flagged.extend(member_flags)
-            return reduce_dissipation(times, series)
+            report = reduce_dissipation(times, series)
+            return report, _unconverged_note({label: diag}, report.n_members,
+                                             "solve")
 
-        gate = next_report()
+        gate, note = next_report("linear gate")
         inner = ~gate.low_confidence
         gate_ok = bool(np.all(
             np.abs(gate.residual[inner])
             <= dt**2 * np.abs(gate.rhs[inner]) + 3.0 * gate.stderr[inner]))
         checks.append(CheckResult(
             "linear-gate", gate_ok,
-            f"interior residual within dt^2 relative + 3 stderr (dt={dt:g})"))
+            f"interior residual within dt^2 relative + 3 stderr (dt={dt:g})"
+            f"{note}"))
         tables["dissipation_linear"] = (
             ["t", "lhs", "rhs", "residual", "stderr", "low_confidence"],
             gate.rows())
@@ -757,7 +808,7 @@ def _energy_dissipation(config: dict, workers: int) -> ExperimentResult:
                                       "skipped: linear gate failed"))
         else:
             for label in ("tanh", "burgers"):
-                report = next_report()
+                report, note = next_report(label)
                 inner = ~report.low_confidence
                 cap = np.maximum(0.05 * np.abs(report.rhs[inner]),
                                  3.0 * report.stderr[inner])
@@ -765,7 +816,7 @@ def _energy_dissipation(config: dict, workers: int) -> ExperimentResult:
                 ok = bool(np.all(np.abs(report.residual[inner]) <= cap))
                 checks.append(CheckResult(
                     f"{label}-identity", ok,
-                    f"worst interior excess over cap = {worst:.2e}"))
+                    f"worst interior excess over cap = {worst:.2e}{note}"))
                 sign_ok = sign_ok and bool(np.all(report.rhs <= 0.0))
                 tables[f"dissipation_{label}"] = (
                     ["t", "lhs", "rhs", "residual", "stderr",
@@ -828,7 +879,7 @@ def _orthogonality(config: dict, workers: int) -> ExperimentResult:
 def _cutoff_ladder(config: dict, workers: int) -> ExperimentResult:
     # mass 6.25 puts the field rms at 2.5, so levels 1, 2 clip hard and
     # 4, 8 clip rarely: the distances have room to shrink
-    top, report, ladder_warned = _run_ladder(config, workers)
+    final, _, report, ladder_warned = _run_ladder(config, workers)
     rows = [[pair[0], pair[1], sup]
             for pair, sup in sorted(report.sup_distances.items())]
     guard_min = min(float(np.min(v)) for v in report.guard_z.values())
@@ -836,7 +887,7 @@ def _cutoff_ladder(config: dict, workers: int) -> ExperimentResult:
         CheckResult("cauchy-distances",
                     report.cauchy_violations == 0 and not ladder_warned,
                     f"{report.cauchy_violations} increases across min "
-                    f"levels{_unconverged_note(report, top.n_members)}"),
+                    f"levels{_rung_note(report, final.n_members)}"),
         CheckResult("moment-guard", guard_min >= -3.0,
                     f"min initial-bound z = {guard_min:.2f}"),
     ]
@@ -844,8 +895,8 @@ def _cutoff_ladder(config: dict, workers: int) -> ExperimentResult:
         config["experiment"], checks,
         {"ladder_distances": (["level_lo", "level_hi", "sup_distance"],
                               rows)},
-        fields={"final_state": top.at(-1)},
-        member_seeds=list(top.seeds))
+        fields={"final_state": final},
+        member_seeds=list(final.seeds))
 
 
 @_register(

@@ -39,6 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .ensemble_stats import member_moments
 from .errors import (
     ConfigurationError,
     LadderWarning,
@@ -660,13 +661,50 @@ class LadderReport:
         return [n for n in self.levels if not self.diagnostics[n].converged]
 
 
+# top-level moment orders a ladder keeps per member: the guard's 2 and 4,
+# and moment-monotonicity's 2, 4, 6
+LADDER_MOMENTS = (2, 4, 6)
+
+
+@dataclass
+class LadderMembers:
+    """The per-member part of a LadderReport, every array (nodes,
+    members): distances maps each level pair (n_lo, n_hi) to the L2
+    distance of every member at every node, moments maps each p of
+    LADDER_MOMENTS to the top level's member_moments.  Members are
+    independent here, so member chunks join into the whole batch's."""
+
+    distances: dict
+    moments: dict
+
+    @classmethod
+    def join(cls, parts: list) -> "LadderMembers":
+        """The LadderMembers of member chunks, joined in the order given."""
+        return cls(
+            {k: np.concatenate([q.distances[k] for q in parts], axis=1)
+             for k in parts[0].distances},
+            {p: np.concatenate([q.moments[p] for q in parts], axis=1)
+             for p in parts[0].moments})
+
+
 def _pair_distance(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-node L2 distance, rms over members; node by node, so no
-    whole-trajectory difference is formed."""
-    out = np.empty(a.shape[0])
-    for j in range(a.shape[0]):
-        out[j] = np.sqrt(np.mean(l2_norm(grid, a[j] - b[j]) ** 2))
-    return out
+    """L2 distance of every member at every node, (nodes, members); node
+    by node, so no whole-trajectory difference is formed."""
+    return np.stack([l2_norm(grid, a[j] - b[j]) for j in range(a.shape[0])])
+
+
+def ladder_members(grid: Grid, solutions: dict) -> LadderMembers:
+    """The LadderMembers of rung trajectory values (node, member, grid),
+    keyed by level in increasing order."""
+    levels = list(solutions)
+    distances = {}
+    for i, ni in enumerate(levels):
+        for nj in levels[i + 1:]:
+            distances[(ni, nj)] = _pair_distance(grid, solutions[ni],
+                                                 solutions[nj])
+    top = solutions[levels[-1]]
+    return LadderMembers(distances,
+                         {p: member_moments(top, p) for p in LADDER_MOMENTS})
 
 
 def ladder_levels(spec: NonlinearitySpec, ladder) -> list:
@@ -706,24 +744,25 @@ def solve_polynomial(initial: Ensemble, spec: NonlinearitySpec,
     for n in ladder_levels(spec, ladder):
         solutions[n], diagnostics[n] = picard_solve(
             *ladder_rung(initial, spec, n), config)
-    report = ladder_report(solutions, diagnostics)
-    return solutions[report.top_level], report
+    top = solutions[n]                         # the highest level
+    members = ladder_members(initial.grid, {n: traj.values
+                                            for n, traj in solutions.items()})
+    return top, ladder_report(top.times, members, diagnostics)
 
 
-def ladder_report(solutions: dict, diagnostics: dict) -> LadderReport:
-    """The LadderReport of rung trajectories and their PicardDiagnostics,
-    both keyed by level in increasing order; emits LadderWarning on a
-    non-decreasing distance profile."""
-    levels = list(solutions)
+def ladder_report(times: np.ndarray, members: LadderMembers,
+                  diagnostics: dict) -> LadderReport:
+    """The member-axis part of a ladder: the LadderReport of the
+    LadderMembers of every member in member order and each level's
+    PicardDiagnostics, keyed by level in increasing order; emits
+    LadderWarning on a non-decreasing distance profile."""
+    levels = list(diagnostics)
     top = levels[-1]
-    grid, times = solutions[top].grid, solutions[top].times
     pair_distances = {}
     sup_distances = {}
-    for i, ni in enumerate(levels):
-        for nj in levels[i + 1:]:
-            d = _pair_distance(grid, solutions[ni].values, solutions[nj].values)
-            pair_distances[(ni, nj)] = d
-            sup_distances[(ni, nj)] = float(np.max(d))
+    for pair, d in members.distances.items():
+        pair_distances[pair] = np.sqrt(np.mean(d ** 2, axis=1))
+        sup_distances[pair] = float(np.max(pair_distances[pair]))
 
     violations = 0
     if len(levels) >= 3:
@@ -732,15 +771,11 @@ def ladder_report(solutions: dict, diagnostics: dict) -> LadderReport:
         violations = sum(1 for a, b in zip(worst, worst[1:]) if b > a)
 
     guard_z = None
-    if solutions[top].n_members >= 2:
+    if members.moments[2].shape[1] >= 2:
         guard_z = {}
-        cut0 = solutions[top].values[0]          # h_top(u0)
-        axes = tuple(range(-grid.d, 0))
         for p in (2, 4):
-            start_p = np.mean(np.abs(cut0) ** p, axis=axes)
-            now_p = np.stack([np.mean(np.abs(v) ** p, axis=axes)
-                              for v in solutions[top].values])
-            slack = start_p[None, :] - now_p          # (n_nodes, N)
+            now_p = members.moments[p]
+            slack = now_p[0][None, :] - now_p      # node 0 is h_top(u0)
             se = slack.std(axis=1, ddof=1) / math.sqrt(slack.shape[1])
             with np.errstate(invalid="ignore", divide="ignore"):
                 z = np.where(se > 0, slack.mean(axis=1) / se,

@@ -3,6 +3,7 @@ convexity inequality, each checked against closed-form or brute-force
 oracles on small grids."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -280,6 +281,20 @@ class TestDissipation:
             assert np.array_equal(getattr(split, name), getattr(whole, name))
         assert split.decay_time == whole.decay_time
         assert split.n_members == whole.n_members == 300
+
+    def test_series_peak_memory_is_a_few_node_slices(self):
+        # node by node, so no temporary is as large as the trajectory
+        grid = Grid(d=1, n=512, len=2.0 * math.pi)
+        values = np.random.default_rng(5).standard_normal((21, 64, 512))
+        traj = Ensemble(grid, values, np.linspace(0.0, 0.1, 21))
+        tracemalloc.start()
+        try:
+            series = dissipation_series(traj, 0.75)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert series.shape == (21, 64, 2)
+        assert peak < 4 * values[0].nbytes
 
 
 def brute_force_semigroup(grid, s, h, values):

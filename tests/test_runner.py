@@ -12,9 +12,13 @@ import pytest
 
 import fracflow
 import fracflow.experiments
-import fracflow.solver
 from fracflow.cli import main as cli_main
-from fracflow.ensemble_stats import dissipation_residual, format_table
+from fracflow.ensemble_stats import (
+    dissipation_residual,
+    format_table,
+    moment_series,
+    reduce_moments,
+)
 from fracflow.errors import (
     ConfigurationError,
     NonContractionError,
@@ -378,45 +382,39 @@ class TestParallelLadder:
     CONFIG = {"experiment": "cutoff-ladder", "n_members": CHUNK + 3,
               "grid": {"n": 32}}
 
-    @pytest.fixture
-    def captured(self, monkeypatch):
-        """The rung trajectories each ladder path hands to ladder_report."""
-        calls = []
-        real = fracflow.solver.ladder_report
-
-        def capture(solutions, diagnostics):
-            calls.append(solutions)
-            return real(solutions, diagnostics)
-
-        monkeypatch.setattr(fracflow.solver, "ladder_report", capture)
-        monkeypatch.setattr(fracflow.experiments, "ladder_report", capture)
-        return calls
-
-    def test_equals_in_memory_ladder(self, captured):
+    def test_equals_in_memory_ladder(self):
         cfg = RunConfig.from_dict(self.CONFIG)
-        args = (cfg.grid, cfg.measure, cfg.nonlinearity, cfg.solver,
-                cfg.n_members, cfg.seed, (1, 2, 4, 8))
-        top, report = parallel_ladder(*args, workers=2)
         grid = grid_from_record(cfg.grid)
         ens = sample_ensemble(measure_from_spec(grid, cfg.measure),
                               cfg.n_members, cfg.seed)
         ref_top, ref = solve_polynomial(
             ens, NonlinearitySpec.from_record(cfg.nonlinearity),
             SolverConfig.from_record(cfg.solver), (1, 2, 4, 8))
-        pooled, in_memory = captured
-        assert list(pooled) == list(in_memory) == [1.0, 2.0, 4.0, 8.0]
-        for n in pooled:
-            assert np.array_equal(pooled[n].values, in_memory[n].values)
-            assert report.diagnostics[n] == ref.diagnostics[n]
-        assert np.array_equal(top.values, ref_top.values)
-        assert top.seeds == ref_top.seeds
-        assert report.pair_distances.keys() == ref.pair_distances.keys()
-        for pair, d in report.pair_distances.items():
-            assert np.array_equal(d, ref.pair_distances[pair])
-        for p, z in report.guard_z.items():
-            assert np.array_equal(z, ref.guard_z[p])
-        assert report.unconverged_levels == ref.unconverged_levels
-        assert report.cauchy_violations == ref.cauchy_violations
+        # two chunks, each reduced per member as its levels arrive
+        for workers in (1, 2):
+            final, moments, report = parallel_ladder(
+                cfg.grid, cfg.measure, cfg.nonlinearity, cfg.solver,
+                cfg.n_members, cfg.seed, (1, 2, 4, 8), workers=workers)
+            assert report.levels == ref.levels == [1.0, 2.0, 4.0, 8.0]
+            for n in report.levels:
+                assert report.diagnostics[n] == ref.diagnostics[n]
+            assert report.pair_distances.keys() == ref.pair_distances.keys()
+            for pair, d in report.pair_distances.items():
+                assert np.array_equal(d, ref.pair_distances[pair])
+            assert report.sup_distances == ref.sup_distances
+            assert report.guard_z.keys() == ref.guard_z.keys() == {2, 4}
+            for p, z in report.guard_z.items():
+                assert np.array_equal(z, ref.guard_z[p])
+            assert report.unconverged_levels == ref.unconverged_levels
+            assert report.cauchy_violations == ref.cauchy_violations
+            assert np.array_equal(final.values, ref_top.values[-1])
+            assert final.times == ref_top.times[-1]
+            assert final.seeds == ref_top.seeds
+            # the rows of moment-monotonicity's moment_p2/p4/p6 tables
+            for p in (2, 4, 6):
+                rows = reduce_moments(report.times, moments[p], p).rows()
+                assert np.array_equal(rows, moment_series(ref_top, p).rows(),
+                                      equal_nan=True)
 
     def test_failed_chunk_raises(self, monkeypatch):
         real = fracflow.experiments._picard_iterate
@@ -432,6 +430,26 @@ class TestParallelLadder:
         with pytest.raises(NumericError, match="ladder level 2: synthetic"):
             parallel_ladder(cfg.grid, cfg.measure, cfg.nonlinearity,
                             cfg.solver, cfg.n_members, cfg.seed, (1, 2, 4))
+
+    def test_growing_level_raises_noncontraction(self):
+        # on this sample a rung's merged residual series ends above its
+        # first; the pooled ladder raises as the in-memory one does
+        cfg = RunConfig.from_dict(dict(self.CONFIG, seed=99,
+                                       grid={"n": 128}))
+        grid = grid_from_record(cfg.grid)
+        ens = sample_ensemble(measure_from_spec(grid, cfg.measure),
+                              cfg.n_members, cfg.seed)
+        with pytest.raises(NonContractionError) as whole:
+            solve_polynomial(
+                ens, NonlinearitySpec.from_record(cfg.nonlinearity),
+                SolverConfig.from_record(cfg.solver), (1, 2, 4, 8))
+        for workers in (1, 2):
+            with pytest.raises(NonContractionError) as pooled:
+                parallel_ladder(cfg.grid, cfg.measure, cfg.nonlinearity,
+                                cfg.solver, cfg.n_members, cfg.seed,
+                                (1, 2, 4, 8), workers=workers)
+            assert pooled.value.measured_ratio == whole.value.measured_ratio
+            assert pooled.value.iterations == whole.value.iterations
 
     def test_on_disk_bytes_worker_independent(self, tmp_path):
         cfg = RunConfig.from_dict(self.CONFIG)
@@ -575,6 +593,21 @@ class TestCli:
         for n in (1, 2, 4, 8):
             assert re.search(rf"n={n} \(4 sweeps, residual [^,]+, "
                              r"8 of 8 members above tol\)", out)
+
+    def test_run_names_unconverged_dissipation_solves(self, tmp_path,
+                                                      capsys):
+        cfg = self.write_config(tmp_path, {
+            "experiment": "energy-dissipation", "n_members": 8,
+            "grid": {"n": 64}, "solver": {"max_iter": 2, "tol": 1e-14}})
+        cli_main(["run", cfg, "--workers", "1"])
+        out = capsys.readouterr().out
+        # zero flux makes the gate's first sweep exact, so it converges
+        gate = next(line for line in out.splitlines() if "linear-gate" in line)
+        assert "unconverged" not in gate
+        for label in ("tanh", "burgers"):
+            assert re.search(rf"{label}-identity: .*; unconverged solve: "
+                             rf"{label} \(2 sweeps, residual [^,]+, 8 of 8 "
+                             r"members above tol\)", out)
 
     def test_run_without_out_writes_nothing(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, SMALL)

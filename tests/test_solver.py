@@ -826,7 +826,7 @@ class TestCutoffLadder:
         def fake_distance(grid, a, b):
             # crafted so the worst distance grows with the min level
             fake_distance.calls += 1
-            return np.full(a.shape[0], float(fake_distance.calls))
+            return np.full(a.shape[:2], float(fake_distance.calls))
 
         fake_distance.calls = 0
         monkeypatch.setattr(solver_mod, "_pair_distance", fake_distance)
