@@ -156,6 +156,12 @@ class RunManifest:
         except json.JSONDecodeError as exc:
             raise ConfigurationError(
                 f"manifest {path} is not valid JSON: {exc}")
+        if not isinstance(data, dict):
+            raise ConfigurationError(f"manifest {path} must be a mapping")
+        for key in ("config", "tables"):
+            if not isinstance(data.get(key, {}), dict):
+                raise ConfigurationError(
+                    f"manifest {path} field {key!r} must be a mapping")
         try:
             return cls(experiment=data["experiment"],
                        version=data["version"], config=data["config"],

@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -666,45 +667,35 @@ class LadderReport:
 LADDER_MOMENTS = (2, 4, 6)
 
 
-@dataclass
-class LadderMembers:
-    """The per-member part of a LadderReport, every array (nodes,
-    members): distances maps each level pair (n_lo, n_hi) to the L2
-    distance of every member at every node, moments maps each p of
-    LADDER_MOMENTS to the top level's member_moments.  Members are
-    independent here, so member chunks join into the whole batch's."""
-
-    distances: dict
-    moments: dict
-
-    @classmethod
-    def join(cls, parts: list) -> "LadderMembers":
-        """The LadderMembers of member chunks, joined in the order given."""
-        return cls(
-            {k: np.concatenate([q.distances[k] for q in parts], axis=1)
-             for k in parts[0].distances},
-            {p: np.concatenate([q.moments[p] for q in parts], axis=1)
-             for p in parts[0].moments})
-
-
 def _pair_distance(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """L2 distance of every member at every node, (nodes, members); node
     by node, so no whole-trajectory difference is formed."""
     return np.stack([l2_norm(grid, a[j] - b[j]) for j in range(a.shape[0])])
 
 
-def ladder_members(grid: Grid, solutions: dict) -> LadderMembers:
-    """The LadderMembers of rung trajectory values (node, member, grid),
-    keyed by level in increasing order."""
+def ladder_series(grid: Grid, solutions: dict) -> np.ndarray:
+    """The per-member part of a ladder, from rung trajectory values (node,
+    member, grid) keyed by level in increasing order: a (nodes, members,
+    k) array holding the L2 distance of every level pair (n_lo, n_hi), in
+    the order of itertools.combinations, then the top level's
+    member_moments for each p of LADDER_MOMENTS.  Members are independent
+    here, so member chunks' series join along axis 1 into the whole
+    batch's."""
     levels = list(solutions)
-    distances = {}
-    for i, ni in enumerate(levels):
-        for nj in levels[i + 1:]:
-            distances[(ni, nj)] = _pair_distance(grid, solutions[ni],
-                                                 solutions[nj])
     top = solutions[levels[-1]]
-    return LadderMembers(distances,
-                         {p: member_moments(top, p) for p in LADDER_MOMENTS})
+    return np.stack(
+        [_pair_distance(grid, solutions[a], solutions[b])
+         for a, b in combinations(levels, 2)]
+        + [member_moments(top, p) for p in LADDER_MOMENTS], axis=-1)
+
+
+def ladder_moments(series: np.ndarray) -> dict:
+    """The top level's member_moments of a ladder_series, p -> (nodes,
+    members), for each p of LADDER_MOMENTS.  Contiguous copies, so the
+    member-axis reductions see the layout member_moments returns."""
+    k = len(LADDER_MOMENTS)
+    return {p: np.ascontiguousarray(series[..., i - k])
+            for i, p in enumerate(LADDER_MOMENTS)}
 
 
 def ladder_levels(spec: NonlinearitySpec, ladder) -> list:
@@ -745,23 +736,23 @@ def solve_polynomial(initial: Ensemble, spec: NonlinearitySpec,
         solutions[n], diagnostics[n] = picard_solve(
             *ladder_rung(initial, spec, n), config)
     top = solutions[n]                         # the highest level
-    members = ladder_members(initial.grid, {n: traj.values
-                                            for n, traj in solutions.items()})
-    return top, ladder_report(top.times, members, diagnostics)
+    series = ladder_series(initial.grid, {n: traj.values
+                                          for n, traj in solutions.items()})
+    return top, ladder_report(top.times, series, diagnostics)
 
 
-def ladder_report(times: np.ndarray, members: LadderMembers,
+def ladder_report(times: np.ndarray, series: np.ndarray,
                   diagnostics: dict) -> LadderReport:
     """The member-axis part of a ladder: the LadderReport of the
-    LadderMembers of every member in member order and each level's
+    ladder_series of every member in member order and each level's
     PicardDiagnostics, keyed by level in increasing order; emits
     LadderWarning on a non-decreasing distance profile."""
     levels = list(diagnostics)
     top = levels[-1]
     pair_distances = {}
     sup_distances = {}
-    for pair, d in members.distances.items():
-        pair_distances[pair] = np.sqrt(np.mean(d ** 2, axis=1))
+    for i, pair in enumerate(combinations(levels, 2)):
+        pair_distances[pair] = np.sqrt(np.mean(series[..., i] ** 2, axis=1))
         sup_distances[pair] = float(np.max(pair_distances[pair]))
 
     violations = 0
@@ -771,10 +762,11 @@ def ladder_report(times: np.ndarray, members: LadderMembers,
         violations = sum(1 for a, b in zip(worst, worst[1:]) if b > a)
 
     guard_z = None
-    if members.moments[2].shape[1] >= 2:
+    if series.shape[1] >= 2:
         guard_z = {}
+        moments = ladder_moments(series)
         for p in (2, 4):
-            now_p = members.moments[p]
+            now_p = moments[p]
             slack = now_p[0][None, :] - now_p      # node 0 is h_top(u0)
             se = slack.std(axis=1, ddof=1) / math.sqrt(slack.shape[1])
             with np.errstate(invalid="ignore", divide="ignore"):

@@ -282,7 +282,7 @@ class TestReplay:
 
 class TestWorkerDeterminism:
     def test_on_disk_bytes_worker_independent(self, tmp_path):
-        # 300 members forces two chunks, so two workers genuinely split
+        # 300 members span several chunks, so two workers genuinely split
         cfg = small_config(n_members=300, seed=17)
         out1 = tmp_path / "w1"
         out2 = tmp_path / "w2"
@@ -294,6 +294,56 @@ class TestWorkerDeterminism:
             (out2 / "free_flow_error.tsv").read_bytes()
         assert (out1 / "final_state.bin").read_bytes() == \
             (out2 / "final_state.bin").read_bytes()
+
+
+class TestChunkSize:
+    # every number is per member first and reduced in member order, so
+    # the chunk size moves no byte of a table or of the final state
+    CONFIGS = {"cutoff-ladder": {"n_members": CHUNK + 3, "grid": {"n": 32}},
+               "energy-dissipation": {"n_members": CHUNK + 1,
+                                      "grid": {"n": 64}}}
+
+    @pytest.mark.parametrize("experiment", sorted(CONFIGS))
+    def test_artifacts_independent_of_chunk(self, tmp_path, monkeypatch,
+                                            experiment):
+        cfg = RunConfig.from_dict({"experiment": experiment,
+                                   **self.CONFIGS[experiment]})
+
+        def artifacts(chunk, workers):
+            monkeypatch.setattr(fracflow.experiments, "CHUNK", chunk)
+            out = tmp_path / f"c{chunk}-w{workers}"
+            run_experiment(cfg, workers=workers, out=out)
+            return {name: (out / name).read_bytes()
+                    for name in sorted(os.listdir(out))
+                    if name.endswith((".tsv", ".bin"))}
+
+        ref = artifacts(CHUNK, 1)
+        assert any(name.endswith(".tsv") for name in ref)
+        for chunk in (16, 256):
+            for workers in (1, 2):
+                assert artifacts(chunk, workers) == ref, (chunk, workers)
+
+    @pytest.mark.parametrize("kind", ["plain", "dissipation", "ladder"])
+    def test_chunk_values_have_member_axis_one(self, kind):
+        grid = {"d": 1, "n": 32, "len": 2 * math.pi}
+        measure = {"family": "gaussian_bump", "mass": 1.0, "mean": 0.0,
+                   "params": {"width": 0.6}}
+        nl = {"kind": "burgers_quadratic", "cutoff_level": 2.0}
+        solver = {"s": 0.75, "z": [1.0], "time_grid": [0.0, 0.05, 0.1],
+                  "bielecki_k": 4.0}
+        payload = fracflow.experiments._chunk_payloads(
+            grid, measure, nl, solver, 5, seed=3,
+            ladder=[1.0, 2.0, 4.0] if kind == "ladder" else None,
+            dissipation=kind == "dissipation")[0]
+        res = fracflow.experiments._solve_chunk(payload)
+        values = res["values"]
+        assert isinstance(values, np.ndarray)
+        assert values.dtype == np.float64
+        # ladder: three level pairs, then the moments for p = 2, 4, 6
+        trailing = {"plain": (32,), "dissipation": (2,), "ladder": (6,)}
+        assert values.shape == (3, 5) + trailing[kind]
+        if kind == "ladder":
+            assert res["final"].shape == (5, 32)
 
 
 class TestParallelPicard:
@@ -699,3 +749,21 @@ class TestCli:
         captured = capsys.readouterr()
         assert rc == 1
         assert "MISMATCH" in captured.out
+
+    @pytest.mark.parametrize("edit", [
+        lambda data: {**data, "config": "zero-nonlinearity"},
+        lambda data: {**data, "tables": list(data["tables"])},
+        lambda data: [data],
+    ], ids=["config-string", "tables-list", "document-list"])
+    def test_malformed_manifest_exit_two(self, tmp_path, capsys, edit):
+        cfg = self.write_config(tmp_path, SMALL)
+        out = tmp_path / "run"
+        cli_main(["run", cfg, "--out", str(out), "--workers", "1"])
+        capsys.readouterr()
+        path = out / "manifest.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        rc = cli_main(["replay", str(path), "--workers", "1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "configuration error" in captured.err
+        assert "must be a mapping" in captured.err
