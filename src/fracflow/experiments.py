@@ -6,21 +6,24 @@ the free flow, kernel identities, Picard contraction rates, moment
 monotonicity, the dissipation identity, and so on).  The registry is what
 the command line lists and runs; tests drive the same entry points.
 
-Ensemble solves run in member chunks of fixed size CHUNK, and chunk
-results are joined in chunk order.  Together with counter-based
+Each experiment builds its grid, measure, flux and solver config once
+from the run record (_cfg_parts); pooled solves hand those objects to
+their member chunks as they are.  A chunk is CHUNK members, one pool
+task, sampled once, and chunk results are joined in chunk order by
+concatenation along the member axis.  Together with counter-based
 per-member seeding this makes every number independent of the worker
 count and of CHUNK.  _chunk_results runs the chunks of several solves as
-the tasks of one process pool and yields each solve's results in chunk
-order: parallel_picard is its one-solve case, energy-dissipation submits
-its three solves (the linear gate, tanh and Burgers) at once, and
-parallel_ladder runs a cut-off ladder as one task per chunk, solving
-every level inside it.  No trajectory of a pooled statistic leaves the
-process that solved it: energy-dissipation's chunks return each member's
-dissipation series (avg_x u^2 and the Dirichlet rate per node), the
-ladder's chunks each member's pair distances and top-level moments per
-node plus the top level's last node, and the parent reduces the joined
-(nodes, members) series across members.
-A chunk returns its residual series unjudged:
+the tasks of one process pool, with no more workers than chunks, and
+yields each solve's results in chunk order: parallel_picard is its
+one-solve case, energy-dissipation submits its three solves (the linear
+gate, tanh and Burgers) at once, and parallel_ladder runs a cut-off
+ladder as one task per chunk, solving every level inside it.  No
+trajectory of a pooled statistic leaves the process that solved it:
+energy-dissipation's chunks return each member's dissipation series
+(avg_x u^2 and the Dirichlet rate per node), the ladder's chunks each
+member's pair distances and top-level moments per node plus the top
+level's last node, and the parent reduces the joined (nodes, members)
+series across members.  A chunk returns its residual series unjudged:
 the NonContractionError rule of picard_solve is applied once per solve,
 to the series merged over its chunks, which is the whole batch's series.
 picard-contraction still solves its ensemble in one process.
@@ -56,6 +59,7 @@ from .random_fields import (
     estimate_spectrum,
     measure_from_spec,
     sample_ensemble,
+    two_mode_measure,
 )
 from .solver import (
     NonlinearitySpec,
@@ -137,110 +141,91 @@ class ExperimentResult:
 # ------------------------------------------------------------ parallel solve
 
 def _solve_chunk(payload: dict) -> dict:
-    """One member chunk, rebuilt from plain records so it can cross a
-    process boundary, and sampled once.  values is the chunk's trajectory,
-    or for a dissipation chunk its dissipation_series, or for a ladder
-    chunk (ladder set) its ladder_series: the chunk solves data h_n(u0)
-    with flux f(h_n(.)) for every level n in increasing order, and final
-    holds the top level's last node.  The member axis of values is 1 in
-    every case.  The residual series come back unjudged, for the growth
-    rule to see the merged series: a ladder chunk's diagnostics map each
-    level it solved to its PicardDiagnostics.  Numeric blowup inside a
-    chunk is reported, not raised: the run continues with those members
-    flagged, and a ladder chunk stops at the level that failed."""
-    grid = grid_from_record(payload["grid"])
-    measure = measure_from_spec(grid, payload["measure"])
-    spec = NonlinearitySpec.from_record(payload["nonlinearity"])
-    config = SolverConfig.from_record(payload["solver"])
+    """One member chunk of a solve, sampled once from the payload's
+    measure.  values is the chunk's trajectory, or for a dissipation chunk
+    its dissipation_series, or for a ladder chunk (ladder set) its
+    ladder_series: the chunk solves data h_n(u0) with flux f(h_n(.)) for
+    every level n in increasing order, and final holds the top level's
+    last node.  The member axis of values is 1 in every case.  The
+    residual series come back unjudged, for the growth rule to see the
+    merged series: a ladder chunk's diagnostics map each level it solved
+    to its PicardDiagnostics.  Numeric blowup inside a chunk is reported,
+    not raised: the run continues with those members flagged, and a
+    ladder chunk stops at the level that failed."""
+    measure, spec, config = (payload["measure"], payload["spec"],
+                             payload["solver"])
     ens = sample_ensemble(measure, payload["size"], payload["seed"],
                           counter_offset=payload["offset"] + payload["start"])
     out = {"start": payload["start"], "size": payload["size"],
            "seeds": ens.seeds, "values": None, "error": None}
-    if payload["ladder"] is None:
-        try:
+    try:
+        if payload["ladder"] is None:
             traj, out["diagnostics"] = _picard_iterate(ens, spec, config)
-        except NumericError as exc:
-            out["error"] = str(exc)
+            out["values"] = (dissipation_series(traj, config.s)
+                             if payload["dissipation"] else traj.values)
             return out
-        out["values"] = (dissipation_series(traj, config.s)
-                         if payload["dissipation"] else traj.values)
-        return out
-    solutions, out["diagnostics"] = {}, {}
-    for n in payload["ladder"]:
-        try:
+        solutions, out["diagnostics"] = {}, {}
+        for n in payload["ladder"]:
             traj, out["diagnostics"][n] = _picard_iterate(
                 *ladder_rung(ens, spec, n), config)
-        except NumericError as exc:
-            out["error"] = str(exc)
-            return out
-        solutions[n] = traj.values
-    out["values"] = ladder_series(grid, solutions)
+            solutions[n] = traj.values
+    except NumericError as exc:
+        out["error"] = str(exc)
+        return out
+    out["values"] = ladder_series(measure.grid, solutions)
     # a copy, not a view, so an in-process chunk frees its trajectories
     out["final"] = traj.values[-1].copy()
     return out
 
 
-def _chunk_payloads(grid_rec: dict, measure_rec: dict, nl_rec: dict,
-                    solver_rec: dict, n_members: int, seed: int,
-                    counter_offset: int = 0, ladder=None,
-                    dissipation: bool = False) -> list:
+def _chunk_payloads(measure, spec: NonlinearitySpec, solver: SolverConfig,
+                    n_members: int, seed: int, counter_offset: int = 0,
+                    ladder=None, dissipation: bool = False) -> list:
     if n_members < 1:
         raise ConfigurationError("n_members must be >= 1")
-    return [{"grid": grid_rec, "measure": measure_rec,
-             "nonlinearity": nl_rec, "solver": solver_rec,
+    return [{"measure": measure, "spec": spec, "solver": solver,
              "seed": seed, "offset": counter_offset, "ladder": ladder,
              "dissipation": dissipation,
              "start": start, "size": min(CHUNK, n_members - start)}
             for start in range(0, n_members, CHUNK)]
 
 
-def _merge_chunks(results, n_members: int) -> tuple:
+def _merge_chunks(results) -> tuple:
     """(values, seeds, merged PicardDiagnostics, flagged entries) of one
     plain or dissipation solve's chunk results, in chunk order.  values
-    joins the chunks' values along the member axis 1: whole trajectories
-    for parallel_picard, (nodes, members, 2) dissipation series for
-    energy-dissipation; flagged holds (index, seed, message) for each
-    member of a chunk that failed numerically, and those members leave no
-    rows.
-
-    Each chunk is copied into place as it is read, so only one chunk's
-    array is alive beside the merged one; a single chunk is the merged
-    array as it is."""
-    values, seeds, diags, flagged = None, [], [], []
+    concatenates the chunks' values along the member axis 1: whole
+    trajectories for parallel_picard, (nodes, members, 2) dissipation
+    series for energy-dissipation; flagged holds (index, seed, message)
+    for each member of a chunk that failed numerically, and those members
+    leave no rows.  Raises NonContractionError by the rule of
+    picard_solve, applied to the merged residual series."""
+    blocks, seeds, diags, flagged = [], [], [], []
     for res in results:
         if res["error"] is not None:
-            for j in range(res["size"]):
-                flagged.append((res["start"] + j, res["seeds"][j],
-                                res["error"]))
+            flagged.extend((res["start"] + j, member_seed, res["error"])
+                           for j, member_seed in enumerate(res["seeds"]))
             continue
-        block = res["values"]
-        if res["size"] == n_members:
-            values = block
-        else:
-            if values is None:
-                values = np.empty(block.shape[:1] + (n_members,)
-                                  + block.shape[2:])
-            values[:, len(seeds):len(seeds) + res["size"]] = block
+        blocks.append(res["values"])
         seeds.extend(res["seeds"])
         diags.append(res["diagnostics"])
-    if not seeds:
+    if not blocks:
         raise NumericError("every member chunk failed numerically")
-    if len(seeds) < n_members:
-        values = values[:, :len(seeds)].copy()
-    return values, seeds, PicardDiagnostics.merge(diags), flagged
+    diag = PicardDiagnostics.merge(diags)
+    diag.raise_if_growing()
+    return np.concatenate(blocks, axis=1), seeds, diag, flagged
 
 
 @contextmanager
 def _chunk_results(solves: list, workers: int):
     """Several solves, each given as its list of chunk payloads, run as
-    the tasks of one process pool (or one by one as they are read, with
-    one worker or one chunk); yields an iterator of each solve's chunk
-    results, in the order given.  A caller reads each solve's results
-    before the next solve's; one that stops reading leaves the later
-    solves unread.  On leaving the block the pool shuts down and drops
-    the chunks not yet started."""
+    the tasks of one process pool of at most one worker per chunk (or one
+    by one as they are read, with one worker or one chunk); yields an
+    iterator of each solve's chunk results, in the order given.  A caller
+    reads each solve's results before the next solve's; one that stops
+    reading leaves the later solves unread.  On leaving the block the pool
+    shuts down and drops the chunks not yet started."""
     payloads = [p for solve in solves for p in solve]
-    pool = (ProcessPoolExecutor(max_workers=workers)
+    pool = (ProcessPoolExecutor(max_workers=min(workers, len(payloads)))
             if workers > 1 and len(payloads) > 1 else None)
     try:
         results = (map(_solve_chunk, payloads) if pool is None
@@ -251,8 +236,8 @@ def _chunk_results(solves: list, workers: int):
             pool.shutdown(cancel_futures=True)
 
 
-def parallel_picard(grid_rec: dict, measure_rec: dict, nl_rec: dict,
-                    solver_rec: dict, n_members: int, seed: int,
+def parallel_picard(grid: Grid, measure, spec: NonlinearitySpec,
+                    solver: SolverConfig, n_members: int, seed: int,
                     workers: int = 1, counter_offset: int = 0) -> tuple:
     """Chunked ensemble Picard solve; returns (trajectory Ensemble, info).
 
@@ -262,20 +247,18 @@ def parallel_picard(grid_rec: dict, measure_rec: dict, nl_rec: dict,
     numerically.  Raises NonContractionError by the rule of picard_solve,
     applied to the merged series.  Identical output for any worker count.
     """
-    payloads = _chunk_payloads(grid_rec, measure_rec, nl_rec, solver_rec,
-                               n_members, seed, counter_offset)
+    payloads = _chunk_payloads(measure, spec, solver, n_members, seed,
+                               counter_offset)
     with _chunk_results([payloads], workers) as solves:
-        values, seeds, diag, flagged = _merge_chunks(next(solves), n_members)
-    traj = Ensemble(grid_from_record(grid_rec), values,
-                    SolverConfig.from_record(solver_rec).time_grid, seeds)
-    diag.raise_if_growing()
+        values, seeds, diag, flagged = _merge_chunks(next(solves))
+    traj = Ensemble(grid, values, solver.time_grid, seeds)
     info = {"converged": diag.converged, "diagnostics": diag,
             "member_seeds": list(traj.seeds), "flagged": flagged}
     return traj, info
 
 
-def parallel_ladder(grid_rec: dict, measure_rec: dict, nl_rec: dict,
-                    solver_rec: dict, n_members: int, seed: int, ladder,
+def parallel_ladder(grid: Grid, measure, spec: NonlinearitySpec,
+                    solver: SolverConfig, n_members: int, seed: int, ladder,
                     workers: int = 1) -> tuple:
     """The cut-off ladder of solve_polynomial on the chunked path; returns
     (final_state, moments, LadderReport): the top level's last-node
@@ -289,11 +272,9 @@ def parallel_ladder(grid_rec: dict, measure_rec: dict, nl_rec: dict,
     as the in-memory ladder would.  Identical output for any worker count,
     and equal to solve_polynomial on the same sample.
     """
-    grid = grid_from_record(grid_rec)
-    times = SolverConfig.from_record(solver_rec).time_grid
-    levels = ladder_levels(NonlinearitySpec.from_record(nl_rec), ladder)
-    payloads = _chunk_payloads(grid_rec, measure_rec, nl_rec, solver_rec,
-                               n_members, seed, ladder=levels)
+    levels = ladder_levels(spec, ladder)
+    payloads = _chunk_payloads(measure, spec, solver, n_members, seed,
+                               ladder=levels)
     with _chunk_results([payloads], workers) as solves:
         chunks = list(next(solves))
     diagnostics = {}
@@ -305,6 +286,7 @@ def parallel_ladder(grid_rec: dict, measure_rec: dict, nl_rec: dict,
             [c["diagnostics"][n] for c in chunks])
         diagnostics[n].raise_if_growing()
     series = np.concatenate([c["values"] for c in chunks], axis=1)
+    times = solver.time_grid
     final_state = Ensemble(grid, np.concatenate([c["final"] for c in chunks]),
                            times[-1], [s for c in chunks for s in c["seeds"]])
     return (final_state, ladder_moments(series),
@@ -354,9 +336,12 @@ def list_experiments() -> list:
 
 
 def _cfg_parts(config: dict) -> tuple:
+    """(grid, measure, nonlinearity spec, solver config) built from a run
+    record; raises ConfigurationError on the first bad part."""
     grid = grid_from_record(config["grid"])
-    measure = measure_from_spec(grid, config["measure"])
-    return grid, measure
+    return (grid, measure_from_spec(grid, config["measure"]),
+            NonlinearitySpec.from_record(config["nonlinearity"]),
+            SolverConfig.from_record(config["solver"]))
 
 
 def _unconverged_note(solves: dict, n_members: int,
@@ -412,7 +397,7 @@ _S_SWEEP = (0.6, 0.75, 1.0)
     ),
 )
 def _linear_spectral_decay(config: dict, workers: int) -> ExperimentResult:
-    grid, measure = _cfg_parts(config)
+    grid, measure, _, _ = _cfg_parts(config)
     ens = sample_ensemble(measure, config["n_members"], config["seed"])
     retained = np.nonzero(measure.weights > 0)
     checks, rows = [], []
@@ -453,10 +438,9 @@ def _linear_spectral_decay(config: dict, workers: int) -> ExperimentResult:
     ),
 )
 def _zero_nonlinearity(config: dict, workers: int) -> ExperimentResult:
-    grid, _ = _cfg_parts(config)
-    traj, info = parallel_picard(
-        config["grid"], config["measure"], config["nonlinearity"],
-        config["solver"], config["n_members"], config["seed"], workers)
+    grid, measure, spec, solver = _cfg_parts(config)
+    traj, info = parallel_picard(grid, measure, spec, solver,
+                                 config["n_members"], config["seed"], workers)
     s = float(config["solver"]["s"])
     worst = 0.0
     rows = []
@@ -488,7 +472,7 @@ def _zero_nonlinearity(config: dict, workers: int) -> ExperimentResult:
     ),
 )
 def _semigroup_contraction(config: dict, workers: int) -> ExperimentResult:
-    grid, measure = _cfg_parts(config)
+    grid, measure, _, _ = _cfg_parts(config)
     ens = sample_ensemble(measure, config["n_members"], config["seed"])
     law_worst = 0.0
     for s in _S_SWEEP:
@@ -540,7 +524,7 @@ def _semigroup_contraction(config: dict, workers: int) -> ExperimentResult:
     ),
 )
 def _kernel_identities(config: dict, workers: int) -> ExperimentResult:
-    grid, _ = _cfg_parts(config)
+    grid, _, _, _ = _cfg_parts(config)
     checks, rows = [], []
     mass_worst = 0.0
     for s in _S_SWEEP:
@@ -593,7 +577,7 @@ def _kernel_identities(config: dict, workers: int) -> ExperimentResult:
     ),
 )
 def _gradient_bound(config: dict, workers: int) -> ExperimentResult:
-    grid, measure = _cfg_parts(config)
+    grid, measure, _, _ = _cfg_parts(config)
     z = config["solver"]["z"]
     ens = sample_ensemble(measure, config["n_members"], config["seed"])
     u = ens.values[0]
@@ -639,10 +623,8 @@ def _gradient_bound(config: dict, workers: int) -> ExperimentResult:
     ),
 )
 def _picard_contraction(config: dict, workers: int) -> ExperimentResult:
-    grid, measure = _cfg_parts(config)
-    spec = NonlinearitySpec.from_record(config["nonlinearity"])
+    grid, measure, spec, base = _cfg_parts(config)
     lip = spec.effective_lipschitz()
-    base = SolverConfig.from_record(config["solver"])
     ens = sample_ensemble(measure, config["n_members"], config["seed"])
     checks, rows = [], []
     for s in (0.75, 1.0):
@@ -685,8 +667,7 @@ def _picard_contraction(config: dict, workers: int) -> ExperimentResult:
 )
 def _moment_monotonicity(config: dict, workers: int) -> ExperimentResult:
     final, moments, report = parallel_ladder(
-        config["grid"], config["measure"], config["nonlinearity"],
-        config["solver"], config["n_members"], config["seed"],
+        *_cfg_parts(config), config["n_members"], config["seed"],
         (1, 2, 4, 8), workers)
     checks, tables = [], {}
     for p in (2, 4, 6):
@@ -721,34 +702,31 @@ def _moment_monotonicity(config: dict, workers: int) -> ExperimentResult:
     ),
 )
 def _energy_dissipation(config: dict, workers: int) -> ExperimentResult:
+    grid, measure, spec, solver = _cfg_parts(config)
     n_members = config["n_members"]
-    times = SolverConfig.from_record(config["solver"]).time_grid
+    times = solver.time_grid
     dt = float(np.max(np.diff(times)))
     checks, tables = [], {}
     seeds, flagged = [], []
 
     # linear gate: single +/-1 pair plus a mean, where the centered
     # stencil bias (2 lam dt)^2/6 sits below the dt^2 cap
-    gate_measure = {"family": "two_mode", "mass": 1.0, "mean": 1.0,
-                    "params": {"wavenumber": 1.0}}
-    solves = (({"kind": "zero"}, gate_measure),
-              (config["nonlinearity"], config["measure"]),
-              ({"kind": "burgers_quadratic", "cutoff_level": 2.0},
-               config["measure"]))
+    solves = ((two_mode_measure(grid, 1.0, mass=1.0, mean=1.0),
+               NonlinearitySpec.zero()),
+              (measure, spec),
+              (measure, NonlinearitySpec.burgers(cutoff_level=2.0)))
     # one pool for all three; disjoint counter blocks: gate 0..N,
     # tanh N..2N, burgers 2N..3N.  Chunks return per-member series.
-    payloads = [_chunk_payloads(config["grid"], measure_rec, nl_rec,
-                                config["solver"], n_members, config["seed"],
+    payloads = [_chunk_payloads(*solve, solver, n_members, config["seed"],
                                 counter_offset=k * n_members,
                                 dissipation=True)
-                for k, (nl_rec, measure_rec) in enumerate(solves)]
+                for k, solve in enumerate(solves)]
     with _chunk_results(payloads, workers) as results:
 
         def next_report(label):
             """The solve's DissipationReport and its unconverged note."""
             series, member_seeds, diag, member_flags = _merge_chunks(
-                next(results), n_members)
-            diag.raise_if_growing()
+                next(results))
             seeds.extend(member_seeds)
             flagged.extend(member_flags)
             report = reduce_dissipation(times, series)
@@ -810,7 +788,7 @@ def _energy_dissipation(config: dict, workers: int) -> ExperimentResult:
     ),
 )
 def _orthogonality(config: dict, workers: int) -> ExperimentResult:
-    grid, measure = _cfg_parts(config)
+    grid, measure, _, _ = _cfg_parts(config)
     z = config["solver"]["z"]
     ens = sample_ensemble(measure, config["n_members"], config["seed"])
     pairs = [
@@ -848,9 +826,11 @@ def _orthogonality(config: dict, workers: int) -> ExperimentResult:
 def _cutoff_ladder(config: dict, workers: int) -> ExperimentResult:
     # mass 6.25 puts the field rms at 2.5, so levels 1, 2 clip hard and
     # 4, 8 clip rarely: the distances have room to shrink
+    if config["n_members"] < 2:
+        raise ConfigurationError("cut-off ladder moment guard needs >= 2 "
+                                 "members")
     final, _, report = parallel_ladder(
-        config["grid"], config["measure"], config["nonlinearity"],
-        config["solver"], config["n_members"], config["seed"],
+        *_cfg_parts(config), config["n_members"], config["seed"],
         (1, 2, 4, 8), workers)
     rows = [[pair[0], pair[1], sup]
             for pair, sup in sorted(report.sup_distances.items())]
@@ -884,7 +864,7 @@ def _cutoff_ladder(config: dict, workers: int) -> ExperimentResult:
     ),
 )
 def _stroock_varopoulos(config: dict, workers: int) -> ExperimentResult:
-    grid, measure = _cfg_parts(config)
+    grid, measure, _, _ = _cfg_parts(config)
     ens = sample_ensemble(measure, config["n_members"], config["seed"])
     checks, rows = [], []
     for a, b in ((0.5, 1.5), (1.0, 1.0)):
@@ -943,9 +923,7 @@ def _stroock_varopoulos(config: dict, workers: int) -> ExperimentResult:
     ),
 )
 def _solver_cross_validation(config: dict, workers: int) -> ExperimentResult:
-    grid, measure = _cfg_parts(config)
-    spec = NonlinearitySpec.from_record(config["nonlinearity"])
-    cfg = SolverConfig.from_record(config["solver"])
+    grid, measure, spec, cfg = _cfg_parts(config)
     ens = sample_ensemble(measure, config["n_members"], config["seed"])
 
     picard_traj, diag = picard_solve(ens, spec, cfg)
@@ -990,8 +968,7 @@ def _solver_cross_validation(config: dict, workers: int) -> ExperimentResult:
     ),
 )
 def _replay_determinism(config: dict, workers: int) -> ExperimentResult:
-    args = (config["grid"], config["measure"], config["nonlinearity"],
-            config["solver"], config["n_members"], config["seed"])
+    args = (*_cfg_parts(config), config["n_members"], config["seed"])
     solo, info = parallel_picard(*args, workers=1)
     multi, _ = parallel_picard(*args, workers=2)
     identical = bool(np.array_equal(solo.values, multi.values))

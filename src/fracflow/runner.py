@@ -21,14 +21,7 @@ from dataclasses import dataclass, field
 
 from .ensemble_stats import format_table
 from .errors import ConfigurationError, require_number
-from .experiments import (
-    ExperimentResult,
-    NonlinearitySpec,
-    SolverConfig,
-    get_experiment,
-    grid_from_record,
-    measure_from_spec,
-)
+from .experiments import ExperimentResult, _cfg_parts, get_experiment
 from .random_fields import export_ensemble
 from .spectral import normalize_direction
 
@@ -77,11 +70,15 @@ class RunConfig:
         seed = require_number(merged["seed"], "seed", integer=True)
         if n_members < 1:
             raise ConfigurationError(f"n_members must be >= 1, got {n_members}")
+        out = merged.get("out")
+        if out is not None and not isinstance(out, str):
+            raise ConfigurationError(
+                f"'out' must be a path string or null, got {out!r}")
         cfg = cls(experiment=name, grid=merged["grid"],
                   measure=merged["measure"],
                   nonlinearity=merged["nonlinearity"],
                   solver=merged["solver"], n_members=n_members, seed=seed,
-                  out=merged.get("out"))
+                  out=out)
         cfg.validate()
         return cfg
 
@@ -98,10 +95,8 @@ class RunConfig:
 
     def validate(self):
         """Build every referenced spec once; raises on the first bad one."""
-        grid = grid_from_record(self.grid)
-        measure_from_spec(grid, self.measure)
-        NonlinearitySpec.from_record(self.nonlinearity)
-        normalize_direction(grid, SolverConfig.from_record(self.solver).z)
+        grid, _, _, solver = _cfg_parts(self.to_dict())
+        normalize_direction(grid, solver.z)
 
     def to_dict(self) -> dict:
         return {"experiment": self.experiment, "grid": self.grid,

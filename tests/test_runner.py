@@ -2,10 +2,12 @@
 artifact directories, replay, and the command line surface."""
 
 import hashlib
+import inspect
 import json
 import math
 import os
 import re
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -30,16 +32,17 @@ from fracflow.experiments import (
     CheckResult,
     Experiment,
     ExperimentResult,
+    _cfg_parts,
     get_experiment,
-    grid_from_record,
     list_experiments,
     parallel_ladder,
     parallel_picard,
 )
 from fracflow.random_fields import (
+    gaussian_bump_measure,
     load_ensemble,
-    measure_from_spec,
     sample_ensemble,
+    two_mode_measure,
 )
 from fracflow.runner import RunConfig, RunManifest, replay_run, run_experiment
 from fracflow.solver import (
@@ -48,6 +51,7 @@ from fracflow.solver import (
     picard_solve,
     solve_polynomial,
 )
+from fracflow.spectral import Grid
 
 SMALL = {"experiment": "zero-nonlinearity", "n_members": 8, "seed": 11}
 
@@ -119,6 +123,41 @@ class TestRegistry:
             assert cfg.n_members >= 1
 
 
+class TestBenchmarkBindings:
+    """perfbench/rep.py and perfbench/spans.py wrap or read these names;
+    renaming one must fail here rather than in a benchmark run."""
+
+    def test_bound_names_exist(self):
+        import fracflow.runner as runner
+        import fracflow.solver as solver
+
+        experiments = fracflow.experiments
+        for owner, name in [(solver, "picard_solve"),
+                            (solver, "spatial_rms"),
+                            (solver.NonlinearitySpec, "evaluate"),
+                            (experiments, "parallel_picard"),
+                            (experiments, "_solve_chunk"),
+                            (runner, "_write_artifacts"),
+                            (runner, "_table_text")]:
+            assert callable(getattr(owner, name, None)), name
+        assert isinstance(experiments.CHUNK, int)
+        assert isinstance(experiments.REGISTRY, dict)
+
+    def test_parallel_picard_members_fifth(self):
+        assert list(inspect.signature(parallel_picard).parameters)[4] == \
+            "n_members"
+
+    def test_solve_chunk_returns_values(self):
+        grid = Grid(1, 16, 2 * math.pi)
+        payload = fracflow.experiments._chunk_payloads(
+            gaussian_bump_measure(grid, 1.0, mass=1.0),
+            NonlinearitySpec.zero(), SolverConfig(0.75, [1.0], [0.0, 0.1]),
+            2, seed=1)[0]
+        result = fracflow.experiments._solve_chunk(payload)
+        assert isinstance(result, dict)
+        assert result["values"].shape == (2, 2, 16)
+
+
 class TestRunConfig:
     def test_defaults_filled_in(self):
         cfg = RunConfig.from_dict({"experiment": "zero-nonlinearity"})
@@ -159,6 +198,14 @@ class TestRunConfig:
             small_config(n_members=0)
         with pytest.raises(ConfigurationError, match="integer"):
             small_config(n_members="plenty")
+
+    @pytest.mark.parametrize("out", [5, True, ["run"]],
+                             ids=["int", "bool", "list"])
+    def test_out_must_be_a_path_string(self, out):
+        # an int would be taken for a file descriptor, not a directory
+        with pytest.raises(ConfigurationError, match="'out' must be"):
+            small_config(out=out)
+        assert small_config(out="run").out == "run"
 
     def test_bad_nested_record_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -325,14 +372,12 @@ class TestChunkSize:
 
     @pytest.mark.parametrize("kind", ["plain", "dissipation", "ladder"])
     def test_chunk_values_have_member_axis_one(self, kind):
-        grid = {"d": 1, "n": 32, "len": 2 * math.pi}
-        measure = {"family": "gaussian_bump", "mass": 1.0, "mean": 0.0,
-                   "params": {"width": 0.6}}
-        nl = {"kind": "burgers_quadratic", "cutoff_level": 2.0}
-        solver = {"s": 0.75, "z": [1.0], "time_grid": [0.0, 0.05, 0.1],
-                  "bielecki_k": 4.0}
+        grid = Grid(1, 32, 2 * math.pi)
+        measure = gaussian_bump_measure(grid, 0.6, mass=1.0)
+        nl = NonlinearitySpec.burgers(cutoff_level=2.0)
+        solver = SolverConfig(0.75, [1.0], [0.0, 0.05, 0.1], bielecki_k=4.0)
         payload = fracflow.experiments._chunk_payloads(
-            grid, measure, nl, solver, 5, seed=3,
+            measure, nl, solver, 5, seed=3,
             ladder=[1.0, 2.0, 4.0] if kind == "ladder" else None,
             dissipation=kind == "dissipation")[0]
         res = fracflow.experiments._solve_chunk(payload)
@@ -347,23 +392,20 @@ class TestChunkSize:
 
 
 class TestParallelPicard:
-    GRID = {"d": 1, "n": 32, "len": 2 * math.pi}
-    MEASURE = {"family": "gaussian_bump", "mass": 1.0, "mean": 0.0,
-               "params": {"width": 0.6}}
-    TANH = {"kind": "lipschitz_tanh", "scale": 0.5}
+    GRID = Grid(1, 32, 2 * math.pi)
+    MEASURE = gaussian_bump_measure(GRID, 0.6, mass=1.0)
+    TANH = NonlinearitySpec.tanh(0.5)
 
     def solver(self, **kw):
-        rec = {"s": 0.75, "z": [1.0], "time_grid": [0.0, 0.05, 0.1],
-               "bielecki_k": 4.0, "tol": 1e-8, "max_iter": 40}
-        rec.update(kw)
-        return rec
+        args = {"s": 0.75, "z": [1.0], "time_grid": [0.0, 0.05, 0.1],
+                "bielecki_k": 4.0, "tol": 1e-8, "max_iter": 40}
+        args.update(kw)
+        return SolverConfig(**args)
 
-    def whole_batch(self, nl_rec, solver_rec, n, seed):
+    def whole_batch(self, spec, solver, n, seed):
         """picard_solve on the whole sample that parallel_picard chunks."""
-        grid = grid_from_record(self.GRID)
-        ens = sample_ensemble(measure_from_spec(grid, self.MEASURE), n, seed)
-        return picard_solve(ens, NonlinearitySpec.from_record(nl_rec),
-                            SolverConfig.from_record(solver_rec))
+        return picard_solve(sample_ensemble(self.MEASURE, n, seed), spec,
+                            solver)
 
     def test_unconverged_members_summed_over_chunks(self):
         # two chunks; tol 1e-14 is out of reach in 2 sweeps for every member
@@ -401,10 +443,10 @@ class TestParallelPicard:
                              ids=["converging", "capped"])
     def test_merged_diagnostics_equal_whole_batch(self, solver_kw):
         n = CHUNK + 3
-        rec = self.solver(**solver_kw)
-        traj, info = parallel_picard(self.GRID, self.MEASURE, self.TANH, rec,
-                                     n, seed=5, workers=2)
-        whole, diag = self.whole_batch(self.TANH, rec, n, seed=5)
+        solver = self.solver(**solver_kw)
+        traj, info = parallel_picard(self.GRID, self.MEASURE, self.TANH,
+                                     solver, n, seed=5, workers=2)
+        whole, diag = self.whole_batch(self.TANH, solver, n, seed=5)
         merged = info["diagnostics"]
         assert merged.residuals == diag.residuals
         assert merged.iterations == diag.iterations
@@ -416,16 +458,39 @@ class TestParallelPicard:
     def test_growing_run_raises_noncontraction(self, workers):
         # two chunks; with K = 0.01 the tanh(30) map does not contract
         n = CHUNK + 3
-        nl = {"kind": "lipschitz_tanh", "scale": 30.0}
-        rec = self.solver(s=1.0, time_grid=np.linspace(0, 2, 21).tolist(),
-                          bielecki_k=0.01, max_iter=8)
+        nl = NonlinearitySpec.tanh(30.0)
+        solver = self.solver(s=1.0, time_grid=np.linspace(0, 2, 21),
+                             bielecki_k=0.01, max_iter=8)
         with pytest.raises(NonContractionError) as whole:
-            self.whole_batch(nl, rec, n, seed=5)
+            self.whole_batch(nl, solver, n, seed=5)
         with pytest.raises(NonContractionError) as pooled:
-            parallel_picard(self.GRID, self.MEASURE, nl, rec, n, seed=5,
+            parallel_picard(self.GRID, self.MEASURE, nl, solver, n, seed=5,
                             workers=workers)
         assert pooled.value.measured_ratio == whole.value.measured_ratio
         assert pooled.value.iterations == whole.value.iterations == 8
+
+    def test_pool_no_wider_than_chunk_count(self, monkeypatch):
+        # a fork pool starts all max_workers processes at its first submit
+        widths, started = [], []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                widths.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+            def shutdown(self, *args, **kwargs):
+                started.append(len(self._processes))
+                super().shutdown(*args, **kwargs)
+
+        monkeypatch.setattr(fracflow.experiments, "ProcessPoolExecutor",
+                            RecordingPool)
+        n = CHUNK + 1
+        whole, _ = parallel_picard(self.GRID, self.MEASURE, self.TANH,
+                                   self.solver(), n, seed=5)
+        traj, _ = parallel_picard(self.GRID, self.MEASURE, self.TANH,
+                                  self.solver(), n, seed=5, workers=4)
+        assert widths == started == [2]
+        assert np.array_equal(traj.values, whole.values)
 
 
 class TestParallelLadder:
@@ -434,17 +499,15 @@ class TestParallelLadder:
 
     def test_equals_in_memory_ladder(self):
         cfg = RunConfig.from_dict(self.CONFIG)
-        grid = grid_from_record(cfg.grid)
-        ens = sample_ensemble(measure_from_spec(grid, cfg.measure),
-                              cfg.n_members, cfg.seed)
-        ref_top, ref = solve_polynomial(
-            ens, NonlinearitySpec.from_record(cfg.nonlinearity),
-            SolverConfig.from_record(cfg.solver), (1, 2, 4, 8))
+        parts = _cfg_parts(cfg.to_dict())
+        _, measure, spec, solver = parts
+        ens = sample_ensemble(measure, cfg.n_members, cfg.seed)
+        ref_top, ref = solve_polynomial(ens, spec, solver, (1, 2, 4, 8))
         # two chunks, each reduced per member as its levels arrive
         for workers in (1, 2):
             final, moments, report = parallel_ladder(
-                cfg.grid, cfg.measure, cfg.nonlinearity, cfg.solver,
-                cfg.n_members, cfg.seed, (1, 2, 4, 8), workers=workers)
+                *parts, cfg.n_members, cfg.seed, (1, 2, 4, 8),
+                workers=workers)
             assert report.levels == ref.levels == [1.0, 2.0, 4.0, 8.0]
             for n in report.levels:
                 assert report.diagnostics[n] == ref.diagnostics[n]
@@ -478,25 +541,22 @@ class TestParallelLadder:
                             level_two_fails)
         cfg = RunConfig.from_dict(self.CONFIG)
         with pytest.raises(NumericError, match="ladder level 2: synthetic"):
-            parallel_ladder(cfg.grid, cfg.measure, cfg.nonlinearity,
-                            cfg.solver, cfg.n_members, cfg.seed, (1, 2, 4))
+            parallel_ladder(*_cfg_parts(cfg.to_dict()), cfg.n_members,
+                            cfg.seed, (1, 2, 4))
 
     def test_growing_level_raises_noncontraction(self):
         # on this sample a rung's merged residual series ends above its
         # first; the pooled ladder raises as the in-memory one does
         cfg = RunConfig.from_dict(dict(self.CONFIG, seed=99,
                                        grid={"n": 128}))
-        grid = grid_from_record(cfg.grid)
-        ens = sample_ensemble(measure_from_spec(grid, cfg.measure),
-                              cfg.n_members, cfg.seed)
+        parts = _cfg_parts(cfg.to_dict())
+        _, measure, spec, solver = parts
+        ens = sample_ensemble(measure, cfg.n_members, cfg.seed)
         with pytest.raises(NonContractionError) as whole:
-            solve_polynomial(
-                ens, NonlinearitySpec.from_record(cfg.nonlinearity),
-                SolverConfig.from_record(cfg.solver), (1, 2, 4, 8))
+            solve_polynomial(ens, spec, solver, (1, 2, 4, 8))
         for workers in (1, 2):
             with pytest.raises(NonContractionError) as pooled:
-                parallel_ladder(cfg.grid, cfg.measure, cfg.nonlinearity,
-                                cfg.solver, cfg.n_members, cfg.seed,
+                parallel_ladder(*parts, cfg.n_members, cfg.seed,
                                 (1, 2, 4, 8), workers=workers)
             assert pooled.value.measured_ratio == whole.value.measured_ratio
             assert pooled.value.iterations == whole.value.iterations
@@ -533,16 +593,14 @@ class TestEnergyDissipationPool:
                             capture)
         return calls
 
-    def solves(self, cfg):
-        """(nonlinearity, measure, counter offset) of the gate, tanh and
+    def solves(self, grid, measure, spec):
+        """(measure, nonlinearity, counter offset) of the gate, tanh and
         Burgers solves, as energy-dissipation draws them."""
-        gate = {"family": "two_mode", "mass": 1.0, "mean": 1.0,
-                "params": {"wavenumber": 1.0}}
-        n = cfg.n_members
-        return [({"kind": "zero"}, gate, 0),
-                (cfg.nonlinearity, cfg.measure, n),
-                ({"kind": "burgers_quadratic", "cutoff_level": 2.0},
-                 cfg.measure, 2 * n)]
+        n = self.CONFIG["n_members"]
+        return [(two_mode_measure(grid, 1.0, mass=1.0, mean=1.0),
+                 NonlinearitySpec.zero(), 0),
+                (measure, spec, n),
+                (measure, NonlinearitySpec.burgers(cutoff_level=2.0), 2 * n)]
 
     def test_reduced_series_equal_trajectory_path(self, reports):
         cfg = RunConfig.from_dict(self.CONFIG)
@@ -551,12 +609,13 @@ class TestEnergyDissipationPool:
             "linear-gate", "tanh-identity", "burgers-identity"]
         assert len(reports) == 3
         seeds = []
-        for report, (nl, measure, offset) in zip(reports,
-                                                 self.solves(cfg)):
-            traj, info = parallel_picard(cfg.grid, measure, nl, cfg.solver,
-                                         cfg.n_members, cfg.seed, workers=1,
+        grid, measure, spec, solver = _cfg_parts(cfg.to_dict())
+        for report, (m, nl, offset) in zip(reports,
+                                           self.solves(grid, measure, spec)):
+            traj, info = parallel_picard(grid, m, nl, solver, cfg.n_members,
+                                         cfg.seed, workers=1,
                                          counter_offset=offset)
-            ref = dissipation_residual(traj, cfg.solver["s"])
+            ref = dissipation_residual(traj, solver.s)
             for name in self.FIELDS:
                 assert np.array_equal(getattr(report, name),
                                       getattr(ref, name)), name
@@ -701,16 +760,33 @@ class TestCli:
         {**SMALL, "solver": {"max_iter": 2.5}},
         {**SMALL, "solver": {"dealias": "yes"}},
         {**SMALL, "n_members": 2.5},
+        {**SMALL, "out": 5},
+        {**SMALL, "out": True},
     ], ids=["n-string", "n-fraction", "len-string", "d-bool", "width-string",
             "mass-list", "z-3d-on-1d-grid", "z-string", "s-string",
             "time-grid-strings", "tol-string", "k-null", "scale-string",
-            "max-iter-fraction", "dealias-string", "members-fraction"])
+            "max-iter-fraction", "dealias-string", "members-fraction",
+            "out-int", "out-bool"])
     def test_malformed_config_exit_two(self, tmp_path, capsys, data):
         rc = cli_main(["run", self.write_config(tmp_path, data),
                        "--workers", "1"])
         captured = capsys.readouterr()
         assert rc == 2
         assert "configuration error" in captured.err
+        assert captured.out == ""
+
+    def test_one_member_ladder_exit_two(self, tmp_path, capsys, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("a rung was solved")
+
+        monkeypatch.setattr(fracflow.experiments, "_picard_iterate", no_solve)
+        cfg = self.write_config(tmp_path, {"experiment": "cutoff-ladder",
+                                           "n_members": 1})
+        rc = cli_main(["run", cfg, "--workers", "1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "needs >= 2 members" in captured.err
+        assert "Traceback" not in captured.err
         assert captured.out == ""
 
     def test_seed_override(self, tmp_path, capsys):
