@@ -6,7 +6,7 @@ for a + b = 2.  The series statistics take a trajectory :class:`Ensemble`
 (values indexed node, member, grid); the convexity check takes a snapshot.
 
 Every estimator reduces member-level statistics (one number per
-realization first, then mean and standard error over members), so spatial
+realization first, then member_mean and z_score over members), so spatial
 correlation within a realization can never understate the error bars.
 The moment series and the dissipation residual expose the two stages
 apart (member_moments and dissipation_series per member and per node,
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ResolutionError
-from .random_fields import Ensemble
+from .random_fields import Ensemble, member_mean, z_score
 from .spectral import (
     Grid,
     apply_multiplier_values,
@@ -39,15 +39,6 @@ from .spectral import (
 # central differences must resolve the energy decay: max step below this
 # fraction of the initial decay time, else the lhs is bias-dominated
 _DT_FRACTION = 1e-2
-
-
-def _member_stats(per_member: np.ndarray) -> tuple:
-    value = float(np.mean(per_member))
-    if per_member.size > 1:
-        stderr = float(np.std(per_member, ddof=1)) / math.sqrt(per_member.size)
-    else:
-        stderr = math.nan
-    return value, stderr
 
 
 @dataclass
@@ -63,8 +54,7 @@ class MomentSeries:
     n_members: int
 
     def max_increase_z(self) -> float:
-        finite = self.increase_z[np.isfinite(self.increase_z)]
-        return float(np.max(finite)) if finite.size else 0.0
+        return float(np.max(self.increase_z)) if self.increase_z.size else 0.0
 
     def rows(self) -> list:
         out = []
@@ -81,15 +71,14 @@ def _check_trajectory(traj: Ensemble):
 
 
 def member_moments(values: np.ndarray, p: float) -> np.ndarray:
-    """The per-member part of moment_series: avg_x |u|^p (max_x |u| for
-    p = inf) of each member at each node of trajectory values (node,
-    member, grid), as a (nodes, members) array.  Node by node, so no
-    whole-trajectory power is formed."""
-    if not (p == math.inf or p >= 2):
-        raise ConfigurationError(f"moment order must be >= 2 or inf, got {p}")
+    """The per-member part of moment_series: avg_x |u|^p of each member
+    at each node of trajectory values (node, member, grid), as a (nodes,
+    members) array.  Node by node, so no whole-trajectory power is
+    formed."""
+    if not (2 <= p < math.inf):
+        raise ConfigurationError(
+            f"moment order must be finite and >= 2, got {p}")
     axes = tuple(range(1, values.ndim - 1))
-    if p == math.inf:
-        return np.stack([np.max(np.abs(v), axis=axes) for v in values])
     return np.stack([np.mean(np.abs(v) ** p, axis=axes) for v in values])
 
 
@@ -97,29 +86,12 @@ def reduce_moments(times: np.ndarray, per_member: np.ndarray,
                    p: float) -> MomentSeries:
     """The member-axis part of moment_series, on the member_moments of
     every member in member order."""
-    n_members = per_member.shape[1]
-    if p == math.inf:
-        series = np.max(per_member, axis=1)
-        stderr = np.full(series.shape, math.nan)
-        increase = np.full(times.size - 1, math.nan)
-        return MomentSeries(p, times, series, stderr, increase, n_members)
-    series = per_member.mean(axis=1)
-    if n_members > 1:
-        stderr = per_member.std(axis=1, ddof=1) / math.sqrt(n_members)
-    else:
-        stderr = np.full(series.shape, math.nan)
+    series, stderr = member_mean(per_member, axis=1)
     # paired member increments: much tighter than differencing two
     # independent error bars when members are common between nodes
-    delta = np.diff(per_member, axis=0)                    # (nodes-1, N)
-    if n_members > 1:
-        se = delta.std(axis=1, ddof=1) / math.sqrt(n_members)
-        dm = delta.mean(axis=1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            increase = np.where(se > 0, dm / se, np.sign(dm) * np.inf)
-            increase = np.where((se == 0) & (dm == 0), 0.0, increase)
-    else:
-        increase = np.full(times.size - 1, math.nan)
-    return MomentSeries(p, times, series, stderr, increase, n_members)
+    increase = z_score(*member_mean(np.diff(per_member, axis=0), axis=1))
+    return MomentSeries(p, times, series, stderr, increase,
+                        per_member.shape[1])
 
 
 def moment_series(traj: Ensemble, p: float) -> MomentSeries:
@@ -210,25 +182,22 @@ def dissipation_series(traj: Ensemble, s: float) -> np.ndarray:
 def reduce_dissipation(times: np.ndarray, series: np.ndarray) -> DissipationReport:
     """The member-axis part of dissipation_residual, on the
     dissipation_series of every member in member order."""
-    if series.shape[1] < 2:
-        raise ConfigurationError("dissipation residual needs >= 2 members")
     m2 = np.ascontiguousarray(series[..., 0])
     rate = np.ascontiguousarray(series[..., 1])
+    lhs_members, low_confidence = _time_derivative(times, m2)
+    # before the resolution check: one member is a configuration error
+    residual, stderr = member_mean(lhs_members - rate, axis=1)
     decay_time = _check_resolution(times, float(m2[0].mean()),
                                    float(rate[0].mean()))
-    lhs_members, low_confidence = _time_derivative(times, m2)
-    residual_members = lhs_members - rate
-    n = series.shape[1]
-    stderr = residual_members.std(axis=1, ddof=1) / math.sqrt(n)
     return DissipationReport(
         times=times,
         lhs=lhs_members.mean(axis=1),
         rhs=rate.mean(axis=1),
-        residual=residual_members.mean(axis=1),
+        residual=residual,
         stderr=stderr,
         low_confidence=low_confidence,
         decay_time=decay_time,
-        n_members=n,
+        n_members=series.shape[1],
     )
 
 
@@ -255,10 +224,9 @@ class SlackReport:
     rhs: float
     n_members: int
 
-    def passed(self, threshold: float = 3.0) -> bool:
-        if math.isnan(self.stderr):
-            return self.slack >= 0.0
-        return self.slack >= -threshold * self.stderr
+    def passed(self) -> bool:
+        """slack >= -3 stderr."""
+        return self.slack >= -3.0 * self.stderr
 
     def rows(self) -> list:
         return [[self.a, self.b, self.h, self.s, self.slack, self.stderr,
@@ -299,15 +267,10 @@ def stroock_varopoulos_check(ens_w: Ensemble, a: float, b: float,
     lhs_members = np.mean(lhs_field, axis=axes)
     rhs_members = np.mean(rhs_field, axis=axes)
     slack_members = a * b * rhs_members - lhs_members
-    slack, stderr = _member_stats(slack_members)
-    if math.isnan(stderr):
-        z = math.nan
-    elif stderr > 0:
-        z = slack / stderr
-    else:
-        z = 0.0 if slack == 0.0 else math.copysign(math.inf, slack)
+    slack, stderr = map(float, member_mean(slack_members))
     return SlackReport(a=a, b=b, h=h, s=s, slack=slack, stderr=stderr,
-                       z_score=z, lhs=float(np.mean(lhs_members)),
+                       z_score=z_score(slack, stderr),
+                       lhs=float(np.mean(lhs_members)),
                        rhs=float(np.mean(rhs_members)),
                        n_members=ens_w.n_members)
 

@@ -156,8 +156,8 @@ def _solve_chunk(payload: dict) -> dict:
                              payload["solver"])
     ens = sample_ensemble(measure, payload["size"], payload["seed"],
                           counter_offset=payload["offset"] + payload["start"])
-    out = {"start": payload["start"], "size": payload["size"],
-           "seeds": ens.seeds, "values": None, "error": None}
+    out = {"start": payload["start"], "seeds": ens.seeds, "values": None,
+           "error": None}
     try:
         if payload["ladder"] is None:
             traj, out["diagnostics"] = _picard_iterate(ens, spec, config)
@@ -441,11 +441,10 @@ def _zero_nonlinearity(config: dict, workers: int) -> ExperimentResult:
     grid, measure, spec, solver = _cfg_parts(config)
     traj, info = parallel_picard(grid, measure, spec, solver,
                                  config["n_members"], config["seed"], workers)
-    s = float(config["solver"]["s"])
     worst = 0.0
     rows = []
     for j, t in enumerate(traj.times):
-        op = semigroup_multiplier(grid, s, float(t))
+        op = semigroup_multiplier(grid, solver.s, float(t))
         exact = apply_multiplier_values(grid, traj.values[0], op)
         err = float(np.max(spatial_rms(grid, traj.values[j] - exact)))
         worst = max(worst, err)
@@ -472,7 +471,7 @@ def _zero_nonlinearity(config: dict, workers: int) -> ExperimentResult:
     ),
 )
 def _semigroup_contraction(config: dict, workers: int) -> ExperimentResult:
-    grid, measure, _, _ = _cfg_parts(config)
+    grid, measure, _, solver = _cfg_parts(config)
     ens = sample_ensemble(measure, config["n_members"], config["seed"])
     law_worst = 0.0
     for s in _S_SWEEP:
@@ -485,13 +484,12 @@ def _semigroup_contraction(config: dict, workers: int) -> ExperimentResult:
                                         semigroup_multiplier(grid, s, t2)),
                 semigroup_multiplier(grid, s, t1))
             law_worst = max(law_worst, float(np.max(np.abs(one - two))))
-    tgrid = np.asarray(config["solver"]["time_grid"], dtype=np.float64)
-    s = float(config["solver"]["s"])
+    tgrid = solver.time_grid
     rows, violations = [], 0
     prev = None
     for t in tgrid:
         flowed = apply_multiplier_values(
-            grid, ens.values, semigroup_multiplier(grid, s, float(t))) \
+            grid, ens.values, semigroup_multiplier(grid, solver.s, float(t))) \
             if t > 0 else ens.values
         norms = np.asarray(l2_norm(grid, flowed))
         if prev is not None:
@@ -577,8 +575,7 @@ def _kernel_identities(config: dict, workers: int) -> ExperimentResult:
     ),
 )
 def _gradient_bound(config: dict, workers: int) -> ExperimentResult:
-    grid, measure, _, _ = _cfg_parts(config)
-    z = config["solver"]["z"]
+    grid, measure, _, solver = _cfg_parts(config)
     ens = sample_ensemble(measure, config["n_members"], config["seed"])
     u = ens.values[0]
     base = float(l2_norm(grid, u))
@@ -589,7 +586,7 @@ def _gradient_bound(config: dict, workers: int) -> ExperimentResult:
         violations = 0
         for t in ts:
             bound = c * float(t) ** (-1.0 / (2.0 * s))
-            op = grad_semigroup_multiplier(grid, s, float(t), z)
+            op = grad_semigroup_multiplier(grid, s, float(t), solver.z)
             norm = op.operator_norm()
             ratio = float(l2_norm(grid, apply_multiplier_values(
                 grid, u, op))) / base
@@ -788,8 +785,7 @@ def _energy_dissipation(config: dict, workers: int) -> ExperimentResult:
     ),
 )
 def _orthogonality(config: dict, workers: int) -> ExperimentResult:
-    grid, measure, _, _ = _cfg_parts(config)
-    z = config["solver"]["z"]
+    _, measure, _, solver = _cfg_parts(config)
     ens = sample_ensemble(measure, config["n_members"], config["seed"])
     pairs = [
         ("id-id", None, lambda x: x),
@@ -798,7 +794,7 @@ def _orthogonality(config: dict, workers: int) -> ExperimentResult:
     ]
     checks, rows = [], []
     for i, (label, f, g) in enumerate(pairs):
-        stat = directional_orthogonality_stat(ens, g, z, f=f)
+        stat = directional_orthogonality_stat(ens, g, solver.z, f=f)
         checks.append(CheckResult(
             f"orthogonality-{label}", abs(stat.z_score) <= 3.0,
             f"value {stat.value:.3e}, z = {stat.z_score:.2f}"))

@@ -294,6 +294,29 @@ def sample_ensemble(measure: SpectralMeasure, n_members: int, seed: int,
 
 # ------------------------------------------------------------------ estimators
 
+def member_mean(per_member, axis: int = 0) -> tuple:
+    """(mean, stderr) over the member axis of member-level statistics:
+    the sample mean and its standard error (ddof = 1).  Every Monte Carlo
+    estimate of the package goes through here; below two members there is
+    no stderr, so it raises."""
+    per_member = np.asarray(per_member)
+    n = per_member.shape[axis]
+    if n < 2:
+        raise ConfigurationError(
+            f"a member-level stderr needs >= 2 members, got {n}")
+    return (per_member.mean(axis=axis),
+            per_member.std(axis=axis, ddof=1) / math.sqrt(n))
+
+
+def z_score(mean, stderr):
+    """mean / stderr, elementwise; where stderr is 0 the estimate is
+    exact: 0 for a zero mean, else +-inf by the sign of the mean."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(stderr > 0, np.divide(mean, stderr),
+                     np.where(mean == 0, 0.0, np.copysign(np.inf, mean)))
+    return z if z.ndim else float(z)
+
+
 @dataclass
 class SpectrumEstimate:
     measure: SpectralMeasure
@@ -304,16 +327,13 @@ class SpectrumEstimate:
 def estimate_spectrum(ens: Ensemble) -> SpectrumEstimate:
     """Averaged periodogram, symmetrized, with total mass pinned to the
     empirical variance; the k = 0 bin goes to the mean estimate instead."""
-    if ens.n_members < 2:
-        raise ConfigurationError("spectrum estimation needs >= 2 members")
     grid = ens.grid
     mu = float(np.mean(ens.values))
     coeffs = forward_transform(grid, ens.values - mu)
     per_member = np.abs(coeffs) ** 2 / grid.len ** (2 * grid.d)
     per_member = 0.5 * (per_member + _reverse_modes(per_member, grid.d))
     per_member[(np.s_[:],) + (0,) * grid.d] = 0.0
-    weights = per_member.mean(axis=0)
-    stderr = per_member.std(axis=0, ddof=1) / math.sqrt(ens.n_members)
+    weights, stderr = member_mean(per_member)
     variance = float(np.mean((ens.values - mu) ** 2))
     total = float(np.sum(weights))
     if total > 0 and variance > 0:
@@ -345,18 +365,14 @@ def directional_orthogonality_stat(ens: Ensemble, g, z,
     grad = real_inverse_transform(grid, coeffs)
     axes = tuple(range(-grid.d, 0))
     integrand = grad * _pointwise(g, ens.values)
-    per_member = np.mean(integrand, axis=axes)
-    value = float(np.mean(per_member))
-    stderr = (float(np.std(per_member, ddof=1)) / math.sqrt(ens.n_members)
-              if ens.n_members > 1 else 0.0)
+    value, stderr = map(float, member_mean(np.mean(integrand, axis=axes)))
     # Some pairings vanish identically per realization (e.g. g = const, or
     # g = u with f = id, where the spectral sum is antisymmetric in k); then
-    # value and stderr are both pure roundoff and their ratio is meaningless.
+    # value and stderr are both pure roundoff and count as exact zeros.
     floor = 1e-12 * float(np.mean(np.abs(integrand)))
-    if stderr <= floor:
-        zscore = 0.0 if abs(value) <= max(floor, 1e-300) else math.inf
-    else:
-        zscore = value / stderr
+    exact = stderr <= floor
+    zscore = z_score(0.0 if exact and abs(value) <= max(floor, 1e-300)
+                     else value, 0.0 if exact else stderr)
     return OrthogonalityStat(value, stderr, zscore, ens.n_members)
 
 

@@ -185,6 +185,9 @@ def run_experiment(config: RunConfig, workers: int = 1,
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     out = config.out if out is None else out
+    if out is not None and not isinstance(out, (str, os.PathLike)):
+        raise ConfigurationError(
+            f"out must be a path or None, got {out!r}")
     # fail on an occupied target before burning compute, not after
     if out is not None and os.path.exists(out):
         raise ConfigurationError(

@@ -49,7 +49,7 @@ from .errors import (
     StepSizeError,
     require_number,
 )
-from .random_fields import Ensemble
+from .random_fields import Ensemble, member_mean, z_score
 from .spectral import (
     Grid,
     _check_s,
@@ -182,10 +182,6 @@ class NonlinearitySpec:
         deg = self.polynomial_degree
         return deg is not None and deg >= 2
 
-    def to_record(self) -> dict:
-        return {"kind": self.kind, "scale": self.scale,
-                "exponent": self.exponent, "cutoff_level": self.cutoff_level}
-
     @classmethod
     def from_record(cls, record: dict) -> "NonlinearitySpec":
         if not isinstance(record, dict):
@@ -264,13 +260,6 @@ class SolverConfig:
             raise ConfigurationError(
                 f"dealias must be true, false or null, got {self.dealias!r}")
 
-    def to_record(self) -> dict:
-        z = np.atleast_1d(np.asarray(self.z, dtype=np.float64))
-        return {"s": self.s, "z": z.tolist(),
-                "time_grid": self.time_grid.tolist(),
-                "bielecki_k": self.bielecki_k, "tol": self.tol,
-                "max_iter": self.max_iter, "dealias": self.dealias}
-
     @classmethod
     def from_record(cls, record: dict) -> "SolverConfig":
         if not isinstance(record, dict):
@@ -302,8 +291,6 @@ class PicardDiagnostics:
 
     residuals: list
     rho_multiplier: float
-    bielecki_k: float
-    tol: float
     converged: bool
     unconverged_members: int
 
@@ -538,8 +525,6 @@ def _picard_iterate(initial: Ensemble, spec: NonlinearitySpec,
     diag = PicardDiagnostics(
         residuals=residuals,
         rho_multiplier=_multiplier_rho(config, lipschitz),
-        bielecki_k=config.bielecki_k,
-        tol=config.tol,
         converged=converged,
         unconverged_members=0 if converged else int(np.count_nonzero(going)),
     )
@@ -641,10 +626,10 @@ class LadderReport:
     pair_distances maps (n_lo, n_hi) to the per-node rms-over-members L2
     distance between those two ladder solutions; sup_distances is the
     time-sup of each.  cauchy_violations counts increases of the worst
-    distance as the lower cut-off level rises.  guard_z (two or more
-    members only) holds per-node z-scores of the initial-data moment bound
-    E|u(t)|^p <= E|h_n(u0)|^p for p = 2, 4.  diagnostics maps each level
-    to the PicardDiagnostics of its solve.
+    distance as the lower cut-off level rises.  guard_z holds per-node
+    z-scores of the initial-data moment bound E|u(t)|^p <= E|h_n(u0)|^p
+    for p = 2, 4.  diagnostics maps each level to the PicardDiagnostics of
+    its solve.
     """
 
     levels: list
@@ -652,8 +637,7 @@ class LadderReport:
     pair_distances: dict
     sup_distances: dict
     cauchy_violations: int
-    guard_z: dict | None
-    top_level: float
+    guard_z: dict
     diagnostics: dict
 
     @property
@@ -748,7 +732,6 @@ def ladder_report(times: np.ndarray, series: np.ndarray,
     PicardDiagnostics, keyed by level in increasing order; emits
     LadderWarning on a non-decreasing distance profile."""
     levels = list(diagnostics)
-    top = levels[-1]
     pair_distances = {}
     sup_distances = {}
     for i, pair in enumerate(combinations(levels, 2)):
@@ -761,18 +744,11 @@ def ladder_report(times: np.ndarray, series: np.ndarray,
                  for n in levels[:-1]]
         violations = sum(1 for a, b in zip(worst, worst[1:]) if b > a)
 
-    guard_z = None
-    if series.shape[1] >= 2:
-        guard_z = {}
-        moments = ladder_moments(series)
-        for p in (2, 4):
-            now_p = moments[p]
-            slack = now_p[0][None, :] - now_p      # node 0 is h_top(u0)
-            se = slack.std(axis=1, ddof=1) / math.sqrt(slack.shape[1])
-            with np.errstate(invalid="ignore", divide="ignore"):
-                z = np.where(se > 0, slack.mean(axis=1) / se,
-                             np.where(slack.mean(axis=1) == 0, 0.0, np.inf))
-            guard_z[p] = z
+    moments = ladder_moments(series)
+    # node 0 is h_top(u0)
+    guard_z = {p: z_score(*member_mean(moments[p][0][None, :] - moments[p],
+                                       axis=1))
+               for p in (2, 4)}
 
     report = LadderReport(
         levels=levels,
@@ -781,7 +757,6 @@ def ladder_report(times: np.ndarray, series: np.ndarray,
         sup_distances=sup_distances,
         cauchy_violations=violations,
         guard_z=guard_z,
-        top_level=top,
         diagnostics=diagnostics,
     )
     if violations > 0:

@@ -12,8 +12,10 @@ from fracflow.ensemble_stats import (
     dissipation_residual,
     dissipation_series,
     format_table,
+    member_moments,
     moment_series,
     reduce_dissipation,
+    reduce_moments,
     stroock_varopoulos_check,
 )
 from fracflow.errors import ConfigurationError, ResolutionError
@@ -114,21 +116,15 @@ class TestMomentSeries:
         series = moment_series(traj, 2)
         assert series.increase_z[0] > 3.0
 
-    def test_infinite_order_series(self):
-        ens_values = np.stack([np.full((2, GRID.n), 2.0),
-                               np.full((2, GRID.n), 0.5)])
-        traj = trajectory([0.0, 1.0], ens_values)
-        series = moment_series(traj, math.inf)
-        assert series.values[0] == 2.0 and series.values[1] == 0.5
-        assert np.all(np.isnan(series.stderr))
+    def test_certain_increase_is_infinite(self):
+        """Every member's moment rises by the same amount: the paired
+        increment has zero spread, so the rise is certain, z = +inf."""
+        series = reduce_moments(np.array([0.0, 1.0]),
+                                np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]]), 2)
+        assert series.increase_z[0] == math.inf
+        assert series.max_increase_z() == math.inf
 
-    def test_grid_max_without_stderr(self):
-        traj = trajectory([0.0], constant_ensemble(GRID, [1.0, -3.0, 2.0]).values[None])
-        series = moment_series(traj, math.inf)
-        assert series.values[0] == 3.0
-        assert math.isnan(series.stderr[0]) and series.increase_z.size == 0
-
-    @pytest.mark.parametrize("p", [1.0, 1.99, math.nan])
+    @pytest.mark.parametrize("p", [1.0, 1.99, math.nan, math.inf])
     def test_order_validation(self, p):
         traj = trajectory([0.0, 1.0], np.ones((2, 2, GRID.n)))
         with pytest.raises(ConfigurationError, match="order"):
@@ -152,11 +148,9 @@ class TestMomentSeries:
         m4 = moment_series(traj, 4).values[0]
         # Cauchy-Schwarz holds pathwise, so no statistical slack needed
         assert m2**0.5 <= m4**0.25 * (1.0 + 1e-12)
-        for i in range(0, ens.n_members, 20):
-            one = trajectory([0.0], ens.values[None, i:i + 1])
-            per2 = moment_series(one, 2).values[0]
-            per4 = moment_series(one, 4).values[0]
-            assert per2 <= math.sqrt(per4) * (1.0 + 1e-12)
+        per2 = member_moments(traj.values, 2)[0]
+        per4 = member_moments(traj.values, 4)[0]
+        assert np.all(per2 <= np.sqrt(per4) * (1.0 + 1e-12))
 
     def test_stderr_scales_like_root_n(self):
         measure = gaussian_bump_measure(GRID, width=2.0, mass=1.0)
@@ -170,16 +164,15 @@ class TestMomentSeries:
     def test_members_reduce_individually(self):
         """The series is the member mean of each member's own series, and
         its stderr is the spread of those over members; a one-member
-        trajectory has no stderr and no increment z-score."""
+        trajectory has no stderr, so its series is refused."""
         measure = two_mode_measure(GRID, 3.0, mass=1.0)
         traj = linear_run(measure, 6, seed=3, s=0.75, t_final=0.2, nodes=6)
         batch = moment_series(traj, 2)
-        singles = []
-        for i in range(traj.n_members):
-            one = moment_series(trajectory(traj.times, traj.values[:, i:i + 1]), 2)
-            assert np.all(np.isnan(one.stderr)) and np.all(np.isnan(one.increase_z))
-            singles.append(one.values)
-        singles = np.stack(singles, axis=1)
+        singles = np.stack(
+            [member_moments(traj.values[:, i:i + 1], 2)[:, 0]
+             for i in range(traj.n_members)], axis=1)
+        with pytest.raises(ConfigurationError, match="needs >= 2 members"):
+            moment_series(trajectory(traj.times, traj.values[:, :1]), 2)
         assert np.array_equal(batch.values, singles.mean(axis=1))
         assert np.array_equal(batch.stderr,
                               singles.std(axis=1, ddof=1) / math.sqrt(6))
@@ -263,6 +256,11 @@ class TestDissipation:
         traj = trajectory(times, np.zeros((5, 1, GRID.n)))
         with pytest.raises(ConfigurationError):
             dissipation_residual(traj, 0.75)
+        # the member count is judged before the resolution
+        coarse, _ = single_mode_trajectory(0.75, 1.0, 1, np.linspace(0, 0.5, 6),
+                                           n_members=1)
+        with pytest.raises(ConfigurationError, match="needs >= 2 members"):
+            dissipation_residual(coarse, 0.75)
 
     def test_series_of_member_blocks_reduce_to_the_whole(self):
         # the per-member stage of blocks (as member chunks return it),

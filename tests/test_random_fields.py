@@ -24,9 +24,11 @@ from fracflow.random_fields import (
     gaussian_bump_measure,
     load_ensemble,
     measure_from_spec,
+    member_mean,
     power_law_measure,
     sample_ensemble,
     two_mode_measure,
+    z_score,
 )
 from fracflow.spectral import (
     Grid,
@@ -361,6 +363,39 @@ class TestEnsembleContainer:
         Path(json_path).write_text(json.dumps(meta))
         with pytest.raises(ConfigurationError):
             load_ensemble(tmp_path / "ens")
+
+
+# ------------------------------------------------------------------ estimator
+
+class TestMemberEstimator:
+    def test_mean_and_stderr_along_the_member_axis(self):
+        per_member = np.array([[1.0, 2.0, 4.0], [3.0, 3.0, 3.0]])
+        mean, stderr = member_mean(per_member, axis=1)
+        assert np.array_equal(mean, per_member.mean(axis=1))
+        assert np.array_equal(
+            stderr, per_member.std(axis=1, ddof=1) / math.sqrt(3))
+        mean, stderr = member_mean(per_member[0])
+        assert mean == 7.0 / 3.0
+        assert stderr == per_member[0].std(ddof=1) / math.sqrt(3)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_members_refused(self, n):
+        with pytest.raises(ConfigurationError, match="needs >= 2 members"):
+            member_mean(np.ones((4, n)), axis=1)
+
+    def test_z_score_rules(self):
+        z = z_score(np.array([2.0, 0.0, 3.0, -3.0]),
+                    np.array([0.5, 0.0, 0.0, 0.0]))
+        assert z.tolist() == [4.0, 0.0, math.inf, -math.inf]
+        assert z_score(-1.0, 0.0) == -math.inf
+        assert isinstance(z_score(1.0, 2.0), float)
+
+    def test_one_member_statistics_refused(self):
+        ens = sample_ensemble(bump(), 1, seed=4)
+        with pytest.raises(ConfigurationError, match="needs >= 2 members"):
+            estimate_spectrum(ens)
+        with pytest.raises(ConfigurationError, match="needs >= 2 members"):
+            directional_orthogonality_stat(ens, g=np.tanh, z=1.0)
 
 
 # ------------------------------------------------------------------ spectrum

@@ -143,6 +143,21 @@ class TestBenchmarkBindings:
         assert isinstance(experiments.CHUNK, int)
         assert isinstance(experiments.REGISTRY, dict)
 
+    def test_read_attributes_exist(self):
+        # spans.py reads a solve's sweeps, converged flag and residuals and
+        # a sample's member count; rep.py reads parallel_picard's info
+        ens = sample_ensemble(gaussian_bump_measure(Grid(1, 16, 2 * math.pi),
+                                                    1.0, mass=1.0), 2, seed=1)
+        assert ens.n_members == 2
+        cfg = SolverConfig(0.75, [1.0], [0.0, 0.1])
+        _, diag = picard_solve(ens, NonlinearitySpec.zero(), cfg)
+        assert isinstance(diag.iterations, int)
+        assert isinstance(diag.converged, bool)
+        assert isinstance(diag.residuals, list)
+        _, info = parallel_picard(ens.grid, gaussian_bump_measure(
+            ens.grid, 1.0, mass=1.0), NonlinearitySpec.zero(), cfg, 2, 1)
+        assert info["flagged"] == [] and info["converged"] is True
+
     def test_parallel_picard_members_fifth(self):
         assert list(inspect.signature(parallel_picard).parameters)[4] == \
             "n_members"
@@ -305,6 +320,18 @@ class TestRunExperiment:
     def test_workers_validated(self):
         with pytest.raises(ConfigurationError, match="workers"):
             run_experiment(small_config(), workers=0)
+
+    @pytest.mark.parametrize("out", [987654, ["runs"]],
+                             ids=["int", "list"])
+    def test_non_path_out_fails_before_solving(self, tmp_path, monkeypatch,
+                                               never_runs_experiment, out):
+        # an int would be taken for a file descriptor by os.path.exists
+        # and then written as a relative directory name
+        monkeypatch.chdir(tmp_path)
+        cfg = small_config(experiment=never_runs_experiment)
+        with pytest.raises(ConfigurationError, match="out must be a path"):
+            run_experiment(cfg, out=out)
+        assert os.listdir(tmp_path) == []
 
 
 class TestReplay:
@@ -781,6 +808,21 @@ class TestCli:
 
         monkeypatch.setattr(fracflow.experiments, "_picard_iterate", no_solve)
         cfg = self.write_config(tmp_path, {"experiment": "cutoff-ladder",
+                                           "n_members": 1})
+        rc = cli_main(["run", cfg, "--workers", "1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "needs >= 2 members" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("experiment", [
+        "moment-monotonicity", "orthogonality", "stroock-varopoulos",
+        "replay-determinism"])
+    def test_one_member_estimate_exit_two(self, tmp_path, capsys,
+                                          experiment):
+        # one member has no stderr, so no statistical check can pass
+        cfg = self.write_config(tmp_path, {"experiment": experiment,
                                            "n_members": 1})
         rc = cli_main(["run", cfg, "--workers", "1"])
         captured = capsys.readouterr()

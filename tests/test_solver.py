@@ -29,6 +29,7 @@ from fracflow.random_fields import (
 from fracflow.solver import (
     _DuhamelPlan,
     NonlinearitySpec,
+    PicardDiagnostics,
     SolverConfig,
     _bielecki_distance,
     _phi1,
@@ -37,6 +38,7 @@ from fracflow.solver import (
     cutoff_map,
     dealias_mask,
     duhamel_apply,
+    ladder_report,
     minimal_K,
     picard_solve,
     solve_polynomial,
@@ -63,6 +65,12 @@ def bump_field(seed=5, mass=1.0, grid=GRID):
     """A single field, as the one-member ensemble the solvers take."""
     m = gaussian_bump_measure(grid, width=2.0, mass=mass)
     return sample_ensemble(m, 1, seed=seed)
+
+
+def two_members(mass=1.0):
+    """The smallest sample a ladder reduces: two members."""
+    m = gaussian_bump_measure(GRID, width=2.0, mass=mass)
+    return sample_ensemble(m, 2, seed=5)
 
 
 def member(ens, i):
@@ -155,8 +163,12 @@ class TestNonlinearitySpec:
             NonlinearitySpec.burgers(cutoff_level=-2.0)
 
     def test_record_round_trip(self):
-        spec = NonlinearitySpec.power(1.5, 2.0, cutoff_level=4.0)
-        assert NonlinearitySpec.from_record(spec.to_record()) == spec
+        record = {"kind": "polynomial", "scale": 1.5, "exponent": 2.0,
+                  "cutoff_level": 4.0}
+        assert NonlinearitySpec.from_record(record) == \
+            NonlinearitySpec.power(1.5, 2.0, cutoff_level=4.0)
+        assert NonlinearitySpec.from_record({"kind": "burgers_quadratic"}) \
+            == NonlinearitySpec.burgers()
 
     def test_record_rejects_unknown_keys(self):
         with pytest.raises(ConfigurationError):
@@ -231,11 +243,20 @@ class TestSolverConfig:
             SolverConfig(s=0.75, z=1.0, time_grid=t, max_iter=0)
 
     def test_record_round_trip(self):
-        cfg = make_config(tol=1e-9, max_iter=17, dealias=True)
-        back = SolverConfig.from_record(cfg.to_record())
-        assert back.s == cfg.s
-        assert np.array_equal(back.time_grid, cfg.time_grid)
-        assert back.tol == 1e-9 and back.max_iter == 17 and back.dealias is True
+        record = {"s": 0.75, "z": [1.0], "time_grid": [0.0, 0.25, 0.5],
+                  "bielecki_k": 3.0, "tol": 1e-9, "max_iter": 17,
+                  "dealias": True}
+        built = SolverConfig.from_record(record)
+        direct = SolverConfig(0.75, [1.0], np.array([0.0, 0.25, 0.5]),
+                              bielecki_k=3.0, tol=1e-9, max_iter=17,
+                              dealias=True)
+        for name in ("s", "z", "bielecki_k", "tol", "max_iter", "dealias"):
+            assert getattr(built, name) == getattr(direct, name), name
+        assert np.array_equal(built.time_grid, direct.time_grid)
+        defaults = SolverConfig.from_record({"s": 0.75, "z": [1.0],
+                                             "time_grid": [0.0, 0.5]})
+        assert (defaults.bielecki_k, defaults.tol, defaults.max_iter,
+                defaults.dealias) == (1.0, 1e-8, 40, None)
 
     def test_record_rejects_unknown_and_missing(self):
         with pytest.raises(ConfigurationError, match="unknown solver keys"):
@@ -775,7 +796,7 @@ class TestContractionConstants:
 class TestCutoffLadder:
     def test_inactive_cutoffs_collapse_the_ladder(self):
         """u0 bounded by the lowest level: all ladder members identical."""
-        u0 = bump_field(mass=0.04)     # rms 0.2, excursions well under 2
+        u0 = two_members(mass=0.04)    # rms 0.2, excursions well under 2
         assert np.max(np.abs(u0.values)) < 1.0
         cfg = make_config(K=2 * minimal_K(0.75, 4.0))
         _, report = solve_polynomial(u0, NonlinearitySpec.burgers(), cfg, [2, 4])
@@ -803,7 +824,7 @@ class TestCutoffLadder:
             top, report = solve_polynomial(
                 ens, NonlinearitySpec.burgers(), cfg, [1, 2, 4, 8])
         assert report.cauchy_violations == 0
-        assert report.top_level == 8.0
+        assert report.levels[-1] == 8.0
         assert len(report.pair_distances) == 6
         # distances group-monotone: worst pair at min level 1 > at 2 > at 4
         worst = [max(v for k, v in report.sup_distances.items() if k[0] == n)
@@ -820,6 +841,15 @@ class TestCutoffLadder:
         assert float(np.min(report.guard_z[2])) >= -3.0
         assert float(np.min(report.guard_z[4])) >= -3.0
 
+    def test_certain_guard_violation_is_minus_infinity(self):
+        """Three identical members whose top-level p = 2 moment goes from
+        1 to 2 after node 0: the bound is broken with zero spread."""
+        moments = np.array([1.0, 2.0])[:, None, None] * np.ones((1, 3, 3))
+        diag = PicardDiagnostics([0.0], 0.0, True, 0)
+        report = ladder_report(np.array([0.0, 0.1]), moments, {8.0: diag})
+        assert report.guard_z[2][0] == 0.0
+        assert report.guard_z[2][1] == -math.inf
+
     def test_non_cauchy_profile_emits_warning(self, monkeypatch):
         import fracflow.solver as solver_mod
 
@@ -830,7 +860,7 @@ class TestCutoffLadder:
 
         fake_distance.calls = 0
         monkeypatch.setattr(solver_mod, "_pair_distance", fake_distance)
-        u0 = bump_field(mass=0.04)
+        u0 = two_members(mass=0.04)
         cfg = make_config(K=2 * minimal_K(0.75, 4.0))
         with pytest.warns(LadderWarning) as caught:
             _, report = solve_polynomial(
