@@ -16,10 +16,8 @@ from .spectral import (
     Grid,
     MultiplierOp,
     apply_multiplier_values,
-    forward_transform,
     gradient_constant,
     grad_semigroup_multiplier,
-    inverse_transform,
     kernel_values,
     l2_norm,
     semigroup_multiplier,
@@ -47,10 +45,8 @@ from .solver import (
     SolverConfig,
     contraction_bound,
     cutoff_map,
-    duhamel_apply,
     minimal_K,
     picard_solve,
-    solve_polynomial,
     step_solve,
 )
 from .ensemble_stats import (
@@ -75,16 +71,16 @@ __all__ = [
     "__version__",
     "ConfigurationError", "FracflowError", "LadderWarning",
     "NonContractionError", "NumericError", "ResolutionError",
-    "Grid", "MultiplierOp", "apply_multiplier_values", "forward_transform",
-    "gradient_constant", "grad_semigroup_multiplier", "inverse_transform",
-    "kernel_values", "l2_norm", "semigroup_multiplier", "spatial_rms",
+    "Grid", "MultiplierOp", "apply_multiplier_values", "gradient_constant",
+    "grad_semigroup_multiplier", "kernel_values", "l2_norm",
+    "semigroup_multiplier", "spatial_rms",
     "Ensemble", "OrthogonalityStat", "SpectralMeasure", "SpectrumEstimate",
     "directional_orthogonality_stat", "estimate_spectrum", "export_ensemble",
     "gaussian_bump_measure", "load_ensemble", "measure_from_spec",
     "power_law_measure", "sample_ensemble", "two_mode_measure",
     "LadderReport", "NonlinearitySpec", "PicardDiagnostics", "SolverConfig",
-    "contraction_bound", "cutoff_map", "duhamel_apply", "minimal_K",
-    "picard_solve", "solve_polynomial", "step_solve",
+    "contraction_bound", "cutoff_map", "minimal_K", "picard_solve",
+    "step_solve",
     "DissipationReport", "MomentSeries", "SlackReport",
     "dissipation_residual", "format_table", "moment_series",
     "stroock_varopoulos_check",

@@ -190,6 +190,12 @@ def _chunk_payloads(measure, spec: NonlinearitySpec, solver: SolverConfig,
             for start in range(0, n_members, CHUNK)]
 
 
+def _require_members(n_members: int, what: str):
+    """Reject a run too small for a member-level stderr before it solves."""
+    if n_members < 2:
+        raise ConfigurationError(f"{what} needs >= 2 members, got {n_members}")
+
+
 def _merge_chunks(results) -> tuple:
     """(values, seeds, merged PicardDiagnostics, flagged entries) of one
     plain or dissipation solve's chunk results, in chunk order.  values
@@ -260,19 +266,23 @@ def parallel_picard(grid: Grid, measure, spec: NonlinearitySpec,
 def parallel_ladder(grid: Grid, measure, spec: NonlinearitySpec,
                     solver: SolverConfig, n_members: int, seed: int, ladder,
                     workers: int = 1) -> tuple:
-    """The cut-off ladder of solve_polynomial on the chunked path; returns
+    """The cut-off ladder of a polynomial flux on member chunks: for each
+    level n solve with data h_n(u0) and flux f(h_n(.)), then measure
+    whether the solutions form a Cauchy sequence in n.  Returns
     (final_state, moments, LadderReport): the top level's last-node
     snapshot Ensemble with every member seed, and the top level's
     member_moments for each p of LADDER_MOMENTS.
 
     Each member chunk is one pool task that solves every level and returns
-    its ladder_series, so no trajectory leaves its worker.  Level by level
-    in increasing order, a chunk that failed at that level raises
-    NumericError and a growing merged series raises NonContractionError,
-    as the in-memory ladder would.  Identical output for any worker count,
-    and equal to solve_polynomial on the same sample.
+    its ladder_series, so no trajectory leaves its worker.  The report's
+    moment guard needs two members, so one is rejected before any solve.
+    Level by level in increasing order, a chunk that failed at that level
+    raises NumericError and a growing merged series raises
+    NonContractionError.  Identical output for any worker count and any
+    CHUNK.
     """
     levels = ladder_levels(spec, ladder)
+    _require_members(n_members, "cut-off ladder moment guard")
     payloads = _chunk_payloads(measure, spec, solver, n_members, seed,
                                ladder=levels)
     with _chunk_results([payloads], workers) as solves:
@@ -701,14 +711,16 @@ def _moment_monotonicity(config: dict, workers: int) -> ExperimentResult:
 def _energy_dissipation(config: dict, workers: int) -> ExperimentResult:
     grid, measure, spec, solver = _cfg_parts(config)
     n_members = config["n_members"]
+    _require_members(n_members, "dissipation identity stderr")
     times = solver.time_grid
     dt = float(np.max(np.diff(times)))
     checks, tables = [], {}
     seeds, flagged = [], []
 
-    # linear gate: single +/-1 pair plus a mean, where the centered
-    # stencil bias (2 lam dt)^2/6 sits below the dt^2 cap
-    solves = ((two_mode_measure(grid, 1.0, mass=1.0, mean=1.0),
+    # linear gate: single +/-1 pair along the first axis plus a mean,
+    # where the centered stencil bias (2 lam dt)^2/6 sits below the dt^2 cap
+    solves = ((two_mode_measure(grid, [1.0] + [0.0] * (grid.d - 1),
+                                mass=1.0, mean=1.0),
                NonlinearitySpec.zero()),
               (measure, spec),
               (measure, NonlinearitySpec.burgers(cutoff_level=2.0)))
@@ -822,9 +834,6 @@ def _orthogonality(config: dict, workers: int) -> ExperimentResult:
 def _cutoff_ladder(config: dict, workers: int) -> ExperimentResult:
     # mass 6.25 puts the field rms at 2.5, so levels 1, 2 clip hard and
     # 4, 8 clip rarely: the distances have room to shrink
-    if config["n_members"] < 2:
-        raise ConfigurationError("cut-off ladder moment guard needs >= 2 "
-                                 "members")
     final, _, report = parallel_ladder(
         *_cfg_parts(config), config["n_members"], config["seed"],
         (1, 2, 4, 8), workers)
@@ -964,6 +973,7 @@ def _solver_cross_validation(config: dict, workers: int) -> ExperimentResult:
     ),
 )
 def _replay_determinism(config: dict, workers: int) -> ExperimentResult:
+    _require_members(config["n_members"], "replay moment table")
     args = (*_cfg_parts(config), config["n_members"], config["seed"])
     solo, info = parallel_picard(*args, workers=1)
     multi, _ = parallel_picard(*args, workers=2)

@@ -31,7 +31,6 @@ from .spectral import (
     Grid,
     _reverse_modes,
     directional_derivative_multiplier,
-    forward_transform,
     half_spectrum,
     real_forward_transform,
     real_inverse_transform,
@@ -178,8 +177,7 @@ def measure_from_spec(grid: Grid, record: dict) -> SpectralMeasure:
 
 # ------------------------------------------------------------------ sampling
 
-@dataclass
-class SpectralNoise:
+def _member_noise(grid: Grid, seed: int, counter: int = 0) -> np.ndarray:
     """Unit-variance Hermitian complex Gaussian coefficients, one per mode.
 
     E|W_k|^2 = 1 at every mode (self-paired modes are real with variance 1),
@@ -187,19 +185,10 @@ class SpectralNoise:
     Philox stream: counter selects a jumped substream, so any subset of an
     ensemble can be regenerated independently.
     """
-
-    grid: Grid
-    coeffs: np.ndarray
-    seed: int
-    counter: int
-
-    @classmethod
-    def draw(cls, grid: Grid, seed: int, counter: int = 0) -> "SpectralNoise":
-        rng = _member_rng(seed, counter)
-        ab = rng.standard_normal((2,) + grid.shape)
-        g = (ab[0] + 1j * ab[1]) / math.sqrt(2.0)  # E|g|^2 = 1
-        w = (g + np.conj(_reverse_modes(g, grid.d))) / math.sqrt(2.0)
-        return cls(grid, w, int(seed), int(counter))
+    rng = _member_rng(seed, counter)
+    ab = rng.standard_normal((2,) + grid.shape)
+    g = (ab[0] + 1j * ab[1]) / math.sqrt(2.0)  # E|g|^2 = 1
+    return (g + np.conj(_reverse_modes(g, grid.d))) / math.sqrt(2.0)
 
 
 def _member_rng(seed: int, counter: int) -> np.random.Generator:
@@ -285,7 +274,7 @@ def sample_ensemble(measure: SpectralMeasure, n_members: int, seed: int,
     seeds = []
     for i in range(n_members):
         c = counter_offset + i
-        noise[i] = half_spectrum(grid, SpectralNoise.draw(grid, seed, c).coeffs)
+        noise[i] = half_spectrum(grid, _member_noise(grid, seed, c))
         seeds.append((int(seed), int(c)))
     coeffs = np.sqrt(half_spectrum(grid, measure.weights)) * noise * grid.len**grid.d
     vals = real_inverse_transform(grid, coeffs)
@@ -329,7 +318,8 @@ def estimate_spectrum(ens: Ensemble) -> SpectrumEstimate:
     empirical variance; the k = 0 bin goes to the mean estimate instead."""
     grid = ens.grid
     mu = float(np.mean(ens.values))
-    coeffs = forward_transform(grid, ens.values - mu)
+    coeffs = np.fft.fftn(ens.values - mu, axes=tuple(range(-grid.d, 0)))
+    coeffs *= grid.cell_volume
     per_member = np.abs(coeffs) ** 2 / grid.len ** (2 * grid.d)
     per_member = 0.5 * (per_member + _reverse_modes(per_member, grid.d))
     per_member[(np.s_[:],) + (0,) * grid.d] = 0.0

@@ -435,22 +435,6 @@ class _DuhamelPlan:
         return dist
 
 
-def duhamel_apply(traj: Ensemble, spec: NonlinearitySpec,
-                  config: SolverConfig) -> Ensemble:
-    """The mild-solution map F evaluated on a trajectory:
-    F(u)(t_j) = P_{t_j} u(0) + int_0^{t_j} grad_z P_{t_j - tau} f(u(tau)) dtau,
-    with the integral by per-mode product integration."""
-    if not traj.is_trajectory:
-        raise ConfigurationError("duhamel_apply needs a trajectory")
-    if not np.array_equal(traj.times, config.time_grid):
-        raise ConfigurationError("trajectory and config disagree on the time grid")
-    grid = traj.grid
-    plan = _DuhamelPlan(grid, spec, config)
-    out = traj.values.copy()
-    plan.apply(real_forward_transform(grid, out[0]), out)
-    return Ensemble(grid, out, config.time_grid, traj.seeds)
-
-
 def _check_initial(initial: Ensemble, spec: NonlinearitySpec):
     """The checks every solver makes on its input."""
     if initial.is_trajectory:
@@ -703,26 +687,6 @@ def ladder_rung(initial: Ensemble, spec: NonlinearitySpec,
     """Initial data h_n(u0) and flux f(h_n(.)) of ladder level n."""
     return (replace(initial, values=cutoff_map(initial.values, level)),
             replace(spec, cutoff_level=level))
-
-
-def solve_polynomial(initial: Ensemble, spec: NonlinearitySpec,
-                     config: SolverConfig, ladder) -> tuple:
-    """Approximate a polynomially growing flux by the cut-off ladder:
-    for each level n solve with initial data h_n(u0) and flux f(h_n(.)),
-    then measure whether the solutions form a Cauchy sequence in n.
-
-    Returns the top-level trajectory and a LadderReport; a non-decreasing
-    distance profile emits LadderWarning (the data stays in the report).
-    """
-    solutions = {}
-    diagnostics = {}
-    for n in ladder_levels(spec, ladder):
-        solutions[n], diagnostics[n] = picard_solve(
-            *ladder_rung(initial, spec, n), config)
-    top = solutions[n]                         # the highest level
-    series = ladder_series(initial.grid, {n: traj.values
-                                          for n, traj in solutions.items()})
-    return top, ladder_report(top.times, series, diagnostics)
 
 
 def ladder_report(times: np.ndarray, series: np.ndarray,

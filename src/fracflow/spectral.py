@@ -31,9 +31,9 @@ grid (validated by :class:`MultiplierOp` when the symbol is built);
 otherwise the product would not describe a real field.  Parseval on the
 half spectrum counts the last-axis indices 1..n/2-1 twice
 (:func:`half_spectrum_weights`).  Every real field (samples, multiplier
-applications, kernels, the solvers) goes through this real pair; the
-complex pair :func:`forward_transform`/:func:`inverse_transform` is left
-for the full periodogram of the spectrum estimator.
+applications, kernels, the solvers) goes through this real pair; only the
+spectrum estimator's periodogram takes a full FFT, inline, because the
+measure it estimates holds full-grid weights.
 """
 
 from __future__ import annotations
@@ -145,21 +145,10 @@ def _reverse_modes(values: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def forward_transform(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Coefficients of e^{+ikx} in the expansion of u, times len**d."""
-    axes = tuple(range(-grid.d, 0))
-    return np.fft.fftn(values, axes=axes) * grid.cell_volume
-
-
-def inverse_transform(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`forward_transform`; returns a complex array."""
-    axes = tuple(range(-grid.d, 0))
-    return np.fft.ifftn(coeffs, axes=axes) / grid.cell_volume
-
-
 def real_forward_transform(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Half-spectrum coefficients of a real array (rfft layout, see the
-    module docstring), scaled like :func:`forward_transform`."""
+    """Half-spectrum coefficients u_hat(k) of a real array (rfft layout,
+    see the module docstring): the coefficients of e^{+ikx}, times
+    len**d."""
     axes = tuple(range(-grid.d, 0))
     out = np.fft.rfftn(values, axes=axes)
     out *= grid.cell_volume

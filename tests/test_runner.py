@@ -48,8 +48,8 @@ from fracflow.runner import RunConfig, RunManifest, replay_run, run_experiment
 from fracflow.solver import (
     NonlinearitySpec,
     SolverConfig,
+    ladder_rung,
     picard_solve,
-    solve_polynomial,
 )
 from fracflow.spectral import Grid
 
@@ -121,6 +121,14 @@ class TestRegistry:
             cfg = RunConfig.from_dict({"experiment": name})
             assert cfg.experiment == name
             assert cfg.n_members >= 1
+
+
+class TestPublicApi:
+    def test_every_exported_name_resolves_once(self):
+        names = fracflow.__all__
+        assert len(names) == len(set(names))
+        for name in names:
+            assert hasattr(fracflow, name), name
 
 
 class TestBenchmarkBindings:
@@ -524,17 +532,26 @@ class TestParallelLadder:
     CONFIG = {"experiment": "cutoff-ladder", "n_members": CHUNK + 3,
               "grid": {"n": 32}}
 
-    def test_equals_in_memory_ladder(self):
+    def whole_batch(self, monkeypatch, *args):
+        """parallel_ladder with CHUNK above the member count: one chunk
+        holding the whole batch, solved in this process."""
+        with monkeypatch.context() as patch:
+            patch.setattr(fracflow.experiments, "CHUNK", args[4] + 1)
+            return parallel_ladder(*args)
+
+    def test_equals_in_memory_ladder(self, monkeypatch):
         cfg = RunConfig.from_dict(self.CONFIG)
         parts = _cfg_parts(cfg.to_dict())
         _, measure, spec, solver = parts
-        ens = sample_ensemble(measure, cfg.n_members, cfg.seed)
-        ref_top, ref = solve_polynomial(ens, spec, solver, (1, 2, 4, 8))
+        args = (*parts, cfg.n_members, cfg.seed, (1, 2, 4, 8))
+        ref_final, ref_moments, ref = self.whole_batch(monkeypatch, *args)
+        # the top rung as a trajectory, for the moment tables' rows
+        top, _ = picard_solve(*ladder_rung(
+            sample_ensemble(measure, cfg.n_members, cfg.seed), spec, 8.0),
+            solver)
         # two chunks, each reduced per member as its levels arrive
         for workers in (1, 2):
-            final, moments, report = parallel_ladder(
-                *parts, cfg.n_members, cfg.seed, (1, 2, 4, 8),
-                workers=workers)
+            final, moments, report = parallel_ladder(*args, workers=workers)
             assert report.levels == ref.levels == [1.0, 2.0, 4.0, 8.0]
             for n in report.levels:
                 assert report.diagnostics[n] == ref.diagnostics[n]
@@ -547,13 +564,17 @@ class TestParallelLadder:
                 assert np.array_equal(z, ref.guard_z[p])
             assert report.unconverged_levels == ref.unconverged_levels
             assert report.cauchy_violations == ref.cauchy_violations
-            assert np.array_equal(final.values, ref_top.values[-1])
-            assert final.times == ref_top.times[-1]
-            assert final.seeds == ref_top.seeds
+            assert np.array_equal(report.times, ref.times)
+            assert np.array_equal(final.values, ref_final.values)
+            assert np.array_equal(final.values, top.values[-1])
+            assert final.times == ref_final.times == top.times[-1]
+            assert final.seeds == ref_final.seeds == top.seeds
+            assert moments.keys() == ref_moments.keys() == {2, 4, 6}
             # the rows of moment-monotonicity's moment_p2/p4/p6 tables
             for p in (2, 4, 6):
+                assert np.array_equal(moments[p], ref_moments[p])
                 rows = reduce_moments(report.times, moments[p], p).rows()
-                assert np.array_equal(rows, moment_series(ref_top, p).rows(),
+                assert np.array_equal(rows, moment_series(top, p).rows(),
                                       equal_nan=True)
 
     def test_failed_chunk_raises(self, monkeypatch):
@@ -571,20 +592,18 @@ class TestParallelLadder:
             parallel_ladder(*_cfg_parts(cfg.to_dict()), cfg.n_members,
                             cfg.seed, (1, 2, 4))
 
-    def test_growing_level_raises_noncontraction(self):
+    def test_growing_level_raises_noncontraction(self, monkeypatch):
         # on this sample a rung's merged residual series ends above its
-        # first; the pooled ladder raises as the in-memory one does
+        # first; the pooled ladder raises as the whole batch does
         cfg = RunConfig.from_dict(dict(self.CONFIG, seed=99,
                                        grid={"n": 128}))
-        parts = _cfg_parts(cfg.to_dict())
-        _, measure, spec, solver = parts
-        ens = sample_ensemble(measure, cfg.n_members, cfg.seed)
+        args = (*_cfg_parts(cfg.to_dict()), cfg.n_members, cfg.seed,
+                (1, 2, 4, 8))
         with pytest.raises(NonContractionError) as whole:
-            solve_polynomial(ens, spec, solver, (1, 2, 4, 8))
+            self.whole_batch(monkeypatch, *args)
         for workers in (1, 2):
             with pytest.raises(NonContractionError) as pooled:
-                parallel_ladder(*parts, cfg.n_members, cfg.seed,
-                                (1, 2, 4, 8), workers=workers)
+                parallel_ladder(*args, workers=workers)
             assert pooled.value.measured_ratio == whole.value.measured_ratio
             assert pooled.value.iterations == whole.value.iterations
 
@@ -696,6 +715,24 @@ class TestEnergyDissipationPool:
         assert result.flagged == []
 
 
+class TestTwoDimensions:
+    """The paper's data live on R^d: the pooled identities run on a 2-d
+    torus with an oblique transport direction."""
+
+    @pytest.mark.parametrize("experiment", ["energy-dissipation",
+                                            "moment-monotonicity"])
+    def test_passes_in_d2(self, experiment):
+        cfg = RunConfig.from_dict({"experiment": experiment,
+                                   "grid": {"d": 2, "n": 32},
+                                   "n_members": 64,
+                                   "solver": {"z": [1.0, 0.5]}})
+        manifest, result = run_experiment(cfg, workers=2)
+        assert manifest.passed, "\n".join(result.summary_lines())
+        assert not result.flagged
+        assert len(manifest.member_seeds) == (
+            3 * 64 if experiment == "energy-dissipation" else 64)
+
+
 class TestCli:
     def write_config(self, tmp_path, data):
         path = tmp_path / "cfg.json"
@@ -802,12 +839,16 @@ class TestCli:
         assert "configuration error" in captured.err
         assert captured.out == ""
 
-    def test_one_member_ladder_exit_two(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("experiment", [
+        "cutoff-ladder", "moment-monotonicity", "energy-dissipation",
+        "replay-determinism"])
+    def test_one_member_exit_two_before_solving(self, tmp_path, capsys,
+                                                monkeypatch, experiment):
         def no_solve(*args):
-            raise AssertionError("a rung was solved")
+            raise AssertionError("a member chunk was solved")
 
         monkeypatch.setattr(fracflow.experiments, "_picard_iterate", no_solve)
-        cfg = self.write_config(tmp_path, {"experiment": "cutoff-ladder",
+        cfg = self.write_config(tmp_path, {"experiment": experiment,
                                            "n_members": 1})
         rc = cli_main(["run", cfg, "--workers", "1"])
         captured = capsys.readouterr()

@@ -19,6 +19,7 @@ from fracflow.errors import (
     NonContractionError,
     StepSizeError,
 )
+from fracflow.experiments import parallel_ladder
 from fracflow.random_fields import (
     Ensemble,
     export_ensemble,
@@ -37,21 +38,17 @@ from fracflow.solver import (
     contraction_bound,
     cutoff_map,
     dealias_mask,
-    duhamel_apply,
     ladder_report,
     minimal_K,
     picard_solve,
-    solve_polynomial,
     step_solve,
 )
 from fracflow.spectral import (
     Grid,
     apply_multiplier_values,
     directional_derivative_multiplier,
-    forward_transform,
     gradient_constant,
     half_spectrum,
-    inverse_transform,
     l2_norm,
     real_forward_transform,
     real_inverse_transform,
@@ -73,14 +70,26 @@ def two_members(mass=1.0):
     return sample_ensemble(m, 2, seed=5)
 
 
+def burgers_ladder(cfg, levels, mass=1.0, n_members=2, seed=5):
+    """The LadderReport of the cut-off Burgers ladder on n_members draws of
+    the bump measure, in one process; the defaults draw two_members()."""
+    m = gaussian_bump_measure(GRID, width=2.0, mass=mass)
+    return parallel_ladder(GRID, m, NonlinearitySpec.burgers(), cfg,
+                           n_members, seed, levels)[2]
+
+
 def member(ens, i):
     """Member i of a snapshot as a one-member ensemble."""
     return Ensemble(ens.grid, ens.values[i:i + 1], seeds=ens.seeds[i:i + 1])
 
 
-def trajectory(cfg, values):
-    """A trajectory ensemble on the config's time grid."""
-    return Ensemble(GRID, values, cfg.time_grid)
+def duhamel(spec, cfg, values, grid=GRID):
+    """The mild-solution map F on trajectory values (node, member, grid),
+    through the solver's plan, on a copy of the values."""
+    out = values.copy()
+    _DuhamelPlan(grid, spec, cfg).apply(real_forward_transform(grid, out[0]),
+                                        out)
+    return out
 
 
 def make_config(s=0.75, T=0.5, nodes=26, K=3.0, **kw):
@@ -306,20 +315,18 @@ class TestDuhamelApply:
     def test_zero_flux_gives_free_flow(self):
         cfg = make_config()
         u0 = bump_field()
-        traj = trajectory(cfg, np.repeat(u0.values[None], cfg.time_grid.size,
-                                         axis=0))
-        F = duhamel_apply(traj, NonlinearitySpec.zero(), cfg)
+        F = duhamel(NonlinearitySpec.zero(), cfg,
+                    np.repeat(u0.values[None], cfg.time_grid.size, axis=0))
         for j, t in enumerate(cfg.time_grid):
             lin = apply_multiplier_values(
                 GRID, u0.values, semigroup_multiplier(GRID, cfg.s, float(t)))
-            assert np.max(np.abs(F.values[j] - lin)) <= 1e-12
+            assert np.max(np.abs(F[j] - lin)) <= 1e-12
 
     def test_constant_field_is_fixed(self):
         cfg = make_config()
         vals = np.full((cfg.time_grid.size, 1) + GRID.shape, 1.3)
-        traj = trajectory(cfg, vals)
-        F = duhamel_apply(traj, NonlinearitySpec.tanh(0.5), cfg)
-        assert np.max(np.abs(F.values - 1.3)) == 0.0
+        F = duhamel(NonlinearitySpec.tanh(0.5), cfg, vals)
+        assert np.max(np.abs(F - 1.3)) == 0.0
 
     def test_frozen_mode_closed_form(self):
         """For u frozen at cos(k x) and linear flux f = C u, each mode
@@ -329,33 +336,24 @@ class TestDuhamelApply:
         x = GRID.coordinates()[0]
         u = np.cos(k0 * x)
         lam = k0 ** (2 * s)
-        traj = trajectory(cfg, np.repeat(u[None, None], cfg.time_grid.size,
-                                         axis=0))
-        F = duhamel_apply(traj, NonlinearitySpec.power(C, 0.0), cfg)
+        F = duhamel(NonlinearitySpec.power(C, 0.0), cfg,
+                    np.repeat(u[None, None], cfg.time_grid.size, axis=0))
         for j, t in enumerate(cfg.time_grid):
             decay = math.exp(-t * lam)
             oracle = decay * np.cos(k0 * x) \
                 - C * k0 * np.sin(k0 * x) * (1.0 - decay) / lam
-            assert np.max(np.abs(F.values[j, 0] - oracle)) <= 1e-8  # measured ~1e-15
+            assert np.max(np.abs(F[j, 0] - oracle)) <= 1e-8  # measured ~1e-15
 
-    def test_input_trajectory_unchanged(self):
+    def test_overwrites_all_but_node_zero(self):
         cfg = make_config()
         rng = np.random.default_rng(2)
         vals = rng.standard_normal((cfg.time_grid.size, 2) + GRID.shape)
-        traj = trajectory(cfg, vals.copy())
-        F = duhamel_apply(traj, NonlinearitySpec.tanh(0.5), cfg)
-        assert np.array_equal(traj.values, vals)
-        assert not np.array_equal(F.values, vals)
-        assert np.array_equal(F.values[0], vals[0])
-
-    def test_time_grid_mismatch_rejected(self):
-        cfg = make_config(nodes=5)
-        other = make_config(nodes=7)
-        traj = Ensemble(GRID, np.zeros((7, 1) + GRID.shape), other.time_grid)
-        with pytest.raises(ConfigurationError):
-            duhamel_apply(traj, NonlinearitySpec.zero(), cfg)
-        with pytest.raises(ConfigurationError, match="trajectory"):
-            duhamel_apply(bump_field(), NonlinearitySpec.zero(), cfg)
+        out = vals.copy()
+        plan = _DuhamelPlan(GRID, NonlinearitySpec.tanh(0.5), cfg)
+        plan.apply(real_forward_transform(GRID, out[0]), out)
+        assert np.array_equal(out[0], vals[0])
+        assert all(not np.array_equal(out[j], vals[j])
+                   for j in range(1, cfg.time_grid.size))
 
 
 # ------------------------------------------------------------------ picard
@@ -434,8 +432,8 @@ class TestPicardSolve:
         cfg = make_config(tol=1e-10)
         spec = NonlinearitySpec.tanh(0.5)
         traj, _ = picard_solve(bump_field(), spec, cfg)
-        F = duhamel_apply(traj, spec, cfg)
-        assert _bielecki_distance(GRID, cfg, F.values, traj.values) <= 2 * cfg.tol
+        F = duhamel(spec, cfg, traj.values)
+        assert _bielecki_distance(GRID, cfg, F, traj.values) <= 2 * cfg.tol
 
     def test_restart_identity(self):
         spec = NonlinearitySpec.tanh(0.5)
@@ -509,6 +507,16 @@ def real_part(values):
     return values.real
 
 
+def full_forward(grid, values):
+    """u_hat on the full spectrum: complex fftn, scaled by dx**d."""
+    return np.fft.fftn(values, axes=tuple(range(-grid.d, 0))) * grid.cell_volume
+
+
+def full_inverse(grid, coeffs):
+    """The inverse of full_forward; a complex array."""
+    return np.fft.ifftn(coeffs, axes=tuple(range(-grid.d, 0))) / grid.cell_volume
+
+
 def complex_reference_apply(grid, spec, cfg, u0, values):
     """The Duhamel map on the full spectrum, as an oracle for the solver's
     half-spectrum sweeps: complex fftn, full-layout symbols and an
@@ -521,9 +529,9 @@ def complex_reference_apply(grid, spec, cfg, u0, values):
         deriv = deriv * dealias_mask(grid)
 
     def flux_hat(v):
-        return forward_transform(grid, spec.evaluate(v)) * deriv
+        return full_forward(grid, spec.evaluate(v)) * deriv
 
-    u0_hat = forward_transform(grid, u0)
+    u0_hat = full_forward(grid, u0)
     out = np.empty_like(values)
     out[0] = u0
     vhat = np.zeros(u0_hat.shape, dtype=complex)
@@ -533,7 +541,7 @@ def complex_reference_apply(grid, spec, cfg, u0, values):
         g_next = flux_hat(values[j + 1])
         vhat = np.exp(-a) * vhat + h * (_phi1(a) - _phi2(a)) * g_prev \
             + h * _phi2(a) * g_next
-        out[j + 1] = real_part(inverse_transform(
+        out[j + 1] = real_part(full_inverse(
             grid, np.exp(-t[j + 1] * lam) * u0_hat + vhat))
         g_prev = g_next
     return out
@@ -543,8 +551,8 @@ def complex_reference_picard(grid, spec, cfg, u0):
     """Picard iteration on complex_reference_apply; returns the last
     iterate and the number of sweeps."""
     lam = grid.k_abs ** (2.0 * cfg.s)
-    u0_hat = forward_transform(grid, u0)
-    current = np.stack([real_part(inverse_transform(grid, np.exp(-t * lam) * u0_hat))
+    u0_hat = full_forward(grid, u0)
+    current = np.stack([real_part(full_inverse(grid, np.exp(-t * lam) * u0_hat))
                         for t in cfg.time_grid])
     for sweep in range(1, cfg.max_iter + 1):
         new = complex_reference_apply(grid, spec, cfg, u0, current)
@@ -582,8 +590,7 @@ class TestHalfSpectrumEquivalence:
         values = ens.values[None] + 0.3 * rng.standard_normal(
             (cfg.time_grid.size,) + ens.values.shape)
         values[0] = ens.values
-        traj = Ensemble(grid, values, cfg.time_grid)
-        got = duhamel_apply(traj, spec, cfg).values
+        got = duhamel(spec, cfg, values, grid)
         want = complex_reference_apply(grid, spec, cfg, ens.values, values)
         assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -794,20 +801,21 @@ class TestContractionConstants:
 # ------------------------------------------------------------------ ladder
 
 class TestCutoffLadder:
+    """The ladder as the experiments run it, parallel_ladder with one
+    worker: its chunks solve in this process."""
+
     def test_inactive_cutoffs_collapse_the_ladder(self):
         """u0 bounded by the lowest level: all ladder members identical."""
         u0 = two_members(mass=0.04)    # rms 0.2, excursions well under 2
         assert np.max(np.abs(u0.values)) < 1.0
         cfg = make_config(K=2 * minimal_K(0.75, 4.0))
-        _, report = solve_polynomial(u0, NonlinearitySpec.burgers(), cfg, [2, 4])
+        report = burgers_ladder(cfg, [2, 4], mass=0.04)
         assert report.sup_distances[(2.0, 4.0)] == 0.0
         assert report.unconverged_levels == []
 
     def test_per_level_diagnostics_kept(self):
-        m = gaussian_bump_measure(GRID, 2.0, mass=6.0)
-        ens = sample_ensemble(m, 8, seed=9)
         cfg = make_config(K=2 * minimal_K(0.75, 2.0), tol=1e-14, max_iter=3)
-        _, report = solve_polynomial(ens, NonlinearitySpec.burgers(), cfg, [1, 2])
+        report = burgers_ladder(cfg, [1, 2], mass=6.0, n_members=8, seed=9)
         assert sorted(report.diagnostics) == [1.0, 2.0]
         for diag in report.diagnostics.values():
             assert diag.iterations == 3 and not diag.converged
@@ -815,14 +823,12 @@ class TestCutoffLadder:
         assert report.unconverged_levels == [1.0, 2.0]
 
     def test_cauchy_decay_on_binding_cutoffs(self):
-        m = gaussian_bump_measure(GRID, 2.0, mass=6.0)
-        ens = sample_ensemble(m, 40, seed=9)
         K = 2 * minimal_K(0.75, 8.0)
         cfg = make_config(K=K)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            top, report = solve_polynomial(
-                ens, NonlinearitySpec.burgers(), cfg, [1, 2, 4, 8])
+            report = burgers_ladder(cfg, [1, 2, 4, 8], mass=6.0,
+                                    n_members=40, seed=9)
         assert report.cauchy_violations == 0
         assert report.levels[-1] == 8.0
         assert len(report.pair_distances) == 6
@@ -832,10 +838,8 @@ class TestCutoffLadder:
         assert worst[0] > worst[1] > worst[2] > 0
 
     def test_moment_guard_reported_for_ensembles(self):
-        m = gaussian_bump_measure(GRID, 2.0, mass=6.0)
-        ens = sample_ensemble(m, 40, seed=9)
         cfg = make_config(K=2 * minimal_K(0.75, 4.0))
-        _, report = solve_polynomial(ens, NonlinearitySpec.burgers(), cfg, [2, 4])
+        report = burgers_ladder(cfg, [2, 4], mass=6.0, n_members=40, seed=9)
         assert set(report.guard_z) == {2, 4}
         assert report.guard_z[2].shape == cfg.time_grid.shape
         assert float(np.min(report.guard_z[2])) >= -3.0
@@ -860,20 +864,21 @@ class TestCutoffLadder:
 
         fake_distance.calls = 0
         monkeypatch.setattr(solver_mod, "_pair_distance", fake_distance)
-        u0 = two_members(mass=0.04)
         cfg = make_config(K=2 * minimal_K(0.75, 4.0))
         with pytest.warns(LadderWarning) as caught:
-            _, report = solve_polynomial(
-                u0, NonlinearitySpec.burgers(), cfg, [1, 2, 4])
+            report = burgers_ladder(cfg, [1, 2, 4], mass=0.04)
         assert report.cauchy_violations >= 1
         assert caught[0].message.data is report
 
     def test_validation(self):
-        u0 = bump_field()
+        m = gaussian_bump_measure(GRID, width=2.0, mass=1.0)
         cfg = make_config()
         with pytest.raises(ConfigurationError):
-            solve_polynomial(u0, NonlinearitySpec.tanh(1.0), cfg, [1, 2])
+            parallel_ladder(GRID, m, NonlinearitySpec.tanh(1.0), cfg, 2, 5,
+                            [1, 2])
         with pytest.raises(ConfigurationError):
-            solve_polynomial(u0, NonlinearitySpec.burgers(), cfg, [])
+            burgers_ladder(cfg, [])
         with pytest.raises(ConfigurationError):
-            solve_polynomial(u0, NonlinearitySpec.burgers(), cfg, [2, 2])
+            burgers_ladder(cfg, [2, 2])
+        with pytest.raises(ConfigurationError, match="needs >= 2 members"):
+            burgers_ladder(cfg, [1, 2], n_members=1)

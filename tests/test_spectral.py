@@ -10,7 +10,6 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
 from fracflow.errors import ConfigurationError, NumericError, ResolutionError
@@ -61,11 +60,17 @@ def test_dual_grid_symmetric_except_nyquist():
 
 # ----------------------------------------------------- transforms
 
+def full_forward(g, u):
+    """u_hat on the full spectrum, straight from numpy's complex fftn."""
+    return np.fft.fftn(u, axes=tuple(range(-g.d, 0))) * g.cell_volume
+
+
 @pytest.mark.parametrize("d,n", [(1, 16), (2, 8)])
 def test_forward_matches_literal_dft(d, n):
+    """The half spectrum is the last-axis 0..n/2 part of the literal DFT."""
     g = sp.Grid(d, n, 2.5)
     u = random_field(g, seed=1)
-    uh = sp.forward_transform(g, u)
+    uh = sp.real_forward_transform(g, u)
     x = g.axis_points()
     k = g.axis_wavenumbers
     if d == 1:
@@ -76,27 +81,16 @@ def test_forward_matches_literal_dft(d, n):
             for b, kb in enumerate(k):
                 phase = np.exp(-1j * (ka * x[:, None] + kb * x[None, :]))
                 direct[a, b] = np.sum(u * phase) * g.dx**2
-    npt.assert_allclose(uh, direct, atol=1e-12 * np.max(np.abs(direct)))
-
-
-@pytest.mark.parametrize("d,n", [(1, 64), (2, 16)])
-def test_roundtrip_and_parseval(d, n):
-    g = sp.Grid(d, n, 7.0)
-    u = random_field(g, seed=2)
-    uh = sp.forward_transform(g, u)
-    back = sp.inverse_transform(g, uh)
-    npt.assert_allclose(back.real, u, atol=1e-13)
-    assert np.max(np.abs(back.imag)) < 1e-13
-    lhs = np.sum(u**2) * g.cell_volume
-    rhs = np.sum(np.abs(uh) ** 2) / g.len**g.d
-    npt.assert_allclose(lhs, rhs, rtol=1e-12)
+    assert uh.shape == (n,) * (d - 1) + (n // 2 + 1,)
+    npt.assert_allclose(uh, direct[..., :n // 2 + 1],
+                        atol=1e-12 * np.max(np.abs(direct)))
 
 
 @pytest.mark.parametrize("d,n", [(1, 64), (2, 16)])
 def test_real_transforms_are_the_half_of_the_complex_ones(d, n):
     g = sp.Grid(d, n, 7.0)
     u = random_field(g, seed=5)
-    full = sp.forward_transform(g, u)
+    full = full_forward(g, u)
     half = sp.real_forward_transform(g, u)
     assert half.shape == (n,) * (d - 1) + (n // 2 + 1,)
     npt.assert_allclose(half, sp.half_spectrum(g, full),
@@ -113,7 +107,7 @@ def test_half_spectrum_parseval(d, n):
     g = sp.Grid(d, n, 7.0)
     u = np.stack([random_field(g, seed=s) for s in (6, 7, 8)])
     axes = tuple(range(-d, 0))
-    full = np.sum(np.abs(sp.forward_transform(g, u)) ** 2, axis=axes)
+    full = np.sum(np.abs(full_forward(g, u)) ** 2, axis=axes)
     half = np.sum(sp.half_spectrum_weights(g)
                   * np.abs(sp.real_forward_transform(g, u)) ** 2, axis=axes)
     npt.assert_allclose(half, full, rtol=1e-12)
@@ -405,12 +399,3 @@ def test_constant_validation():
         sp.gradient_constant(0.0)
     with pytest.raises(ConfigurationError):
         sp.gradient_constant(1.2)
-
-
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**31), d=st.sampled_from([1, 2]))
-def test_roundtrip_property(seed, d):
-    g = sp.Grid(d, 16, 3.0)
-    u = np.random.default_rng(seed).standard_normal(g.shape)
-    back = sp.inverse_transform(g, sp.forward_transform(g, u))
-    npt.assert_allclose(back.real, u, atol=1e-12)
