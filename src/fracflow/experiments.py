@@ -65,6 +65,7 @@ from .solver import (
     NonlinearitySpec,
     PicardDiagnostics,
     SolverConfig,
+    _free_flow,
     _picard_iterate,
     contraction_bound,
     ladder_levels,
@@ -149,9 +150,11 @@ def _solve_chunk(payload: dict) -> dict:
     last node.  The member axis of values is 1 in every case.  The
     residual series come back unjudged, for the growth rule to see the
     merged series: a ladder chunk's diagnostics map each level it solved
-    to its PicardDiagnostics.  Numeric blowup inside a chunk is reported,
-    not raised: the run continues with those members flagged, and a
-    ladder chunk stops at the level that failed."""
+    to its PicardDiagnostics.  A plain chunk whose spec is None solves the
+    linear equation (f = 0) as its free flow P_t u0, with no sweep.
+    Numeric blowup inside a chunk is reported, not raised: the run
+    continues with those members flagged, and a ladder chunk stops at the
+    level that failed."""
     measure, spec, config = (payload["measure"], payload["spec"],
                              payload["solver"])
     ens = sample_ensemble(measure, payload["size"], payload["seed"],
@@ -160,7 +163,8 @@ def _solve_chunk(payload: dict) -> dict:
            "error": None}
     try:
         if payload["ladder"] is None:
-            traj, out["diagnostics"] = _picard_iterate(ens, spec, config)
+            traj, out["diagnostics"] = (_free_flow(ens, config) if spec is None
+                                        else _picard_iterate(ens, spec, config))
             out["values"] = (dissipation_series(traj, config.s)
                              if payload["dissipation"] else traj.values)
             return out
@@ -246,6 +250,7 @@ def parallel_picard(grid: Grid, measure, spec: NonlinearitySpec,
                     solver: SolverConfig, n_members: int, seed: int,
                     workers: int = 1, counter_offset: int = 0) -> tuple:
     """Chunked ensemble Picard solve; returns (trajectory Ensemble, info).
+    A spec of None solves the linear equation as its free flow, no sweep.
 
     info carries the PicardDiagnostics merged over the chunks
     (diagnostics) and its converged flag, all member seeds in order, and
@@ -718,10 +723,10 @@ def _energy_dissipation(config: dict, workers: int) -> ExperimentResult:
     seeds, flagged = [], []
 
     # linear gate: single +/-1 pair along the first axis plus a mean,
-    # where the centered stencil bias (2 lam dt)^2/6 sits below the dt^2 cap
+    # where the centered stencil bias (2 lam dt)^2/6 sits below the dt^2
+    # cap; with f = 0 its solution is the free flow (spec None)
     solves = ((two_mode_measure(grid, [1.0] + [0.0] * (grid.d - 1),
-                                mass=1.0, mean=1.0),
-               NonlinearitySpec.zero()),
+                                mass=1.0, mean=1.0), None),
               (measure, spec),
               (measure, NonlinearitySpec.burgers(cutoff_level=2.0)))
     # one pool for all three; disjoint counter blocks: gate 0..N,

@@ -18,13 +18,21 @@ the quadrature.  The recurrence
 
     v_{j+1} = e^{-a_j} v_j + h_j (phi1 - phi2)(a_j) g_j + h_j phi2(a_j) g_{j+1}
 
-with a_j = |k|^{2s} h_j accumulates the integral exactly for piecewise
-linear g; started at v_0 = u0_hat, it carries the free flow P_t u0 too.
+with a_j = |k|^{2s} h_j and g_j the coefficients of grad_z f(u(t_j))
+accumulates the integral exactly for piecewise linear g; started at
+v_0 = u0_hat, it carries the free flow P_t u0 too.
 
 Every field in the solvers is real, so the sweeps run on the half spectrum
 (rfft layout, see :mod:`fracflow.spectral`): the plan's symbols are the
 rfft-layout slices of the full ones, and the inverse transform returns real
-fields by construction.
+fields by construction.  The coefficients are unscaled (real_dft, without
+the dx**d factor, which the inverse transform would only divide out again),
+and grad_z with its dealiasing mask is folded into the two complex step
+weights, so g_j above is the plain transform of f(u(t_j)).  f(u0) does not
+change between Picard sweeps: it is evaluated once per solve, and the part
+of node 1 it fixes, e^{-a_0} u0_hat + (weight)_0 f(u0)_hat, is carried
+across sweeps in place of u0_hat.  Non-finite values are checked once per
+sweep, on its residual, which any NaN or inf in the sweep makes non-finite.
 
 The solvers take the initial data as a snapshot :class:`Ensemble` (a single
 field is a one-member batch) and return its trajectory, an Ensemble with
@@ -58,8 +66,8 @@ from .spectral import (
     half_spectrum,
     half_spectrum_weights,
     l2_norm,
-    real_forward_transform,
-    real_inverse_transform,
+    real_dft,
+    real_idft,
     spatial_rms,
 )
 
@@ -71,10 +79,12 @@ _PHI_SERIES_CUT = 1e-2
 
 
 def cutoff_map(x, level: float):
-    """h_n(x) = min(|x|, n) sgn(x): radial truncation at level n."""
+    """h_n(x) = min(|x|, n) sgn(x): radial truncation at level n, as a new
+    float64 array."""
     if not (level > 0 and math.isfinite(level)):
         raise ConfigurationError(f"cutoff level must be positive, got {level}")
-    return np.clip(x, -level, level)
+    out = np.maximum(x, -level, out=np.empty(np.shape(x)))
+    return np.minimum(out, level, out=out)
 
 
 @dataclass(frozen=True)
@@ -143,9 +153,13 @@ class NonlinearitySpec:
         if self.kind == "zero":
             return np.zeros_like(y)
         if self.kind == "lipschitz_tanh":
-            return self.scale * np.tanh(y)
+            out = np.tanh(y)
+            out *= self.scale
+            return out
         if self.kind == "burgers_quadratic":
-            return 0.5 * y * y
+            out = 0.5 * y
+            out *= y
+            return out
         q = self.exponent
         if q == 0.0:
             return self.scale * y
@@ -352,9 +366,12 @@ def _phi2(alpha: np.ndarray) -> np.ndarray:
 
 class _DuhamelPlan:
     """Precomputed per-step multipliers for one (grid, spec, config)
-    combination, on the half spectrum: step decay factors, the two
-    interpolation weights, the free-flow decay at every node, the masked
-    derivative symbol, and the Bielecki weights e^{-K t_j}."""
+    combination, on the half spectrum of unscaled coefficients (real_dft):
+    step decay factors e^{-a_j}, the two interpolation weights folded with
+    the (masked) derivative symbol, step_a = h (phi1 - phi2) i z.k and
+    step_b = h phi2 i z.k, the free-flow decay at every node, and the
+    Bielecki weights e^{-K t_j}.  The transforms' dx**d factor cancels
+    between the forward and the inverse transform, so it never enters."""
 
     def __init__(self, grid: Grid, spec: NonlinearitySpec, config: SolverConfig):
         self.grid = grid
@@ -367,10 +384,6 @@ class _DuhamelPlan:
         alpha = steps[:, None] * lam.reshape(-1)[None, :]
         shape = (self.n_steps,) + lam.shape
         self.decay = np.exp(-alpha).reshape(shape)
-        self.w_a = (steps[:, None] * (_phi1(alpha) - _phi2(alpha))).reshape(shape)
-        self.w_b = (steps[:, None] * _phi2(alpha)).reshape(shape)
-        self.free_decay = np.exp(-t[:, None] * lam.reshape(-1)[None, :]).reshape(
-            (t.size,) + lam.shape)
         # built on the full grid so MultiplierOp validates it as Hermitian,
         # which is what makes its half-spectrum slice a complete description
         deriv = directional_derivative_multiplier(grid, config.z).values
@@ -378,61 +391,90 @@ class _DuhamelPlan:
                     else bool(config.dealias)) and spec.dealias_default
         if use_mask:
             deriv = deriv * dealias_mask(grid)
-        self.deriv = half_spectrum(grid, deriv)
+        deriv = half_spectrum(grid, deriv)
+        w_a = (steps[:, None] * (_phi1(alpha) - _phi2(alpha))).reshape(shape)
+        w_b = (steps[:, None] * _phi2(alpha)).reshape(shape)
+        self.step_a = w_a * deriv
+        self.step_b = w_b * deriv
+        self.free_decay = np.exp(-t[:, None] * lam.reshape(-1)[None, :]).reshape(
+            (t.size,) + lam.shape)
         self.weights = np.exp(-config.bielecki_k * t)
 
     def flux_hat(self, values: np.ndarray) -> np.ndarray:
-        """Coefficients of grad_z f(u) (dealiased when configured)."""
-        g = self.spec.evaluate(values)
-        if not np.all(np.isfinite(g)):
-            raise NumericError(
-                f"nonlinearity {self.spec.kind!r} produced non-finite values"
-            )
-        out = real_forward_transform(self.grid, g)
-        out *= self.deriv
+        """Unscaled coefficients of f(u); grad_z and the dealiasing mask
+        are in step_a and step_b."""
+        return real_dft(self.grid, self.spec.evaluate(values))
+
+    def free_flow(self, u0: np.ndarray, u0_hat: np.ndarray) -> np.ndarray:
+        """P_t u0 at every node from the unscaled coefficients u0_hat of
+        u0; node 0 is u0 itself."""
+        out = np.empty((self.n_steps + 1,) + u0.shape)
+        out[0] = u0
+        for j in range(1, self.n_steps + 1):
+            out[j] = real_idft(self.grid, self.free_decay[j] * u0_hat)
         return out
 
-    def free_flow(self, u0_hat: np.ndarray) -> np.ndarray:
-        """P_t u0 at every node: the first Picard iterate."""
-        batch = u0_hat.shape[:u0_hat.ndim - self.grid.d]
-        out = np.empty((self.n_steps + 1,) + batch + self.grid.shape)
-        for j in range(self.n_steps + 1):
-            out[j] = real_inverse_transform(self.grid, self.free_decay[j] * u0_hat)
-        return out
+    def first_iterate(self, u0: np.ndarray) -> tuple:
+        """(P_t u0 at every node, node1): the first Picard iterate and the
+        part of node 1 of F(u) that no iterate changes,
+        e^{-a_0} u0_hat + step_a[0] f(u0)_hat, which apply carries across
+        sweeps.  f(u0) is evaluated and checked here, once per solve."""
+        u0_hat = real_dft(self.grid, u0)
+        current = self.free_flow(u0, u0_hat)
+        node1 = u0_hat
+        node1 *= self.decay[0]
+        g0 = self.spec.evaluate(u0)
+        if not np.all(np.isfinite(g0)):
+            raise _non_finite(self.spec)
+        g0_hat = real_dft(self.grid, g0)
+        g0_hat *= self.step_a[0]
+        node1 += g0_hat
+        return current, node1
 
-    def apply(self, u0_hat: np.ndarray, values: np.ndarray,
+    def apply(self, node1: np.ndarray, values: np.ndarray,
               members: np.ndarray | None = None) -> np.ndarray:
         """Overwrite u, given by ``values`` on every node, with F(u) and
         return each member's Bielecki distance between the two,
         sup_j e^{-K t_j} rms_x, accumulated node by node while each new
         node is still in cache.
 
-        ``values[0]`` must hold u0 = F(u)(0) and is left as it is.
+        ``node1`` is first_iterate's constant for the whole batch, and
+        ``values[0]`` must hold u0 = F(u)(0); it is left as it is.
         ``members`` (integer indices into the batch axis) restricts the
         sweep to those rows and leaves the others untouched; None sweeps
         the whole batch through plain slices, so nothing is gathered.
         Overwriting in place is safe: node j+1 of F(u) reads u only at
         nodes j and j+1, node j enters through the flux carried from the
-        previous step, and node j+1 is read into ``ghat_next`` before it
-        is written.  ``vhat`` starts at u0_hat, so the free flow rides in
-        the recurrence.
+        previous step, and node j+1 is read into ``g`` before it is
+        written.  A non-finite flux anywhere in the sweep makes its
+        member's distance non-finite (NaN or inf survive every transform
+        and product here), so the caller checks the distances alone.
         """
         rows = () if members is None else (members,)
-        vhat = u0_hat[rows].copy()
+        vhat = node1.copy() if members is None else node1[members]
         dist = np.zeros(vhat.shape[:vhat.ndim - self.grid.d])
-        ghat_prev = self.flux_hat(values[0][rows])
         for j in range(self.n_steps):
+            if j:
+                vhat *= self.decay[j]
+                g *= self.step_a[j]
+                vhat += g
+                del g                 # freed before the next flux is formed
             old = values[j + 1][rows]
-            ghat_next = self.flux_hat(old)
-            vhat *= self.decay[j]
-            vhat += self.w_a[j] * ghat_prev
-            vhat += self.w_b[j] * ghat_next
-            new = real_inverse_transform(self.grid, vhat)
-            np.maximum(dist, self.weights[j + 1] * spatial_rms(self.grid, new - old),
+            g = self.flux_hat(old)
+            vhat += self.step_b[j] * g
+            new = real_idft(self.grid, vhat)
+            # old is a view of node j+1 or a gathered copy, and new
+            # overwrites it next: it holds the difference meanwhile
+            diff = np.subtract(new, old, out=old)
+            np.maximum(dist, self.weights[j + 1] * spatial_rms(self.grid, diff),
                        out=dist)
             values[j + 1][rows] = new
-            ghat_prev = ghat_next
         return dist
+
+
+def _non_finite(spec: NonlinearitySpec) -> NumericError:
+    return NumericError(
+        f"nonlinearity {spec.kind!r} produced non-finite values")
 
 
 def _check_initial(initial: Ensemble, spec: NonlinearitySpec):
@@ -444,15 +486,6 @@ def _check_initial(initial: Ensemble, spec: NonlinearitySpec):
             f"nonlinearity {spec.kind!r} is not globally Lipschitz; "
             "set cutoff_level to run it through the cut-off map"
         )
-
-
-def _bielecki_distance(grid: Grid, config: SolverConfig,
-                       a: np.ndarray, b: np.ndarray) -> float:
-    """max over realizations of sup_j e^{-K t_j} rms_x difference."""
-    weights = np.exp(-config.bielecki_k * config.time_grid)
-    rms = spatial_rms(grid, a - b)           # (n_nodes,) + batch
-    rms = np.asarray(rms).reshape(weights.size, -1)
-    return float(np.max(weights[:, None] * rms))
 
 
 def _multiplier_rho(config: SolverConfig, lipschitz: float) -> float:
@@ -490,22 +523,25 @@ def _picard_iterate(initial: Ensemble, spec: NonlinearitySpec,
     grid, u0 = initial.grid, initial.values
     lipschitz = spec.effective_lipschitz()
     plan = _DuhamelPlan(grid, spec, config)
-    u0_hat = real_forward_transform(grid, u0)
-    current = plan.free_flow(u0_hat)
-    current[0] = u0
+    current, node1 = plan.first_iterate(u0)
     residuals: list[float] = []
     converged = False
     active = None                     # None: every member still iterates
-    for _ in range(config.max_iter):
-        member_dist = plan.apply(u0_hat, current, active)
-        dist = float(np.max(member_dist))
-        residuals.append(dist)
-        if dist <= config.tol:
-            converged = True
-            break
-        going = member_dist > config.tol
-        if not going.all():
-            active = np.flatnonzero(going) if active is None else active[going]
+    # a non-finite value in a sweep shows in its residual and is raised as
+    # NumericError there; numpy's warnings on the way would only repeat it
+    with np.errstate(invalid="ignore"):
+        for _ in range(config.max_iter):
+            member_dist = plan.apply(node1, current, active)
+            dist = float(np.max(member_dist))
+            if not math.isfinite(dist):
+                raise _non_finite(spec)
+            residuals.append(dist)
+            if dist <= config.tol:
+                converged = True
+                break
+            going = member_dist > config.tol
+            if not going.all():
+                active = np.flatnonzero(going) if active is None else active[going]
     diag = PicardDiagnostics(
         residuals=residuals,
         rho_multiplier=_multiplier_rho(config, lipschitz),
@@ -513,6 +549,20 @@ def _picard_iterate(initial: Ensemble, spec: NonlinearitySpec,
         unconverged_members=0 if converged else int(np.count_nonzero(going)),
     )
     return Ensemble(grid, current, config.time_grid, initial.seeds), diag
+
+
+def _free_flow(initial: Ensemble, config: SolverConfig) -> tuple:
+    """The solve of the linear equation (f = 0) in _picard_iterate's
+    form: its mild solution is the free flow P_t u0 itself, so it takes
+    no sweep, and its diagnostics are those of a solve converged at once."""
+    spec = NonlinearitySpec.zero()
+    _check_initial(initial, spec)
+    plan = _DuhamelPlan(initial.grid, spec, config)
+    u0 = initial.values
+    values = plan.free_flow(u0, real_dft(initial.grid, u0))
+    diag = PicardDiagnostics(residuals=[], rho_multiplier=0.0, converged=True,
+                             unconverged_members=0)
+    return Ensemble(initial.grid, values, config.time_grid, initial.seeds), diag
 
 
 def step_solve(initial: Ensemble, spec: NonlinearitySpec,
@@ -530,32 +580,37 @@ def step_solve(initial: Ensemble, spec: NonlinearitySpec,
     plan = _DuhamelPlan(grid, spec, config)
     out = np.empty((config.time_grid.size,) + u0.shape)
     out[0] = u0
-    state_hat = real_forward_transform(grid, u0)
+    state_hat = real_dft(grid, u0)
     parseval = half_spectrum_weights(grid)
-    for j in range(plan.n_steps):
-        ghat_here = plan.flux_hat(out[j])
-        base = plan.decay[j] * state_hat + plan.w_a[j] * ghat_here
-        cur_hat = base + plan.w_b[j] * ghat_here   # predictor: flux frozen
-        prev_diff = math.inf
-        for _ in range(5):
-            cur_vals = real_inverse_transform(grid, cur_hat)
-            new_hat = base + plan.w_b[j] * plan.flux_hat(cur_vals)
-            # sweep residual as spatial rms, via Parseval on the coefficients
-            sq = np.sum(parseval * np.abs(new_hat - cur_hat) ** 2,
-                        axis=tuple(range(-grid.d, 0)))
-            diff = float(np.max(np.sqrt(sq))) / grid.len**grid.d
-            if diff > prev_diff * (1.0 + 1e-12):
-                raise StepSizeError(
-                    f"inner loop diverging at step {j} "
-                    f"(t = {config.time_grid[j]:.6g} -> "
-                    f"{config.time_grid[j + 1]:.6g}); refine the time grid"
-                )
-            cur_hat = new_hat
-            if diff <= 1e-12 * (1.0 + float(np.max(np.abs(cur_vals)))):
-                break
-            prev_diff = diff
-        state_hat = cur_hat
-        out[j + 1] = real_inverse_transform(grid, state_hat)
+    # rms_x of a field from its unscaled coefficients c, by Parseval:
+    # sqrt(sum w |c|^2) dx**d / len**d
+    rms_scale = grid.cell_volume / grid.len**grid.d
+    with np.errstate(invalid="ignore"):     # raised below as NumericError
+        for j in range(plan.n_steps):
+            g_here = plan.flux_hat(out[j])
+            base = plan.decay[j] * state_hat + plan.step_a[j] * g_here
+            cur_hat = base + plan.step_b[j] * g_here   # predictor: flux frozen
+            prev_diff = math.inf
+            for _ in range(5):
+                cur_vals = real_idft(grid, cur_hat)
+                new_hat = base + plan.step_b[j] * plan.flux_hat(cur_vals)
+                sq = np.sum(parseval * np.abs(new_hat - cur_hat) ** 2,
+                            axis=tuple(range(-grid.d, 0)))
+                diff = float(np.max(np.sqrt(sq))) * rms_scale
+                if not math.isfinite(diff):
+                    raise _non_finite(spec)
+                if diff > prev_diff * (1.0 + 1e-12):
+                    raise StepSizeError(
+                        f"inner loop diverging at step {j} "
+                        f"(t = {config.time_grid[j]:.6g} -> "
+                        f"{config.time_grid[j + 1]:.6g}); refine the time grid"
+                    )
+                cur_hat = new_hat
+                if diff <= 1e-12 * (1.0 + float(np.max(np.abs(cur_vals)))):
+                    break
+                prev_diff = diff
+            state_hat = cur_hat
+            out[j + 1] = real_idft(grid, state_hat)
     return Ensemble(grid, out, config.time_grid, initial.seeds)
 
 

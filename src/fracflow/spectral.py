@@ -30,7 +30,9 @@ A symbol applied in this layout must therefore be Hermitian on the full
 grid (validated by :class:`MultiplierOp` when the symbol is built);
 otherwise the product would not describe a real field.  Parseval on the
 half spectrum counts the last-axis indices 1..n/2-1 twice
-(:func:`half_spectrum_weights`).  Every real field (samples, multiplier
+(:func:`half_spectrum_weights`).  :func:`real_dft` and :func:`real_idft`
+are the same pair without the dx**d factor, for the solvers' sweeps, where
+it cancels.  Every real field (samples, multiplier
 applications, kernels, the solvers) goes through this real pair; only the
 spectrum estimator's periodogram takes a full FFT, inline, because the
 measure it estimates holds full-grid weights.
@@ -145,20 +147,35 @@ def _reverse_modes(values: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
+def real_dft(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """The unscaled half-spectrum DFT sum_x u(x) e^{-ikx} of a real array
+    over the trailing grid axes (rfft layout): u_hat / dx**d.  In d = 1 it
+    calls rfft on the last axis, which is what rfftn computes there."""
+    if grid.d == 1:
+        return np.fft.rfft(values)
+    return np.fft.rfftn(values, axes=tuple(range(-grid.d, 0)))
+
+
+def real_idft(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`real_dft`; returns a real array."""
+    if grid.d == 1:
+        return np.fft.irfft(coeffs, grid.n)
+    return np.fft.irfftn(coeffs, s=grid.shape,
+                         axes=tuple(range(-grid.d, 0)))
+
+
 def real_forward_transform(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Half-spectrum coefficients u_hat(k) of a real array (rfft layout,
     see the module docstring): the coefficients of e^{+ikx}, times
     len**d."""
-    axes = tuple(range(-grid.d, 0))
-    out = np.fft.rfftn(values, axes=axes)
+    out = real_dft(grid, values)
     out *= grid.cell_volume
     return out
 
 
 def real_inverse_transform(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """Inverse of :func:`real_forward_transform`; returns a real array."""
-    axes = tuple(range(-grid.d, 0))
-    out = np.fft.irfftn(coeffs, s=grid.shape, axes=axes)
+    out = real_idft(grid, coeffs)
     out /= grid.cell_volume
     return out
 

@@ -474,6 +474,34 @@ class TestParallelPicard:
         assert info["member_seeds"] == whole.seeds[CHUNK:]
         assert np.array_equal(traj.values, whole.values[:, CHUNK:])
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_non_finite_flux_flags_its_chunk(self, monkeypatch, workers):
+        """A real overflow, no patched solver: the first chunk's draws are
+        scaled to ~1e200, where Burgers cut off at 1e200 gives f = inf.
+        Its members are flagged; the other chunks solve as before."""
+        spec = NonlinearitySpec.burgers(cutoff_level=1e200)
+        real = fracflow.experiments.sample_ensemble
+
+        def first_chunk_huge(measure, n, seed, counter_offset=0):
+            ens = real(measure, n, seed, counter_offset=counter_offset)
+            if counter_offset == 0:
+                ens.values[:] *= 1e200
+            return ens
+
+        n = 2 * CHUNK + 3
+        whole, _ = parallel_picard(self.GRID, self.MEASURE, spec,
+                                   self.solver(), n, seed=5)
+        # a module global: forked pool workers inherit the patch
+        monkeypatch.setattr(fracflow.experiments, "sample_ensemble",
+                            first_chunk_huge)
+        traj, info = parallel_picard(self.GRID, self.MEASURE, spec,
+                                     self.solver(), n, seed=5, workers=workers)
+        assert [f[0] for f in info["flagged"]] == list(range(CHUNK))
+        assert {f[2] for f in info["flagged"]} == {
+            "nonlinearity 'burgers_quadratic' produced non-finite values"}
+        assert info["member_seeds"] == whole.seeds[CHUNK:]
+        assert np.array_equal(traj.values, whole.values[:, CHUNK:])
+
     @pytest.mark.parametrize("solver_kw", [{}, {"tol": 1e-12, "max_iter": 6}],
                              ids=["converging", "capped"])
     def test_merged_diagnostics_equal_whole_batch(self, solver_kw):
@@ -641,10 +669,10 @@ class TestEnergyDissipationPool:
 
     def solves(self, grid, measure, spec):
         """(measure, nonlinearity, counter offset) of the gate, tanh and
-        Burgers solves, as energy-dissipation draws them."""
+        Burgers solves, as energy-dissipation draws them; the gate's
+        nonlinearity is None, so its chunks take the free flow."""
         n = self.CONFIG["n_members"]
-        return [(two_mode_measure(grid, 1.0, mass=1.0, mean=1.0),
-                 NonlinearitySpec.zero(), 0),
+        return [(two_mode_measure(grid, 1.0, mass=1.0, mean=1.0), None, 0),
                 (measure, spec, n),
                 (measure, NonlinearitySpec.burgers(cutoff_level=2.0), 2 * n)]
 
@@ -669,6 +697,22 @@ class TestEnergyDissipationPool:
             seeds += info["member_seeds"]
         assert result.member_seeds == seeds
         assert result.flagged == []
+
+    def test_gate_is_the_zero_flux_solve(self):
+        """The gate's free flow takes no sweep, and a zero-flux Picard
+        solve of the same draws gives the same fields to round-off."""
+        cfg = RunConfig.from_dict(self.CONFIG)
+        grid, measure, spec, solver = _cfg_parts(cfg.to_dict())
+        gate_measure = self.solves(grid, measure, spec)[0][0]
+        free, info = parallel_picard(grid, gate_measure, None, solver,
+                                     cfg.n_members, cfg.seed)
+        assert info["converged"] and info["diagnostics"].iterations == 0
+        swept, info = parallel_picard(grid, gate_measure,
+                                      NonlinearitySpec.zero(), solver,
+                                      cfg.n_members, cfg.seed)
+        assert info["converged"] and info["diagnostics"].iterations == 1
+        assert free.seeds == swept.seeds
+        assert np.max(np.abs(free.values - swept.values)) <= 1e-13
 
     def test_tables_worker_independent(self, tmp_path):
         cfg = RunConfig.from_dict(self.CONFIG)

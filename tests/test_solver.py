@@ -17,6 +17,7 @@ from fracflow.errors import (
     ConfigurationError,
     LadderWarning,
     NonContractionError,
+    NumericError,
     StepSizeError,
 )
 from fracflow.experiments import parallel_ladder
@@ -32,7 +33,6 @@ from fracflow.solver import (
     NonlinearitySpec,
     PicardDiagnostics,
     SolverConfig,
-    _bielecki_distance,
     _phi1,
     _phi2,
     contraction_bound,
@@ -50,9 +50,9 @@ from fracflow.spectral import (
     gradient_constant,
     half_spectrum,
     l2_norm,
-    real_forward_transform,
-    real_inverse_transform,
+    real_idft,
     semigroup_multiplier,
+    spatial_rms,
 )
 
 GRID = Grid(d=1, n=256, len=2 * math.pi)
@@ -86,10 +86,19 @@ def member(ens, i):
 def duhamel(spec, cfg, values, grid=GRID):
     """The mild-solution map F on trajectory values (node, member, grid),
     through the solver's plan, on a copy of the values."""
+    plan = _DuhamelPlan(grid, spec, cfg)
     out = values.copy()
-    _DuhamelPlan(grid, spec, cfg).apply(real_forward_transform(grid, out[0]),
-                                        out)
+    plan.apply(plan.first_iterate(out[0])[1], out)
     return out
+
+
+def _bielecki_distance(grid, config, a, b):
+    """max over realizations of sup_j e^{-K t_j} rms_x difference: the
+    oracle of the residual the sweep fuses into its node loop."""
+    weights = np.exp(-config.bielecki_k * config.time_grid)
+    rms = spatial_rms(grid, a - b)           # (n_nodes,) + batch
+    rms = np.asarray(rms).reshape(weights.size, -1)
+    return float(np.max(weights[:, None] * rms))
 
 
 def make_config(s=0.75, T=0.5, nodes=26, K=3.0, **kw):
@@ -187,20 +196,22 @@ class TestNonlinearitySpec:
 
 
 class TestDealiasing:
-    """The dealiasing mask acts in the solver's flux, _DuhamelPlan.flux_hat:
-    the coefficients of grad_z f(u), masked when dealiasing is on."""
+    """The dealiasing mask acts in the solver's step weights: step_a and
+    step_b are the interpolation weights times the derivative symbol,
+    masked when dealiasing is on, and they act on the unscaled
+    coefficients of f(u) that _DuhamelPlan.flux_hat returns."""
 
     G32 = Grid(d=1, n=32, len=2 * math.pi)
+    H = 0.5                                   # the plans' step
 
-    def flux_hat(self, grid, spec, values, dealias):
+    def plan(self, grid, spec, dealias):
         cfg = SolverConfig(s=0.75, z=1.0, time_grid=np.linspace(0, 1, 3),
                            dealias=dealias)
-        return _DuhamelPlan(grid, spec, cfg).flux_hat(values)
+        return _DuhamelPlan(grid, spec, cfg)
 
-    def unmasked(self, grid, f_values):
-        """grad_z of the pointwise flux values, with no mask."""
-        deriv = directional_derivative_multiplier(grid, 1.0).values
-        return real_forward_transform(grid, f_values) * half_spectrum(grid, deriv)
+    def weighted_flux(self, plan, values):
+        """The first step's w_b-weighted grad_z f(u), as a field."""
+        return real_idft(plan.grid, plan.step_b[0] * plan.flux_hat(values))
 
     def test_mask_keeps_low_third(self):
         g = Grid(d=1, n=12, len=2 * math.pi)
@@ -208,29 +219,48 @@ class TestDealiasing:
         idx = np.fft.fftfreq(12, 1.0 / 12)
         assert np.array_equal(mask, np.abs(idx) <= 4)
 
+    def test_mask_sits_in_both_step_weights(self):
+        spec = NonlinearitySpec.burgers(cutoff_level=2.0)
+        on = self.plan(self.G32, spec, dealias=True)
+        off = self.plan(self.G32, spec, dealias=False)
+        keep = half_spectrum(self.G32, dealias_mask(self.G32))
+        keep[0] = False                       # grad_z vanishes at k = 0
+        for name in ("step_a", "step_b"):
+            w_on, w_off = getattr(on, name), getattr(off, name)
+            assert np.array_equal(w_on[:, keep], w_off[:, keep])
+            assert np.all(w_off[:, keep] != 0)
+            assert np.all(w_on[:, ~keep] == 0)
+            assert np.all(w_off[:, ~keep][:, 1:-1] != 0)
+
     def test_quadratic_aliasing_removed(self):
         """cos(10x)^2/2 on n = 32: mode 20 would alias onto -12; the 2/3
         mask keeps |j| <= 10, so the flux is the pure projection 1/4, whose
         gradient vanishes."""
         x = self.G32.coordinates()[0]
-        out = self.flux_hat(self.G32, NonlinearitySpec.burgers(cutoff_level=2.0),
-                            np.cos(10 * x), dealias=True)
-        assert np.max(np.abs(real_inverse_transform(self.G32, out))) <= 1e-13
+        plan = self.plan(self.G32, NonlinearitySpec.burgers(cutoff_level=2.0),
+                         dealias=True)
+        assert np.max(np.abs(self.weighted_flux(plan, np.cos(10 * x)))) <= 1e-13
 
     def test_dealias_off_keeps_pointwise_values(self):
         """Unmasked, the flux is the gradient of the pointwise values,
-        alias included: 1/4 + cos(12x)/4 on the grid, gradient -3 sin(12x)."""
+        alias included: 1/4 + cos(12x)/4 on the grid, gradient -3 sin(12x),
+        weighted by w_b = h phi2(h |k|^{2s}) at |k| = 12."""
         x = self.G32.coordinates()[0]
-        out = self.flux_hat(self.G32, NonlinearitySpec.burgers(cutoff_level=2.0),
-                            np.cos(10 * x), dealias=False)
-        assert np.array_equal(out, self.unmasked(self.G32, 0.5 * np.cos(10 * x) ** 2))
-        grad = real_inverse_transform(self.G32, out)
-        assert np.max(np.abs(grad + 3.0 * np.sin(12 * x))) <= 1e-13
+        plan = self.plan(self.G32, NonlinearitySpec.burgers(cutoff_level=2.0),
+                         dealias=False)
+        w_b = self.H * _phi2(np.array([self.H * 12.0 ** 1.5]))[0]
+        got = self.weighted_flux(plan, np.cos(10 * x))
+        assert np.max(np.abs(got + 3.0 * w_b * np.sin(12 * x))) <= 1e-13
 
     def test_tanh_never_masked(self):
+        spec = NonlinearitySpec.tanh(1.0)
+        on = self.plan(GRID, spec, dealias=True)
+        off = self.plan(GRID, spec, dealias=False)
+        assert np.array_equal(on.step_a, off.step_a)
+        assert np.array_equal(on.step_b, off.step_b)
+        assert np.all(on.step_b[:, 1:-1] != 0)      # every mode but 0, n/2
         u = bump_field().values
-        out = self.flux_hat(GRID, NonlinearitySpec.tanh(1.0), u, dealias=True)
-        assert np.array_equal(out, self.unmasked(GRID, np.tanh(u)))
+        assert np.array_equal(on.flux_hat(u), np.fft.rfft(np.tanh(u)))
 
 
 # ------------------------------------------------------------------ config, types
@@ -350,7 +380,7 @@ class TestDuhamelApply:
         vals = rng.standard_normal((cfg.time_grid.size, 2) + GRID.shape)
         out = vals.copy()
         plan = _DuhamelPlan(GRID, NonlinearitySpec.tanh(0.5), cfg)
-        plan.apply(real_forward_transform(GRID, out[0]), out)
+        plan.apply(plan.first_iterate(out[0])[1], out)
         assert np.array_equal(out[0], vals[0])
         assert all(not np.array_equal(out[j], vals[j])
                    for j in range(1, cfg.time_grid.size))
@@ -482,6 +512,24 @@ class TestPicardSolve:
         with pytest.raises(ConfigurationError, match="snapshot"):
             step_solve(traj, NonlinearitySpec.tanh(0.3), cfg)
 
+    def test_node_zero_flux_evaluated_once(self, monkeypatch):
+        """A sweep evaluates f at nodes 1.. only: f(u0) enters node 1
+        through the constant first_iterate builds once per solve."""
+        real = NonlinearitySpec.evaluate
+        calls = []
+
+        def counting(self, x):
+            calls.append(np.shape(x))
+            return real(self, x)
+
+        monkeypatch.setattr(NonlinearitySpec, "evaluate", counting)
+        cfg = make_config(nodes=11)
+        ens = sample_ensemble(gaussian_bump_measure(GRID, 2.0, 1.0), 3, seed=3)
+        _, diag = picard_solve(ens, NonlinearitySpec.tanh(0.5), cfg)
+        assert diag.converged and diag.iterations >= 3
+        assert len(calls) == 1 + diag.iterations * (cfg.time_grid.size - 1)
+        assert set(calls) == {ens.values.shape}
+
     @pytest.mark.parametrize("d", [1, 2])
     def test_final_state_export_round_trip(self, d, tmp_path):
         """The final snapshot of a solve, written as a run writes its
@@ -496,6 +544,39 @@ class TestPicardSolve:
         assert np.array_equal(back.values, traj.values[-1])
         assert back.time == 0.5 and back.grid == grid
         assert back.seeds == ens.seeds and not back.is_trajectory
+
+
+class TestNonFiniteFlux:
+    """Burgers cut off at 1e200 is globally Lipschitz on paper, but on data
+    of that size f = u^2/2 overflows to inf: every solver raises
+    NumericError rather than return non-finite fields."""
+
+    SPEC = NonlinearitySpec.burgers(cutoff_level=1e200)
+
+    def data(self, size, members=1):
+        ens = sample_ensemble(gaussian_bump_measure(GRID, 2.0, 1.0), members,
+                              seed=5)
+        ens.values[-1] *= size
+        return ens
+
+    def test_at_initial_data(self):
+        u0 = self.data(1e200)
+        assert not np.all(np.isfinite(self.SPEC.evaluate(u0.values)))
+        with pytest.raises(NumericError, match="non-finite"):
+            picard_solve(u0, self.SPEC, make_config())
+
+    def test_inside_a_sweep(self):
+        """f(u0) is finite at size 1e150, but F(u) is not: the sweep's
+        residual catches it, also when one member of a batch blows up."""
+        u0 = self.data(1e150, members=3)
+        assert np.all(np.isfinite(self.SPEC.evaluate(u0.values)))
+        with pytest.raises(NumericError, match="non-finite"):
+            picard_solve(u0, self.SPEC, make_config())
+
+    @pytest.mark.parametrize("size", [1e150, 1e200])
+    def test_step_solve(self, size):
+        with pytest.raises(NumericError, match="non-finite"):
+            step_solve(self.data(size), self.SPEC, make_config())
 
 
 # ------------------------------------------------------------------ half spectrum
@@ -612,12 +693,10 @@ class TestHalfSpectrumEquivalence:
     def test_fused_residual_equals_bielecki_distance(self, d, spec, dealias):
         grid, ens, cfg = half_spectrum_case(d, spec, dealias)
         plan = _DuhamelPlan(grid, spec, cfg)
-        u0_hat = real_forward_transform(grid, ens.values)
-        current = plan.free_flow(u0_hat)
-        current[0] = ens.values
+        current, node1 = plan.first_iterate(ens.values)
         for _ in range(4):
             old = current.copy()
-            dist = plan.apply(u0_hat, current)
+            dist = plan.apply(node1, current)
             assert dist.shape == (ens.n_members,)
             for i in range(ens.n_members):
                 oracle = _bielecki_distance(grid, cfg, current[:, i], old[:, i])
@@ -627,16 +706,14 @@ class TestHalfSpectrumEquivalence:
     def test_member_subset_sweep_leaves_other_rows(self):
         grid, ens, cfg = half_spectrum_case(1, NonlinearitySpec.tanh(0.5), False)
         plan = _DuhamelPlan(grid, NonlinearitySpec.tanh(0.5), cfg)
-        u0_hat = real_forward_transform(grid, ens.values)
-        full = plan.free_flow(u0_hat)
-        full[0] = ens.values
+        full, node1 = plan.first_iterate(ens.values)
         part = full.copy()
-        want = plan.apply(u0_hat, full)
-        got = plan.apply(u0_hat, part, np.array([0, 2]))
+        want = plan.apply(node1, full)
+        got = plan.apply(node1, part, np.array([0, 2]))
         assert np.array_equal(got, want[[0, 2]])
         assert np.array_equal(part[:, [0, 2]], full[:, [0, 2]])
-        first = plan.free_flow(u0_hat)
-        assert np.array_equal(part[1:, 1], first[1:, 1])
+        first, _ = plan.first_iterate(ens.values)
+        assert np.array_equal(part[:, 1], first[:, 1])
 
 
 # ------------------------------------------------------------------ marching
