@@ -432,7 +432,8 @@ class _DuhamelPlan:
         return current, node1
 
     def apply(self, node1: np.ndarray, values: np.ndarray,
-              members: np.ndarray | None = None) -> np.ndarray:
+              members: np.ndarray | None = None,
+              reach: np.ndarray | None = None) -> np.ndarray:
         """Overwrite u, given by ``values`` on every node, with F(u) and
         return each member's Bielecki distance between the two,
         sup_j e^{-K t_j} rms_x, accumulated node by node while each new
@@ -443,6 +444,8 @@ class _DuhamelPlan:
         ``members`` (integer indices into the batch axis) restricts the
         sweep to those rows and leaves the others untouched; None sweeps
         the whole batch through plain slices, so nothing is gathered.
+        ``reach``, one entry per swept row, is raised in place to each
+        row's max |u| over the flux inputs, nodes 1..N of u.
         Overwriting in place is safe: node j+1 of F(u) reads u only at
         nodes j and j+1, node j enters through the flux carried from the
         previous step, and node j+1 is read into ``g`` before it is
@@ -460,6 +463,8 @@ class _DuhamelPlan:
                 vhat += g
                 del g                 # freed before the next flux is formed
             old = values[j + 1][rows]
+            if reach is not None:
+                np.maximum(reach, _abs_max(self.grid, old), out=reach)
             g = self.flux_hat(old)
             vhat += self.step_b[j] * g
             new = real_idft(self.grid, vhat)
@@ -470,6 +475,13 @@ class _DuhamelPlan:
                        out=dist)
             values[j + 1][rows] = new
         return dist
+
+
+def _abs_max(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Each member's max |u| over every grid axis (NaN where u holds one);
+    two reductions, so no |u| array is formed."""
+    axes = tuple(range(-grid.d, 0))
+    return np.maximum(np.max(values, axis=axes), -np.min(values, axis=axes))
 
 
 def _non_finite(spec: NonlinearitySpec) -> NumericError:
@@ -515,39 +527,85 @@ def picard_solve(initial: Ensemble, spec: NonlinearitySpec,
     return traj, diag
 
 
+@dataclass
+class _Rung:
+    """A solved cut-off ladder rung as the next rung of the same member
+    chunk reuses it: the trajectory values, each member's residual at
+    every sweep (max_iter, members; -inf where it did not sweep), and
+    which members are free, their data and every flux input of every
+    sweep they ran strictly inside the level."""
+
+    values: np.ndarray | None = None
+    history: np.ndarray | None = None
+    free: np.ndarray | None = None
+
+
 def _picard_iterate(initial: Ensemble, spec: NonlinearitySpec,
-                    config: SolverConfig) -> tuple:
+                    config: SolverConfig, below: _Rung | None = None,
+                    record: _Rung | None = None) -> tuple:
     """picard_solve without the growth rule: member chunks return their
-    series, and the rule is applied once to the merged one."""
+    series, and the rule is applied once to the merged one.
+
+    Each member's residual is kept at every sweep, and the batch's
+    residual at a sweep is the largest of the members that ran it.
+
+    A cut-off ladder passes the rung solved one level lower as ``below``.
+    Its free members' rows and residual histories are copied node by
+    node, and the sweeps start with only the other members active.  This
+    is exact: members are independent, and cutoff_map is the identity on
+    values strictly inside a level, so a free member's iterates,
+    residuals and stopping sweep are the same bit for bit at every higher
+    level.  ``record``, an empty _Rung, is filled with this rung for the
+    next one: free are the members whose data and every flux input of
+    every sweep they ran stayed strictly inside this level.
+    """
     _check_initial(initial, spec)
     grid, u0 = initial.grid, initial.values
     lipschitz = spec.effective_lipschitz()
     plan = _DuhamelPlan(grid, spec, config)
     current, node1 = plan.first_iterate(u0)
-    residuals: list[float] = []
-    converged = False
+    history = np.full((config.max_iter, u0.shape[0]), -np.inf)
     active = None                     # None: every member still iterates
+    if below is not None:
+        free = np.flatnonzero(below.free)
+        history[:, free] = below.history[:, free]
+        for j in range(1, current.shape[0]):
+            current[j, free] = below.values[j, free]
+        active = np.flatnonzero(~below.free)
+    # u0 is the clipped data h_n(u0), which reaches n exactly where the raw
+    # data do, so it decides for the raw data too
+    reach = None if record is None else _abs_max(grid, u0)
     # a non-finite value in a sweep shows in its residual and is raised as
     # NumericError there; numpy's warnings on the way would only repeat it
     with np.errstate(invalid="ignore"):
-        for _ in range(config.max_iter):
-            member_dist = plan.apply(node1, current, active)
-            dist = float(np.max(member_dist))
-            if not math.isfinite(dist):
-                raise _non_finite(spec)
-            residuals.append(dist)
-            if dist <= config.tol:
-                converged = True
+        for sweep in range(config.max_iter):
+            if active is not None and active.size == 0:
                 break
+            rows = slice(None) if active is None else active
+            swept_reach = None if reach is None else reach[rows]
+            member_dist = plan.apply(node1, current, active, swept_reach)
+            if not math.isfinite(float(np.max(member_dist))):
+                raise _non_finite(spec)
+            history[sweep, rows] = member_dist
+            if reach is not None:
+                reach[rows] = swept_reach
             going = member_dist > config.tol
             if not going.all():
                 active = np.flatnonzero(going) if active is None else active[going]
+    # every member sweeps from the first sweep on, so the swept rows lead
+    largest = np.max(history, axis=1)
+    unconverged = int(np.count_nonzero(history[-1] > config.tol))
     diag = PicardDiagnostics(
-        residuals=residuals,
+        residuals=largest[largest > -np.inf].tolist(),
         rho_multiplier=_multiplier_rho(config, lipschitz),
-        converged=converged,
-        unconverged_members=0 if converged else int(np.count_nonzero(going)),
+        converged=unconverged == 0,
+        unconverged_members=unconverged,
     )
+    if record is not None:
+        # a member copied from below is free here too: its reach is its
+        # data's, which lie inside the lower level
+        record.values, record.history = current, history
+        record.free = reach < spec.cutoff_level
     return Ensemble(grid, current, config.time_grid, initial.seeds), diag
 
 

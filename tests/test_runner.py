@@ -39,6 +39,7 @@ from fracflow.experiments import (
     parallel_picard,
 )
 from fracflow.random_fields import (
+    Ensemble,
     gaussian_bump_measure,
     load_ensemble,
     sample_ensemble,
@@ -48,7 +49,10 @@ from fracflow.runner import RunConfig, RunManifest, replay_run, run_experiment
 from fracflow.solver import (
     NonlinearitySpec,
     SolverConfig,
+    _DuhamelPlan,
+    ladder_moments,
     ladder_rung,
+    ladder_series,
     picard_solve,
 )
 from fracflow.spectral import Grid
@@ -605,13 +609,128 @@ class TestParallelLadder:
                 assert np.array_equal(rows, moment_series(top, p).rows(),
                                       equal_nan=True)
 
+    @pytest.mark.parametrize("experiment,override", [
+        ("cutoff-ladder", {}),
+        ("moment-monotonicity", {}),
+        ("moment-monotonicity", {"grid": {"d": 2, "n": 16},
+                                 "solver": {"z": [1.0, 0.5]}}),
+    ], ids=["cutoff-ladder", "moment-monotonicity", "moment-monotonicity-d2"])
+    def test_rung_reuse_equals_whole_batch_rungs(self, monkeypatch,
+                                                 experiment, override):
+        """A rung copies the members its cut-off never bound on the rung
+        below; every level must still equal a whole-batch solve of that
+        rung, diagnostics included, and the top rung must sweep fewer
+        members than the chunk holds, or the reuse has switched off."""
+        cfg = RunConfig.from_dict({"experiment": experiment,
+                                   "n_members": CHUNK + 3, "grid": {"n": 32},
+                                   **override})
+        grid, measure, spec, solver = parts = _cfg_parts(cfg.to_dict())
+        levels = (1.0, 2.0, 4.0, 8.0)
+        ens = sample_ensemble(measure, cfg.n_members, cfg.seed)
+        solutions, diagnostics = {}, {}
+        for n in levels:
+            traj, diagnostics[n] = picard_solve(*ladder_rung(ens, spec, n),
+                                                solver)
+            solutions[n] = traj.values
+        ref_series = ladder_series(grid, solutions)
+
+        series = []
+        real_report = fracflow.experiments.ladder_report
+
+        def capture(times, joined, diags):
+            series.append(joined)
+            return real_report(times, joined, diags)
+
+        most_rows = {}            # each rung solve's plan -> its widest sweep
+        real_apply = _DuhamelPlan.apply
+
+        def counting(plan, node1, values, members=None, reach=None):
+            rows = values.shape[1] if members is None else members.size
+            most_rows[plan] = max(most_rows.get(plan, 0), rows)
+            return real_apply(plan, node1, values, members, reach)
+
+        monkeypatch.setattr(fracflow.experiments, "ladder_report", capture)
+        monkeypatch.setattr(_DuhamelPlan, "apply", counting)
+        for workers in (1, 2):
+            series.clear()
+            final, moments, report = parallel_ladder(
+                *parts, cfg.n_members, cfg.seed, levels, workers=workers)
+            for n in levels:
+                assert report.diagnostics[n] == diagnostics[n], (workers, n)
+            assert np.array_equal(series[0], ref_series)
+            assert np.array_equal(final.values, solutions[8.0][-1])
+            assert final.seeds == ens.seeds
+            for p, m in ladder_moments(ref_series).items():
+                assert np.array_equal(moments[p], m)
+        # only the in-process run's sweeps are counted: two chunks, workers 1
+        swept = {n: sum(rows for plan, rows in most_rows.items()
+                        if plan.spec.cutoff_level == n) for n in levels}
+        assert swept[levels[0]] == cfg.n_members
+        assert swept[levels[-1]] < cfg.n_members
+
+    def test_reuse_decision_reads_every_flux_input(self, monkeypatch):
+        """The rung above reuses exactly the members whose data and every
+        flux input lay strictly inside the level.  Member 17's data (6.26)
+        stay inside 8 while an iterate reaches 8.03, and member 0's data
+        are made to touch 4 exactly; neither may be reused there."""
+        cfg = RunConfig.from_dict({
+            "experiment": "cutoff-ladder", "n_members": 20, "grid": {"n": 32},
+            "solver": {"time_grid": np.linspace(0.0, 1.0, 11).tolist()}})
+        grid, measure, spec, solver = parts = _cfg_parts(cfg.to_dict())
+        levels = (2.0, 4.0, 8.0, 16.0)
+        ens = sample_ensemble(measure, cfg.n_members, cfg.seed)
+        # cos is exactly 1 at the node x = 0
+        ens.values[0] = 4.0 * np.cos(grid.axis_points())
+        monkeypatch.setattr(fracflow.experiments, "sample_ensemble",
+                            lambda *args, **kw: ens)
+
+        free = {}
+        real_iterate = fracflow.experiments._picard_iterate
+
+        def recording(initial, rung_spec, config, below=None, record=None):
+            out = real_iterate(initial, rung_spec, config, below=below,
+                               record=record)
+            if record is not None:
+                free[rung_spec.cutoff_level] = set(
+                    np.flatnonzero(record.free).tolist())
+            return out
+
+        monkeypatch.setattr(fracflow.experiments, "_picard_iterate",
+                            recording)
+        parallel_ladder(*parts, cfg.n_members, cfg.seed, levels)
+
+        reach = []
+        real_evaluate = NonlinearitySpec.evaluate
+
+        def evaluate(nl, x):
+            reach.append(float(np.max(np.abs(x))))
+            return real_evaluate(nl, x)
+
+        monkeypatch.setattr(NonlinearitySpec, "evaluate", evaluate)
+        expected = {n: set() for n in levels[:-1]}
+        inputs = {}
+        for i in range(cfg.n_members):
+            one = Ensemble(grid, ens.values[i:i + 1],
+                           seeds=ens.seeds[i:i + 1])
+            for n in levels[:-1]:
+                reach.clear()
+                real_iterate(*ladder_rung(one, spec, n), solver)
+                inputs[i, n] = max(reach)
+                if np.max(np.abs(ens.values[i])) < n and max(reach) < n:
+                    expected[n].add(i)
+        assert free == expected
+        assert expected[2.0] and expected[4.0] and expected[8.0]
+        assert inputs[0, 4.0] == 4.0 and 0 not in free[4.0]
+        assert np.max(np.abs(ens.values[17])) < 8.0 <= inputs[17, 8.0]
+        assert 17 not in free[8.0]
+
     def test_failed_chunk_raises(self, monkeypatch):
         real = fracflow.experiments._picard_iterate
 
-        def level_two_fails(ens, spec, config):
+        def level_two_fails(ens, spec, config, **rungs):
             if spec.cutoff_level == 2.0 and ens.seeds[0][1] == 0:
                 raise NumericError("synthetic blowup")
-            return real(ens, spec, config)
+            return real(ens, spec, config, **rungs)
 
         monkeypatch.setattr(fracflow.experiments, "_picard_iterate",
                             level_two_fails)
