@@ -1,6 +1,8 @@
-"""Exception and warning types shared across the package, and the
-number check every config record makes."""
+"""Exception and warning types shared across the package, and the two
+checks every config record makes: the record check (a mapping whose keys
+are a dataclass's fields) and the number check on each value."""
 
+import dataclasses
 import numbers
 
 
@@ -61,3 +63,23 @@ def require_number(value, what: str, integer: bool = False):
         kind = "an integer" if integer else "a number"
         raise ConfigurationError(f"{what} must be {kind}, got {value!r}")
     return int(value) if integer else float(value)
+
+
+def from_record(cls, record, what: str):
+    """``cls(**record)`` for a dataclass ``cls``, after checking that
+    ``record`` is a mapping whose keys are fields of ``cls`` and that it
+    holds every field without a default; values are left to
+    ``cls.__post_init__``.  Errors name the record by ``what``."""
+    if not isinstance(record, dict):
+        raise ConfigurationError(f"{what} record must be a mapping")
+    fields = dataclasses.fields(cls)
+    extra = set(record) - {f.name for f in fields}
+    if extra:
+        raise ConfigurationError(
+            f"unknown {what} keys: {sorted(extra, key=str)}")
+    missing = [f.name for f in fields if f.name not in record
+               and f.default is dataclasses.MISSING
+               and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ConfigurationError(f"{what} record missing {sorted(missing)}")
+    return cls(**record)

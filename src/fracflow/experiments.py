@@ -55,11 +55,7 @@ from .ensemble_stats import (
     reduce_moments,
     stroock_varopoulos_check,
 )
-from .errors import (
-    ConfigurationError,
-    NumericError,
-    require_number,
-)
+from .errors import ConfigurationError, NumericError, from_record
 from .random_fields import (
     Ensemble,
     directional_orthogonality_stat,
@@ -101,20 +97,6 @@ from .spectral import (
 CHUNK = 64
 
 TWO_PI = 2.0 * math.pi
-
-
-def grid_from_record(record: dict) -> Grid:
-    if not isinstance(record, dict):
-        raise ConfigurationError("grid record must be a mapping")
-    extra = set(record) - {"d", "n", "len"}
-    if extra:
-        raise ConfigurationError(f"unknown grid keys: {sorted(extra)}")
-    missing = {"d", "n", "len"} - set(record)
-    if missing:
-        raise ConfigurationError(f"grid record missing {sorted(missing)}")
-    return Grid(d=require_number(record["d"], "grid 'd'", integer=True),
-                n=require_number(record["n"], "grid 'n'", integer=True),
-                len=require_number(record["len"], "grid 'len'"))
 
 
 @dataclass
@@ -365,7 +347,7 @@ def list_experiments() -> list:
 def _cfg_parts(config: dict) -> tuple:
     """(grid, measure, nonlinearity spec, solver config) built from a run
     record; raises ConfigurationError on the first bad part."""
-    grid = grid_from_record(config["grid"])
+    grid = from_record(Grid, config["grid"], "grid")
     return (grid, measure_from_spec(grid, config["measure"]),
             NonlinearitySpec.from_record(config["nonlinearity"]),
             SolverConfig.from_record(config["solver"]))

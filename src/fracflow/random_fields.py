@@ -26,13 +26,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _binio
-from .errors import ConfigurationError, NumericError, require_number
+from .errors import (ConfigurationError, NumericError, from_record,
+                     require_number)
 from .spectral import (
     Grid,
     _reverse_modes,
+    apply_multiplier_values,
     directional_derivative_multiplier,
     half_spectrum,
-    real_forward_transform,
     real_inverse_transform,
     semigroup_multiplier,
 )
@@ -136,24 +137,24 @@ def _normalize(w: np.ndarray, mass: float) -> np.ndarray:
     return w * (mass / total)
 
 
+@dataclass
+class _MeasureRecord:
+    """The keys of a measure record and their defaults."""
+
+    family: str
+    mass: float
+    mean: float = 0.0
+    params: dict = field(default_factory=dict)
+
+
 def measure_from_spec(grid: Grid, record: dict) -> SpectralMeasure:
     """Build a measure from a plain dict (the on-disk representation)."""
-    if not isinstance(record, dict):
-        raise ConfigurationError("measure record must be a mapping")
-    known = {"family", "mass", "mean", "params"}
-    extra = set(record) - known
-    if extra:
-        raise ConfigurationError(f"unknown measure keys: {sorted(extra)}")
-    family = record.get("family")
-    mass = record.get("mass")
-    mean = record.get("mean", 0.0)
-    params = record.get("params", {})
+    rec = from_record(_MeasureRecord, record, "measure")
+    family, params = rec.family, rec.params
     if family not in MEASURE_FAMILIES:
         raise ConfigurationError(
             f"unknown measure family {family!r}; choose from {MEASURE_FAMILIES}"
         )
-    if mass is None:
-        raise ConfigurationError("measure record needs a 'mass' entry")
     if not isinstance(params, dict):
         raise ConfigurationError("measure params must be a mapping")
     name = {"two_mode": "wavenumber", "gaussian_bump": "width",
@@ -161,8 +162,8 @@ def measure_from_spec(grid: Grid, record: dict) -> SpectralMeasure:
     if name not in params:
         raise ConfigurationError(
             f"measure family {family!r} missing parameter {name!r}")
-    mass = require_number(mass, "measure 'mass'")
-    mean = require_number(mean, "measure 'mean'")
+    mass = require_number(rec.mass, "measure 'mass'")
+    mean = require_number(rec.mean, "measure 'mean'")
     raw = params[name]
     value = [require_number(v, f"measure {name!r}")
              for v in (raw if isinstance(raw, list) else [raw])]
@@ -348,11 +349,9 @@ def directional_orthogonality_stat(ens: Ensemble, g, z,
     identity).  Exactly zero in the mean for stationary reflection-symmetric
     fields; the z-score measures the estimate in member-level stderr units."""
     grid = ens.grid
-    op = directional_derivative_multiplier(grid, z)
     src = ens.values if f is None else _pointwise(f, ens.values)
-    coeffs = real_forward_transform(grid, src)
-    coeffs *= half_spectrum(grid, op.values)
-    grad = real_inverse_transform(grid, coeffs)
+    grad = apply_multiplier_values(grid, src,
+                                   directional_derivative_multiplier(grid, z))
     axes = tuple(range(-grid.d, 0))
     integrand = grad * _pointwise(g, ens.values)
     value, stderr = map(float, member_mean(np.mean(integrand, axis=axes)))
@@ -393,7 +392,6 @@ def load_ensemble(base) -> Ensemble:
     values, meta = _binio.read_array(base)
     if meta.get("kind") != "ensemble":
         raise ConfigurationError(f"{base}: metadata kind is not 'ensemble'")
-    g = meta["grid"]
-    grid = Grid(int(g["d"]), int(g["n"]), float(g["len"]))
+    grid = from_record(Grid, meta.get("grid"), "grid")
     seeds = [tuple(sc) for sc in meta.get("seeds", [])]
     return Ensemble(grid, values, float(meta.get("time", 0.0)), seeds)

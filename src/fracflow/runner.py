@@ -17,16 +17,13 @@ import os
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .ensemble_stats import format_table
-from .errors import ConfigurationError, require_number
+from .errors import ConfigurationError, from_record, require_number
 from .experiments import ExperimentResult, _cfg_parts, get_experiment
 from .random_fields import export_ensemble
 from .spectral import normalize_direction
-
-_TOP_KEYS = {"experiment", "grid", "measure", "nonlinearity", "solver",
-             "n_members", "seed", "out"}
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -53,32 +50,26 @@ class RunConfig:
     seed: int
     out: str | None = None
 
+    def __post_init__(self):
+        self.n_members = require_number(self.n_members, "n_members",
+                                        integer=True)
+        if self.n_members < 1:
+            raise ConfigurationError(
+                f"n_members must be >= 1, got {self.n_members}")
+        self.seed = require_number(self.seed, "seed", integer=True)
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigurationError(
+                f"'out' must be a path string or null, got {self.out!r}")
+
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         if not isinstance(data, dict):
             raise ConfigurationError("config must be a mapping")
-        extra = set(data) - _TOP_KEYS
-        if extra:
-            raise ConfigurationError(f"unknown config keys: {sorted(extra)}")
         name = data.get("experiment")
         if not isinstance(name, str):
             raise ConfigurationError("config needs an 'experiment' name")
-        exp = get_experiment(name)
-        merged = _deep_merge(exp.default_config(), data)
-        n_members = require_number(merged["n_members"], "n_members",
-                                   integer=True)
-        seed = require_number(merged["seed"], "seed", integer=True)
-        if n_members < 1:
-            raise ConfigurationError(f"n_members must be >= 1, got {n_members}")
-        out = merged.get("out")
-        if out is not None and not isinstance(out, str):
-            raise ConfigurationError(
-                f"'out' must be a path string or null, got {out!r}")
-        cfg = cls(experiment=name, grid=merged["grid"],
-                  measure=merged["measure"],
-                  nonlinearity=merged["nonlinearity"],
-                  solver=merged["solver"], n_members=n_members, seed=seed,
-                  out=out)
+        merged = _deep_merge(get_experiment(name).default_config(), data)
+        cfg = from_record(cls, merged, "config")
         cfg.validate()
         return cfg
 
@@ -99,10 +90,7 @@ class RunConfig:
         normalize_direction(grid, solver.z)
 
     def to_dict(self) -> dict:
-        return {"experiment": self.experiment, "grid": self.grid,
-                "measure": self.measure, "nonlinearity": self.nonlinearity,
-                "solver": self.solver, "n_members": self.n_members,
-                "seed": self.seed, "out": self.out}
+        return asdict(self)
 
 
 @dataclass
@@ -128,13 +116,7 @@ class RunManifest:
         return all(c["passed"] for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {"experiment": self.experiment, "version": self.version,
-                "config": self.config, "workers": self.workers,
-                "wall_clock_s": self.wall_clock_s,
-                "member_seeds": self.member_seeds,
-                "flagged_members": self.flagged_members,
-                "checks": self.checks, "tables": self.tables,
-                "field_files": self.field_files}
+        return asdict(self)
 
     def save(self, path):
         with open(path, "w") as fh:

@@ -55,6 +55,7 @@ from .errors import (
     NonContractionError,
     NumericError,
     StepSizeError,
+    from_record,
     require_number,
 )
 from .random_fields import Ensemble, member_mean, z_score
@@ -198,17 +199,7 @@ class NonlinearitySpec:
 
     @classmethod
     def from_record(cls, record: dict) -> "NonlinearitySpec":
-        if not isinstance(record, dict):
-            raise ConfigurationError("nonlinearity record must be a mapping")
-        extra = set(record) - {"kind", "scale", "exponent", "cutoff_level"}
-        if extra:
-            raise ConfigurationError(f"unknown nonlinearity keys: {sorted(extra)}")
-        if "kind" not in record:
-            raise ConfigurationError("nonlinearity record needs a 'kind' entry")
-        return cls(record["kind"],
-                   scale=record.get("scale", 1.0),
-                   exponent=record.get("exponent", 1.0),
-                   cutoff_level=record.get("cutoff_level"))
+        return from_record(cls, record, "nonlinearity")
 
 
 def dealias_mask(grid: Grid) -> np.ndarray:
@@ -276,20 +267,7 @@ class SolverConfig:
 
     @classmethod
     def from_record(cls, record: dict) -> "SolverConfig":
-        if not isinstance(record, dict):
-            raise ConfigurationError("solver record must be a mapping")
-        known = {"s", "z", "time_grid", "bielecki_k", "tol", "max_iter", "dealias"}
-        extra = set(record) - known
-        if extra:
-            raise ConfigurationError(f"unknown solver keys: {sorted(extra)}")
-        missing = {"s", "z", "time_grid"} - set(record)
-        if missing:
-            raise ConfigurationError(f"solver record missing: {sorted(missing)}")
-        return cls(record["s"], record["z"], np.asarray(record["time_grid"]),
-                   bielecki_k=record.get("bielecki_k", 1.0),
-                   tol=record.get("tol", 1e-8),
-                   max_iter=record.get("max_iter", 40),
-                   dealias=record.get("dealias"))
+        return from_record(cls, record, "solver")
 
 
 # ------------------------------------------------------------------ diagnostics
@@ -563,21 +541,22 @@ def _picard_iterate(initial: Ensemble, spec: NonlinearitySpec,
     grid, u0 = initial.grid, initial.values
     lipschitz = spec.effective_lipschitz()
     plan = _DuhamelPlan(grid, spec, config)
-    current, node1 = plan.first_iterate(u0)
     history = np.full((config.max_iter, u0.shape[0]), -np.inf)
-    active = None                     # None: every member still iterates
-    if below is not None:
-        free = np.flatnonzero(below.free)
-        history[:, free] = below.history[:, free]
-        for j in range(1, current.shape[0]):
-            current[j, free] = below.values[j, free]
-        active = np.flatnonzero(~below.free)
     # u0 is the clipped data h_n(u0), which reaches n exactly where the raw
     # data do, so it decides for the raw data too
     reach = None if record is None else _abs_max(grid, u0)
-    # a non-finite value in a sweep shows in its residual and is raised as
-    # NumericError there; numpy's warnings on the way would only repeat it
-    with np.errstate(invalid="ignore"):
+    # a non-finite f(u0) or sweep shows in the check of f(u0) or in the
+    # sweep's residual and is raised as NumericError there; numpy's
+    # warnings on the way would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        current, node1 = plan.first_iterate(u0)
+        active = None                 # None: every member still iterates
+        if below is not None:
+            free = np.flatnonzero(below.free)
+            history[:, free] = below.history[:, free]
+            for j in range(1, current.shape[0]):
+                current[j, free] = below.values[j, free]
+            active = np.flatnonzero(~below.free)
         for sweep in range(config.max_iter):
             if active is not None and active.size == 0:
                 break
@@ -643,7 +622,8 @@ def step_solve(initial: Ensemble, spec: NonlinearitySpec,
     # rms_x of a field from its unscaled coefficients c, by Parseval:
     # sqrt(sum w |c|^2) dx**d / len**d
     rms_scale = grid.cell_volume / grid.len**grid.d
-    with np.errstate(invalid="ignore"):     # raised below as NumericError
+    # raised below as NumericError
+    with np.errstate(over="ignore", invalid="ignore"):
         for j in range(plan.n_steps):
             g_here = plan.flux_hat(out[j])
             base = plan.decay[j] * state_hat + plan.step_a[j] * g_here

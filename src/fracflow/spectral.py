@@ -46,7 +46,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError, ResolutionError
+from .errors import (ConfigurationError, NumericError, ResolutionError,
+                     require_number)
 
 
 @dataclass(frozen=True)
@@ -69,6 +70,10 @@ class Grid:
     len: float
 
     def __post_init__(self):
+        # frozen: the coerced values go in through object.__setattr__
+        for name, integer in (("d", True), ("n", True), ("len", False)):
+            object.__setattr__(self, name, require_number(
+                getattr(self, name), f"grid {name!r}", integer=integer))
         if self.d not in (1, 2):
             raise ConfigurationError(f"dimension must be 1 or 2, got {self.d}")
         if self.n < 8 or self.n % 2 != 0:
@@ -291,12 +296,10 @@ def grad_semigroup_multiplier(grid: Grid, s: float, t: float, z) -> MultiplierOp
     s = _check_s(s)
     if not (t > 0.0 and math.isfinite(t)):
         raise ConfigurationError(f"gradient-semigroup time must be > 0, got {t}")
-    zhat = normalize_direction(grid, z)
-    zk = np.zeros(grid.shape)
-    for c, comp in zip(zhat, grid.deriv_components):
-        zk = zk + c * comp
     decay = np.exp(-t * grid.k_abs ** (2.0 * s))
-    return MultiplierOp(grid, 1j * zk * decay, label=f"grad P_t(s={s}, t={t})")
+    return MultiplierOp(grid,
+                        directional_derivative_multiplier(grid, z).values * decay,
+                        label=f"grad P_t(s={s}, t={t})")
 
 
 def gradient_constant(s: float) -> float:

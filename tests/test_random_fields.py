@@ -362,6 +362,21 @@ class TestEnsembleContainer:
         with pytest.raises(ConfigurationError):
             load_ensemble(tmp_path / "ens")
 
+    @pytest.mark.parametrize("edit", [lambda g: g.update(d=1.9),
+                                      lambda g: g.pop("len")],
+                             ids=["fractional-d", "no-len"])
+    def test_load_rejects_bad_grid(self, tmp_path, edit):
+        """The sidecar grid goes through the grid record check: a bad
+        entry raises ConfigurationError instead of being truncated, and a
+        missing one instead of KeyError."""
+        ens = sample_ensemble(bump(), 2, seed=1)
+        _, json_path = export_ensemble(ens, tmp_path / "ens")
+        meta = json.loads(Path(json_path).read_text())
+        edit(meta["grid"])
+        Path(json_path).write_text(json.dumps(meta))
+        with pytest.raises(ConfigurationError, match="grid"):
+            load_ensemble(tmp_path / "ens")
+
 
 # ------------------------------------------------------------------ estimator
 

@@ -225,6 +225,11 @@ class TestRunConfig:
             small_config(n_members=0)
         with pytest.raises(ConfigurationError, match="integer"):
             small_config(n_members="plenty")
+        # a directly built config makes the same checks
+        record = small_config().to_dict()
+        for bad in ({"n_members": 2.5}, {"seed": "x"}):
+            with pytest.raises(ConfigurationError, match="integer"):
+                RunConfig(**{**record, **bad})
 
     @pytest.mark.parametrize("out", [5, True, ["run"]],
                              ids=["int", "bool", "list"])
@@ -981,6 +986,7 @@ class TestCli:
         {"experiment": "linear-spectral-decay", "solver": {"z": ["x"]}},
         {**SMALL, "solver": {"s": "abc"}},
         {**SMALL, "solver": {"time_grid": ["a", "b"]}},
+        {**SMALL, "solver": {"time_grid": [0, [1, 2]]}},
         {**SMALL, "solver": {"tol": "tiny"}},
         {**SMALL, "solver": {"bielecki_k": None}},
         {**SMALL, "nonlinearity": {"scale": "big"}},
@@ -991,9 +997,9 @@ class TestCli:
         {**SMALL, "out": True},
     ], ids=["n-string", "n-fraction", "len-string", "d-bool", "width-string",
             "mass-list", "z-3d-on-1d-grid", "z-string", "s-string",
-            "time-grid-strings", "tol-string", "k-null", "scale-string",
-            "max-iter-fraction", "dealias-string", "members-fraction",
-            "out-int", "out-bool"])
+            "time-grid-strings", "time-grid-ragged", "tol-string", "k-null",
+            "scale-string", "max-iter-fraction", "dealias-string",
+            "members-fraction", "out-int", "out-bool"])
     def test_malformed_config_exit_two(self, tmp_path, capsys, data):
         rc = cli_main(["run", self.write_config(tmp_path, data),
                        "--workers", "1"])

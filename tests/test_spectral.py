@@ -45,6 +45,20 @@ def test_grid_validation():
         sp.Grid(1, 64, math.inf)
 
 
+@pytest.mark.parametrize("bad", [{"d": True}, {"n": "16"}, {"n": 16.5},
+                                 {"len": None}],
+                         ids=["bool-d", "string-n", "fractional-n", "none-len"])
+def test_grid_entries_must_be_numbers(bad):
+    with pytest.raises(ConfigurationError, match="grid '"):
+        sp.Grid(**{"d": 1, "n": 16, "len": 6.0, **bad})
+
+
+def test_grid_coerces_integral_floats():
+    g = sp.Grid(1, 16.0, 6)
+    assert type(g.n) is int and type(g.len) is float
+    assert g.shape == (16,) and g == sp.Grid(1, 16, 6.0)
+
+
 def test_dual_grid_symmetric_except_nyquist():
     g = sp.Grid(1, 16, 4.0)
     k = g.axis_wavenumbers
