@@ -17,14 +17,11 @@ the tasks of one process pool, with no more workers than chunks, and
 yields each solve's results in chunk order: parallel_picard is its
 one-solve case, energy-dissipation submits its three solves (the linear
 gate, tanh and Burgers) at once, and parallel_ladder runs a cut-off
-ladder as one task per chunk, solving every level inside it.  A level
-above the first sweeps only the members whose cut-off bound on the level
-below, at their data or at any flux input of any sweep; the other
-members' rows and residual histories are copied from that level.  This
-is exact, not an approximation: members are independent, and cutoff_map
-is the identity strictly inside a level, so such a member sweeps bit for
-bit the same at every higher level, and each level's diagnostics equal
-a full solve's.  No
+ladder as one task per chunk, solving every level inside it through
+solver._ladder_solve.  That generator re-solves a level above the first
+only for the members whose cut-off bound on the level below and copies
+the others; each level's trajectory and diagnostics are still those of
+a full solve of that level, bit for bit.  No
 trajectory of a pooled statistic leaves the process that solved it:
 energy-dissipation's chunks return each member's dissipation series
 (avg_x u^2 and the Dirichlet rate per node), the ladder's chunks each
@@ -68,14 +65,14 @@ from .solver import (
     NonlinearitySpec,
     PicardDiagnostics,
     SolverConfig,
+    _diagnostics,
     _free_flow,
+    _ladder_solve,
     _picard_iterate,
-    _Rung,
     contraction_bound,
     ladder_levels,
     ladder_moments,
     ladder_report,
-    ladder_rung,
     ladder_series,
     minimal_K,
     picard_solve,
@@ -136,14 +133,14 @@ def _solve_chunk(payload: dict) -> dict:
     measure.  values is the chunk's trajectory, or for a dissipation chunk
     its dissipation_series, or for a ladder chunk (ladder set) its
     ladder_series: the chunk solves data h_n(u0) with flux f(h_n(.)) for
-    every level n in increasing order, each level re-solving only the
-    members whose cut-off bound on the level below (_picard_iterate's
-    below and record), and final holds the top level's last node.  The
-    member axis of values is 1 in every case.  The
-    residual series come back unjudged, for the growth rule to see the
-    merged series: a ladder chunk's diagnostics map each level it solved
-    to its PicardDiagnostics.  A plain chunk whose spec is None solves the
-    linear equation (f = 0) as its free flow P_t u0, with no sweep.
+    every level n in increasing order through _ladder_solve, which
+    re-solves only the members whose cut-off bound on the level below,
+    and final holds the top level's last node.  The member axis of
+    values is 1 in every case.  The residual series come back unjudged,
+    for the growth rule to see the merged series: a ladder chunk's
+    diagnostics map each level it solved to its PicardDiagnostics.  A
+    plain chunk whose spec is None solves the linear equation (f = 0) as
+    its free flow P_t u0, with no sweep.
     Numeric blowup inside a chunk is reported, not raised: the run
     continues with those members flagged, and a ladder chunk stops at the
     level that failed."""
@@ -155,24 +152,24 @@ def _solve_chunk(payload: dict) -> dict:
            "error": None}
     try:
         if payload["ladder"] is None:
-            traj, out["diagnostics"] = (_free_flow(ens, config) if spec is None
-                                        else _picard_iterate(ens, spec, config))
+            if spec is None:
+                traj, out["diagnostics"] = _free_flow(ens, config)
+            else:
+                traj, history = _picard_iterate(ens, spec, config)
+                out["diagnostics"] = _diagnostics(history, spec, config)
             out["values"] = (dissipation_series(traj, config.s)
                              if payload["dissipation"] else traj.values)
             return out
-        solutions, out["diagnostics"], below = {}, {}, None
-        for n in payload["ladder"]:
-            # each rung below the top records the members the next reuses
-            rung = _Rung() if n < payload["ladder"][-1] else None
-            traj, out["diagnostics"][n] = _picard_iterate(
-                *ladder_rung(ens, spec, n), config, below=below, record=rung)
-            solutions[n], below = traj.values, rung
+        solutions, out["diagnostics"] = {}, {}
+        for n, values, diag in _ladder_solve(ens, spec, payload["ladder"],
+                                             config):
+            solutions[n], out["diagnostics"][n] = values, diag
     except NumericError as exc:
         out["error"] = str(exc)
         return out
     out["values"] = ladder_series(measure.grid, solutions)
     # a copy, not a view, so an in-process chunk frees its trajectories
-    out["final"] = traj.values[-1].copy()
+    out["final"] = values[-1].copy()
     return out
 
 

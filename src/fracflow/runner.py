@@ -17,7 +17,7 @@ import os
 import shutil
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .ensemble_stats import format_table
 from .errors import ConfigurationError, from_record, require_number
@@ -108,7 +108,7 @@ class RunManifest:
     member_seeds: list
     flagged_members: list
     checks: list
-    tables: dict = field(default_factory=dict)
+    tables: dict                # required: replay compares every entry
     field_files: dict = field(default_factory=dict)
 
     @property
@@ -139,17 +139,10 @@ class RunManifest:
             if not isinstance(data.get(key, {}), dict):
                 raise ConfigurationError(
                     f"manifest {path} field {key!r} must be a mapping")
-        try:
-            return cls(experiment=data["experiment"],
-                       version=data["version"], config=data["config"],
-                       workers=data["workers"],
-                       wall_clock_s=data["wall_clock_s"],
-                       member_seeds=data["member_seeds"],
-                       flagged_members=data["flagged_members"],
-                       checks=data["checks"], tables=data["tables"],
-                       field_files=data.get("field_files", {}))
-        except KeyError as exc:
-            raise ConfigurationError(f"manifest {path} missing field {exc}")
+        # keys that are not fields (from other versions) are ignored
+        names = {f.name for f in fields(cls)}
+        return from_record(cls, {k: v for k, v in data.items() if k in names},
+                           f"manifest {path}")
 
 
 def _table_text(result: ExperimentResult, name: str) -> str:

@@ -37,6 +37,10 @@ sweep, on its residual, which any NaN or inf in the sweep makes non-finite.
 The solvers take the initial data as a snapshot :class:`Ensemble` (a single
 field is a one-member batch) and return its trajectory, an Ensemble with
 the config's time grid as node times and the initial data's seeds.
+
+The cut-off ladder's rung reuse lives in :func:`_ladder_solve` alone: it
+re-solves, level by level, only the members whose cut-off bound on the
+level below, through the same batch solve as every other caller.
 """
 
 from __future__ import annotations
@@ -223,7 +227,8 @@ class SolverConfig:
     time_grid starts at 0 and is strictly increasing; bielecki_k is the
     exponential weight K of the norm sup_j e^{-K t_j} ||.||; the stopping
     tolerance is absolute in that norm (relative variants would stall on
-    near-zero-mass fields).  dealias = None defers to the nonlinearity kind.
+    near-zero-mass fields).  The 2/3 dealiasing mask follows the
+    nonlinearity kind (NonlinearitySpec.dealias_default).
     """
 
     s: float
@@ -232,7 +237,6 @@ class SolverConfig:
     bielecki_k: float = 1.0
     tol: float = 1e-8
     max_iter: int = 40
-    dealias: bool | None = None
 
     def __post_init__(self):
         self.s = _check_s(require_number(self.s, "solver 's'"), low_open=0.5)
@@ -260,10 +264,6 @@ class SolverConfig:
                                        integer=True)
         if self.max_iter < 1:
             raise ConfigurationError("max_iter must be >= 1")
-        if self.dealias is not None and not isinstance(self.dealias,
-                                                       (bool, np.bool_)):
-            raise ConfigurationError(
-                f"dealias must be true, false or null, got {self.dealias!r}")
 
     @classmethod
     def from_record(cls, record: dict) -> "SolverConfig":
@@ -365,9 +365,7 @@ class _DuhamelPlan:
         # built on the full grid so MultiplierOp validates it as Hermitian,
         # which is what makes its half-spectrum slice a complete description
         deriv = directional_derivative_multiplier(grid, config.z).values
-        use_mask = (spec.dealias_default if config.dealias is None
-                    else bool(config.dealias)) and spec.dealias_default
-        if use_mask:
+        if spec.dealias_default:
             deriv = deriv * dealias_mask(grid)
         deriv = half_spectrum(grid, deriv)
         w_a = (steps[:, None] * (_phi1(alpha) - _phi2(alpha))).reshape(shape)
@@ -500,66 +498,33 @@ def picard_solve(initial: Ensemble, spec: NonlinearitySpec,
     but non-growing run returns with converged = False and the count of
     members still above tol in diag.unconverged_members.
     """
-    traj, diag = _picard_iterate(initial, spec, config)
+    traj, history = _picard_iterate(initial, spec, config)
+    diag = _diagnostics(history, spec, config)
     diag.raise_if_growing()
     return traj, diag
 
 
-@dataclass
-class _Rung:
-    """A solved cut-off ladder rung as the next rung of the same member
-    chunk reuses it: the trajectory values, each member's residual at
-    every sweep (max_iter, members; -inf where it did not sweep), and
-    which members are free, their data and every flux input of every
-    sweep they ran strictly inside the level."""
-
-    values: np.ndarray | None = None
-    history: np.ndarray | None = None
-    free: np.ndarray | None = None
-
-
 def _picard_iterate(initial: Ensemble, spec: NonlinearitySpec,
-                    config: SolverConfig, below: _Rung | None = None,
-                    record: _Rung | None = None) -> tuple:
-    """picard_solve without the growth rule: member chunks return their
-    series, and the rule is applied once to the merged one.
-
-    Each member's residual is kept at every sweep, and the batch's
-    residual at a sweep is the largest of the members that ran it.
-
-    A cut-off ladder passes the rung solved one level lower as ``below``.
-    Its free members' rows and residual histories are copied node by
-    node, and the sweeps start with only the other members active.  This
-    is exact: members are independent, and cutoff_map is the identity on
-    values strictly inside a level, so a free member's iterates,
-    residuals and stopping sweep are the same bit for bit at every higher
-    level.  ``record``, an empty _Rung, is filled with this rung for the
-    next one: free are the members whose data and every flux input of
-    every sweep they ran stayed strictly inside this level.
+                    config: SolverConfig,
+                    reach: np.ndarray | None = None) -> tuple:
+    """picard_solve without the growth rule: the trajectory and the
+    residual history, (max_iter, members), each member's residual at
+    every sweep and -inf where it did not sweep.  Member chunks reduce it
+    with _diagnostics and return it unjudged; the rule runs once on the
+    merged series.  ``reach``, one entry per member, is raised in place
+    to each member's max |u| over every flux input of every sweep it ran.
     """
     _check_initial(initial, spec)
     grid, u0 = initial.grid, initial.values
-    lipschitz = spec.effective_lipschitz()
     plan = _DuhamelPlan(grid, spec, config)
     history = np.full((config.max_iter, u0.shape[0]), -np.inf)
-    # u0 is the clipped data h_n(u0), which reaches n exactly where the raw
-    # data do, so it decides for the raw data too
-    reach = None if record is None else _abs_max(grid, u0)
     # a non-finite f(u0) or sweep shows in the check of f(u0) or in the
     # sweep's residual and is raised as NumericError there; numpy's
     # warnings on the way would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         current, node1 = plan.first_iterate(u0)
         active = None                 # None: every member still iterates
-        if below is not None:
-            free = np.flatnonzero(below.free)
-            history[:, free] = below.history[:, free]
-            for j in range(1, current.shape[0]):
-                current[j, free] = below.values[j, free]
-            active = np.flatnonzero(~below.free)
         for sweep in range(config.max_iter):
-            if active is not None and active.size == 0:
-                break
             rows = slice(None) if active is None else active
             swept_reach = None if reach is None else reach[rows]
             member_dist = plan.apply(node1, current, active, swept_reach)
@@ -569,29 +534,33 @@ def _picard_iterate(initial: Ensemble, spec: NonlinearitySpec,
             if reach is not None:
                 reach[rows] = swept_reach
             going = member_dist > config.tol
+            if not going.any():
+                break
             if not going.all():
                 active = np.flatnonzero(going) if active is None else active[going]
+    return Ensemble(grid, current, config.time_grid, initial.seeds), history
+
+
+def _diagnostics(history: np.ndarray, spec: NonlinearitySpec,
+                 config: SolverConfig) -> PicardDiagnostics:
+    """The PicardDiagnostics of a residual history as _picard_iterate
+    returns it: at each sweep the largest residual of the members that
+    ran it, and the members still above tol at the last sweep."""
     # every member sweeps from the first sweep on, so the swept rows lead
     largest = np.max(history, axis=1)
     unconverged = int(np.count_nonzero(history[-1] > config.tol))
-    diag = PicardDiagnostics(
+    return PicardDiagnostics(
         residuals=largest[largest > -np.inf].tolist(),
-        rho_multiplier=_multiplier_rho(config, lipschitz),
+        rho_multiplier=_multiplier_rho(config, spec.effective_lipschitz()),
         converged=unconverged == 0,
         unconverged_members=unconverged,
     )
-    if record is not None:
-        # a member copied from below is free here too: its reach is its
-        # data's, which lie inside the lower level
-        record.values, record.history = current, history
-        record.free = reach < spec.cutoff_level
-    return Ensemble(grid, current, config.time_grid, initial.seeds), diag
 
 
 def _free_flow(initial: Ensemble, config: SolverConfig) -> tuple:
-    """The solve of the linear equation (f = 0) in _picard_iterate's
-    form: its mild solution is the free flow P_t u0 itself, so it takes
-    no sweep, and its diagnostics are those of a solve converged at once."""
+    """The solve of the linear equation (f = 0) in picard_solve's form:
+    its mild solution is the free flow P_t u0 itself, so it takes no
+    sweep, and its diagnostics are those of a solve converged at once."""
     spec = NonlinearitySpec.zero()
     _check_initial(initial, spec)
     plan = _DuhamelPlan(initial.grid, spec, config)
@@ -780,6 +749,45 @@ def ladder_rung(initial: Ensemble, spec: NonlinearitySpec,
     """Initial data h_n(u0) and flux f(h_n(.)) of ladder level n."""
     return (replace(initial, values=cutoff_map(initial.values, level)),
             replace(spec, cutoff_level=level))
+
+
+def _ladder_solve(initial: Ensemble, spec: NonlinearitySpec, levels: list,
+                  config: SolverConfig):
+    """Yield (n, trajectory values, PicardDiagnostics) of the ladder_rung
+    solve of each level n, in increasing order.
+
+    Above the first level only the members not yet free are solved, as
+    one sub-batch carrying their seeds; the others' rows and residual
+    histories are copied from the level below, and a level with none
+    left builds no plan.  Free are the members whose data and every flux
+    input of every sweep stayed strictly inside a level.  This is exact:
+    members are independent, and cutoff_map is the identity strictly
+    inside a level, so a free member would sweep bit for bit the same
+    again.  No yielded array is written to afterwards.
+    """
+    free = np.zeros(initial.n_members, dtype=bool)
+    history = np.full((config.max_iter, initial.n_members), -np.inf)
+    values = None
+    for n in levels:
+        rung, rung_spec = ladder_rung(initial, spec, n)
+        todo = np.flatnonzero(~free)
+        if todo.size:
+            sub = Ensemble(rung.grid, rung.values[todo],
+                           seeds=[rung.seeds[i] for i in todo])
+            # the clipped data reach n exactly where the raw data do, so
+            # they decide for the raw data too; the top level frees none
+            reach = _abs_max(rung.grid, sub.values) if n < levels[-1] else None
+            traj, history[:, todo] = _picard_iterate(sub, rung_spec, config,
+                                                     reach)
+            if todo.size == free.size:
+                values = traj.values
+            else:
+                values = values.copy()
+                values[:, todo] = traj.values
+            del sub, traj             # freed before the level is yielded
+            if reach is not None:
+                free[todo] = reach < n
+        yield n, values, _diagnostics(history, rung_spec, config)
 
 
 def ladder_report(times: np.ndarray, series: np.ndarray,

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 
 import fracflow
 import fracflow.experiments
+import fracflow.solver
 from fracflow.cli import main as cli_main
 from fracflow.ensemble_stats import (
     dissipation_residual,
@@ -154,6 +156,15 @@ class TestBenchmarkBindings:
             assert callable(getattr(owner, name, None)), name
         assert isinstance(experiments.CHUNK, int)
         assert isinstance(experiments.REGISTRY, dict)
+        # spans.py wraps each public function of these modules in a timed
+        # span, and a generator's span would close before its body runs
+        for layer in ("random_fields", "spectral", "solver", "ensemble_stats",
+                      "experiments", "runner"):
+            module = sys.modules[f"fracflow.{layer}"]
+            for key, fn in vars(module).items():
+                assert not (inspect.isgeneratorfunction(fn)
+                            and not key.startswith("_")
+                            and fn.__module__ == module.__name__), key
 
     def test_read_attributes_exist(self):
         # spans.py reads a solve's sweeps, converged flag and residuals and
@@ -266,6 +277,9 @@ class TestRunManifest:
         manifest.save(path)
         loaded = RunManifest.load(path)
         assert loaded.to_dict() == manifest.to_dict()
+        # keys that are not fields, as a later version may write, are ignored
+        path.write_text(json.dumps({**manifest.to_dict(), "host": "x"}))
+        assert RunManifest.load(path).to_dict() == manifest.to_dict()
 
     def test_passed_property(self):
         manifest, _ = run_experiment(small_config())
@@ -276,7 +290,14 @@ class TestRunManifest:
     def test_load_rejects_incomplete(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"experiment": "zero-nonlinearity"}))
-        with pytest.raises(ConfigurationError, match="missing field"):
+        with pytest.raises(ConfigurationError, match=r"missing \['checks'"):
+            RunManifest.load(path)
+        # without tables a replay would have nothing to compare
+        manifest, _ = run_experiment(small_config())
+        record = manifest.to_dict()
+        del record["tables"]
+        path.write_text(json.dumps(record))
+        with pytest.raises(ConfigurationError, match=r"missing \['tables'\]"):
             RunManifest.load(path)
 
 
@@ -647,15 +668,22 @@ class TestParallelLadder:
             return real_report(times, joined, diags)
 
         most_rows = {}            # each rung solve's plan -> its widest sweep
+        first_rows = {}           # each rung solve's plan -> rows it starts
         real_apply = _DuhamelPlan.apply
+        real_first = _DuhamelPlan.first_iterate
 
         def counting(plan, node1, values, members=None, reach=None):
             rows = values.shape[1] if members is None else members.size
             most_rows[plan] = max(most_rows.get(plan, 0), rows)
             return real_apply(plan, node1, values, members, reach)
 
+        def starting(plan, u0):
+            first_rows[plan] = first_rows.get(plan, 0) + u0.shape[0]
+            return real_first(plan, u0)
+
         monkeypatch.setattr(fracflow.experiments, "ladder_report", capture)
         monkeypatch.setattr(_DuhamelPlan, "apply", counting)
+        monkeypatch.setattr(_DuhamelPlan, "first_iterate", starting)
         for workers in (1, 2):
             series.clear()
             final, moments, report = parallel_ladder(
@@ -668,10 +696,15 @@ class TestParallelLadder:
             for p, m in ladder_moments(ref_series).items():
                 assert np.array_equal(moments[p], m)
         # only the in-process run's sweeps are counted: two chunks, workers 1
-        swept = {n: sum(rows for plan, rows in most_rows.items()
-                        if plan.spec.cutoff_level == n) for n in levels}
+        def per_level(rows_of):
+            return {n: sum(rows for plan, rows in rows_of.items()
+                           if plan.spec.cutoff_level == n) for n in levels}
+
+        swept = per_level(most_rows)
         assert swept[levels[0]] == cfg.n_members
         assert swept[levels[-1]] < cfg.n_members
+        # a level starts (free flow, f(u0)) only the members it sweeps
+        assert per_level(first_rows) == swept
 
     def test_reuse_decision_reads_every_flux_input(self, monkeypatch):
         """The rung above reuses exactly the members whose data and every
@@ -690,18 +723,21 @@ class TestParallelLadder:
                             lambda *args, **kw: ens)
 
         free = {}
-        real_iterate = fracflow.experiments._picard_iterate
+        real_iterate = fracflow.solver._picard_iterate
 
-        def recording(initial, rung_spec, config, below=None, record=None):
-            out = real_iterate(initial, rung_spec, config, below=below,
-                               record=record)
-            if record is not None:
-                free[rung_spec.cutoff_level] = set(
-                    np.flatnonzero(record.free).tolist())
+        def recording(initial, rung_spec, config, reach=None):
+            out = real_iterate(initial, rung_spec, config, reach)
+            if reach is not None:
+                # free here: the members free on the levels below, which
+                # this level does not solve, and the solved ones that
+                # stayed strictly inside it
+                level = rung_spec.cutoff_level
+                free[level] = set().union(*free.values()) | {
+                    seed[1] for seed, r in zip(initial.seeds, reach)
+                    if r < level}
             return out
 
-        monkeypatch.setattr(fracflow.experiments, "_picard_iterate",
-                            recording)
+        monkeypatch.setattr(fracflow.solver, "_picard_iterate", recording)
         parallel_ladder(*parts, cfg.n_members, cfg.seed, levels)
 
         reach = []
@@ -730,14 +766,14 @@ class TestParallelLadder:
         assert 17 not in free[8.0]
 
     def test_failed_chunk_raises(self, monkeypatch):
-        real = fracflow.experiments._picard_iterate
+        real = fracflow.solver._picard_iterate
 
-        def level_two_fails(ens, spec, config, **rungs):
+        def level_two_fails(ens, spec, config, reach=None):
             if spec.cutoff_level == 2.0 and ens.seeds[0][1] == 0:
                 raise NumericError("synthetic blowup")
-            return real(ens, spec, config, **rungs)
+            return real(ens, spec, config, reach)
 
-        monkeypatch.setattr(fracflow.experiments, "_picard_iterate",
+        monkeypatch.setattr(fracflow.solver, "_picard_iterate",
                             level_two_fails)
         cfg = RunConfig.from_dict(self.CONFIG)
         with pytest.raises(NumericError, match="ladder level 2: synthetic"):
@@ -1016,7 +1052,9 @@ class TestCli:
         def no_solve(*args):
             raise AssertionError("a member chunk was solved")
 
+        # plain chunks solve through the first, ladder levels the second
         monkeypatch.setattr(fracflow.experiments, "_picard_iterate", no_solve)
+        monkeypatch.setattr(fracflow.solver, "_picard_iterate", no_solve)
         cfg = self.write_config(tmp_path, {"experiment": experiment,
                                            "n_members": 1})
         rc = cli_main(["run", cfg, "--workers", "1"])

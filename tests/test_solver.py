@@ -198,16 +198,27 @@ class TestNonlinearitySpec:
 class TestDealiasing:
     """The dealiasing mask acts in the solver's step weights: step_a and
     step_b are the interpolation weights times the derivative symbol,
-    masked when dealiasing is on, and they act on the unscaled
-    coefficients of f(u) that _DuhamelPlan.flux_hat returns."""
+    masked for the kinds whose dealias_default is set, and they act on the
+    unscaled coefficients of f(u) that _DuhamelPlan.flux_hat returns."""
 
     G32 = Grid(d=1, n=32, len=2 * math.pi)
-    H = 0.5                                   # the plans' step
 
-    def plan(self, grid, spec, dealias):
-        cfg = SolverConfig(s=0.75, z=1.0, time_grid=np.linspace(0, 1, 3),
-                           dealias=dealias)
+    def plan(self, grid, spec):
+        cfg = SolverConfig(s=0.75, z=1.0, time_grid=np.linspace(0, 1, 3))
         return _DuhamelPlan(grid, spec, cfg)
+
+    def unmasked(self, plan):
+        """The plan's (step_a, step_b) built here without any mask: the
+        interpolation weights times the half-spectrum derivative symbol."""
+        grid, cfg = plan.grid, plan.config
+        lam = half_spectrum(grid, grid.k_abs ** (2.0 * cfg.s)).reshape(-1)
+        steps = np.diff(cfg.time_grid)
+        alpha = steps[:, None] * lam[None, :]
+        shape = (steps.size,) + plan.decay.shape[1:]
+        deriv = half_spectrum(grid, directional_derivative_multiplier(
+            grid, cfg.z).values)
+        return ((steps[:, None] * (_phi1(alpha) - _phi2(alpha))).reshape(shape)
+                * deriv, (steps[:, None] * _phi2(alpha)).reshape(shape) * deriv)
 
     def weighted_flux(self, plan, values):
         """The first step's w_b-weighted grad_z f(u), as a field."""
@@ -220,13 +231,11 @@ class TestDealiasing:
         assert np.array_equal(mask, np.abs(idx) <= 4)
 
     def test_mask_sits_in_both_step_weights(self):
-        spec = NonlinearitySpec.burgers(cutoff_level=2.0)
-        on = self.plan(self.G32, spec, dealias=True)
-        off = self.plan(self.G32, spec, dealias=False)
+        on = self.plan(self.G32, NonlinearitySpec.burgers(cutoff_level=2.0))
         keep = half_spectrum(self.G32, dealias_mask(self.G32))
         keep[0] = False                       # grad_z vanishes at k = 0
-        for name in ("step_a", "step_b"):
-            w_on, w_off = getattr(on, name), getattr(off, name)
+        for name, w_off in zip(("step_a", "step_b"), self.unmasked(on)):
+            w_on = getattr(on, name)
             assert np.array_equal(w_on[:, keep], w_off[:, keep])
             assert np.all(w_off[:, keep] != 0)
             assert np.all(w_on[:, ~keep] == 0)
@@ -237,27 +246,14 @@ class TestDealiasing:
         mask keeps |j| <= 10, so the flux is the pure projection 1/4, whose
         gradient vanishes."""
         x = self.G32.coordinates()[0]
-        plan = self.plan(self.G32, NonlinearitySpec.burgers(cutoff_level=2.0),
-                         dealias=True)
+        plan = self.plan(self.G32, NonlinearitySpec.burgers(cutoff_level=2.0))
         assert np.max(np.abs(self.weighted_flux(plan, np.cos(10 * x)))) <= 1e-13
 
-    def test_dealias_off_keeps_pointwise_values(self):
-        """Unmasked, the flux is the gradient of the pointwise values,
-        alias included: 1/4 + cos(12x)/4 on the grid, gradient -3 sin(12x),
-        weighted by w_b = h phi2(h |k|^{2s}) at |k| = 12."""
-        x = self.G32.coordinates()[0]
-        plan = self.plan(self.G32, NonlinearitySpec.burgers(cutoff_level=2.0),
-                         dealias=False)
-        w_b = self.H * _phi2(np.array([self.H * 12.0 ** 1.5]))[0]
-        got = self.weighted_flux(plan, np.cos(10 * x))
-        assert np.max(np.abs(got + 3.0 * w_b * np.sin(12 * x))) <= 1e-13
-
     def test_tanh_never_masked(self):
-        spec = NonlinearitySpec.tanh(1.0)
-        on = self.plan(GRID, spec, dealias=True)
-        off = self.plan(GRID, spec, dealias=False)
-        assert np.array_equal(on.step_a, off.step_a)
-        assert np.array_equal(on.step_b, off.step_b)
+        on = self.plan(GRID, NonlinearitySpec.tanh(1.0))
+        off_a, off_b = self.unmasked(on)
+        assert np.array_equal(on.step_a, off_a)
+        assert np.array_equal(on.step_b, off_b)
         assert np.all(on.step_b[:, 1:-1] != 0)      # every mode but 0, n/2
         u = bump_field().values
         assert np.array_equal(on.flux_hat(u), np.fft.rfft(np.tanh(u)))
@@ -283,24 +279,26 @@ class TestSolverConfig:
 
     def test_record_round_trip(self):
         record = {"s": 0.75, "z": [1.0], "time_grid": [0.0, 0.25, 0.5],
-                  "bielecki_k": 3.0, "tol": 1e-9, "max_iter": 17,
-                  "dealias": True}
+                  "bielecki_k": 3.0, "tol": 1e-9, "max_iter": 17}
         built = SolverConfig.from_record(record)
         direct = SolverConfig(0.75, [1.0], np.array([0.0, 0.25, 0.5]),
-                              bielecki_k=3.0, tol=1e-9, max_iter=17,
-                              dealias=True)
-        for name in ("s", "z", "bielecki_k", "tol", "max_iter", "dealias"):
+                              bielecki_k=3.0, tol=1e-9, max_iter=17)
+        for name in ("s", "z", "bielecki_k", "tol", "max_iter"):
             assert getattr(built, name) == getattr(direct, name), name
         assert np.array_equal(built.time_grid, direct.time_grid)
         defaults = SolverConfig.from_record({"s": 0.75, "z": [1.0],
                                              "time_grid": [0.0, 0.5]})
-        assert (defaults.bielecki_k, defaults.tol, defaults.max_iter,
-                defaults.dealias) == (1.0, 1e-8, 40, None)
+        assert (defaults.bielecki_k, defaults.tol,
+                defaults.max_iter) == (1.0, 1e-8, 40)
 
     def test_record_rejects_unknown_and_missing(self):
         with pytest.raises(ConfigurationError, match="unknown solver keys"):
             SolverConfig.from_record({"s": 0.75, "z": [1.0],
                                       "time_grid": [0, 1], "theta": 2})
+        # the mask follows the flux kind; there is no solver key for it
+        with pytest.raises(ConfigurationError, match="unknown solver keys"):
+            SolverConfig.from_record({"s": 0.75, "z": [1.0],
+                                      "time_grid": [0, 1], "dealias": True})
         with pytest.raises(ConfigurationError, match="missing"):
             SolverConfig.from_record({"s": 0.75})
 
@@ -606,8 +604,7 @@ def complex_reference_apply(grid, spec, cfg, u0, values):
     t = cfg.time_grid
     lam = grid.k_abs ** (2.0 * cfg.s)
     deriv = directional_derivative_multiplier(grid, cfg.z).values
-    dealias = spec.dealias_default if cfg.dealias is None else cfg.dealias
-    if dealias and spec.dealias_default:
+    if spec.dealias_default:
         deriv = deriv * dealias_mask(grid)
 
     def flux_hat(v):
@@ -646,28 +643,28 @@ def complex_reference_picard(grid, spec, cfg, u0):
 
 
 HALF_SPECTRUM_CASES = [
-    pytest.param(d, spec, dealias, id=f"d{d}-{spec.kind}-dealias{int(dealias)}")
+    pytest.param(d, spec, s, id=f"d{d}-{spec.kind}-s{s:g}")
     for d in (1, 2)
     for spec in (NonlinearitySpec.burgers(cutoff_level=2.0),
                  NonlinearitySpec.tanh(0.5))
-    for dealias in (True, False)
+    for s in (0.75, 1.0)
 ]
 
 
-def half_spectrum_case(d, spec, dealias):
+def half_spectrum_case(d, spec, s):
     grid = Grid(d=d, n=64 if d == 1 else 16, len=2 * math.pi)
     # mass 4 puts the field rms at 2, so the cut-off at 2 binds
     ens = sample_ensemble(gaussian_bump_measure(grid, 2.0, mass=4.0), 3, seed=21)
-    cfg = SolverConfig(s=0.75, z=[1.0] * d, time_grid=np.linspace(0, 0.5, 11),
-                       bielecki_k=2 * minimal_K(0.75, spec.effective_lipschitz()),
-                       tol=1e-10, dealias=dealias)
+    cfg = SolverConfig(s=s, z=[1.0] * d, time_grid=np.linspace(0, 0.5, 11),
+                       bielecki_k=2 * minimal_K(s, spec.effective_lipschitz()),
+                       tol=1e-10)
     return grid, ens, cfg
 
 
 class TestHalfSpectrumEquivalence:
-    @pytest.mark.parametrize("d,spec,dealias", HALF_SPECTRUM_CASES)
-    def test_duhamel_apply_matches_complex_path(self, d, spec, dealias):
-        grid, ens, cfg = half_spectrum_case(d, spec, dealias)
+    @pytest.mark.parametrize("d,spec,s", HALF_SPECTRUM_CASES)
+    def test_duhamel_apply_matches_complex_path(self, d, spec, s):
+        grid, ens, cfg = half_spectrum_case(d, spec, s)
         rng = np.random.default_rng(4)
         values = ens.values[None] + 0.3 * rng.standard_normal(
             (cfg.time_grid.size,) + ens.values.shape)
@@ -676,11 +673,11 @@ class TestHalfSpectrumEquivalence:
         want = complex_reference_apply(grid, spec, cfg, ens.values, values)
         assert np.max(np.abs(got - want)) <= 1e-12
 
-    @pytest.mark.parametrize("d,spec,dealias", HALF_SPECTRUM_CASES)
-    def test_picard_solve_matches_complex_path(self, d, spec, dealias):
+    @pytest.mark.parametrize("d,spec,s", HALF_SPECTRUM_CASES)
+    def test_picard_solve_matches_complex_path(self, d, spec, s):
         """Members stop on their own, so each is compared with the
         reference run on that member alone."""
-        grid, ens, cfg = half_spectrum_case(d, spec, dealias)
+        grid, ens, cfg = half_spectrum_case(d, spec, s)
         traj, diag = picard_solve(ens, spec, cfg)
         assert diag.converged and diag.unconverged_members == 0
         sweeps = []
@@ -690,9 +687,9 @@ class TestHalfSpectrumEquivalence:
             assert np.max(np.abs(traj.values[:, i] - want)) <= 1e-12
         assert diag.iterations == max(sweeps)
 
-    @pytest.mark.parametrize("d,spec,dealias", HALF_SPECTRUM_CASES[::3])
-    def test_fused_residual_equals_bielecki_distance(self, d, spec, dealias):
-        grid, ens, cfg = half_spectrum_case(d, spec, dealias)
+    @pytest.mark.parametrize("d,spec,s", HALF_SPECTRUM_CASES[::3])
+    def test_fused_residual_equals_bielecki_distance(self, d, spec, s):
+        grid, ens, cfg = half_spectrum_case(d, spec, s)
         plan = _DuhamelPlan(grid, spec, cfg)
         current, node1 = plan.first_iterate(ens.values)
         for _ in range(4):
@@ -705,7 +702,7 @@ class TestHalfSpectrumEquivalence:
                 assert dist[i] == pytest.approx(oracle, rel=1e-15, abs=0)
 
     def test_member_subset_sweep_leaves_other_rows(self):
-        grid, ens, cfg = half_spectrum_case(1, NonlinearitySpec.tanh(0.5), False)
+        grid, ens, cfg = half_spectrum_case(1, NonlinearitySpec.tanh(0.5), 0.75)
         plan = _DuhamelPlan(grid, NonlinearitySpec.tanh(0.5), cfg)
         full, node1 = plan.first_iterate(ens.values)
         part = full.copy()
