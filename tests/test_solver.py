@@ -888,6 +888,35 @@ class TestCutoffLadder:
         assert report.sup_distances[(2.0, 4.0)] == 0.0
         assert report.unconverged_levels == []
 
+    def test_levels_with_every_member_free_build_no_plan(self, monkeypatch):
+        """Every member stays strictly inside the lowest level, so the
+        levels above copy it whole: only the lowest level builds a plan,
+        and each level still equals a whole-batch solve of its rung."""
+        from fracflow.solver import _ladder_solve, ladder_rung
+
+        u0 = two_members(mass=0.04)
+        cfg = make_config(K=2 * minimal_K(0.75, 8.0))
+        spec = NonlinearitySpec.burgers()
+        levels = [2.0, 4.0, 8.0]
+        expected = {n: picard_solve(*ladder_rung(u0, spec, n), cfg)
+                    for n in levels}
+
+        built = []
+        real_init = _DuhamelPlan.__init__
+
+        def counting(plan, grid, plan_spec, config):
+            built.append(plan_spec.cutoff_level)
+            real_init(plan, grid, plan_spec, config)
+
+        monkeypatch.setattr(_DuhamelPlan, "__init__", counting)
+        solved = list(_ladder_solve(u0, spec, levels, cfg))
+        assert built == [2.0]
+        assert [n for n, _, _ in solved] == levels
+        for n, values, diag in solved:
+            traj, want = expected[n]
+            assert np.array_equal(values, traj.values), n
+            assert diag == want, n
+
     def test_per_level_diagnostics_kept(self):
         cfg = make_config(K=2 * minimal_K(0.75, 2.0), tol=1e-14, max_iter=3)
         report = burgers_ladder(cfg, [1, 2], mass=6.0, n_members=8, seed=9)
