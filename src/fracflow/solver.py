@@ -769,14 +769,15 @@ def _ladder_solve(initial: Ensemble, spec: NonlinearitySpec, levels: list,
     history = np.full((config.max_iter, initial.n_members), -np.inf)
     values = None
     for n in levels:
-        rung, rung_spec = ladder_rung(initial, spec, n)
+        rung_spec = replace(spec, cutoff_level=n)
         todo = np.flatnonzero(~free)
         if todo.size:
-            sub = Ensemble(rung.grid, rung.values[todo],
-                           seeds=[rung.seeds[i] for i in todo])
+            # ladder_rung's data, clipped for the members to solve only
+            sub = Ensemble(initial.grid, cutoff_map(initial.values[todo], n),
+                           seeds=[initial.seeds[i] for i in todo])
             # the clipped data reach n exactly where the raw data do, so
             # they decide for the raw data too; the top level frees none
-            reach = _abs_max(rung.grid, sub.values) if n < levels[-1] else None
+            reach = _abs_max(sub.grid, sub.values) if n < levels[-1] else None
             traj, history[:, todo] = _picard_iterate(sub, rung_spec, config,
                                                      reach)
             if todo.size == free.size:

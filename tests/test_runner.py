@@ -722,23 +722,18 @@ class TestParallelLadder:
         monkeypatch.setattr(fracflow.experiments, "sample_ensemble",
                             lambda *args, **kw: ens)
 
-        free = {}
+        solved = {n: set() for n in levels}
         real_iterate = fracflow.solver._picard_iterate
 
         def recording(initial, rung_spec, config, reach=None):
-            out = real_iterate(initial, rung_spec, config, reach)
-            if reach is not None:
-                # free here: the members free on the levels below, which
-                # this level does not solve, and the solved ones that
-                # stayed strictly inside it
-                level = rung_spec.cutoff_level
-                free[level] = set().union(*free.values()) | {
-                    seed[1] for seed, r in zip(initial.seeds, reach)
-                    if r < level}
-            return out
+            solved[rung_spec.cutoff_level].update(s[1] for s in initial.seeds)
+            return real_iterate(initial, rung_spec, config, reach)
 
         monkeypatch.setattr(fracflow.solver, "_picard_iterate", recording)
         parallel_ladder(*parts, cfg.n_members, cfg.seed, levels)
+        # reused from a level: the members the level above does not solve
+        free = {n: set(range(cfg.n_members)) - solved[m]
+                for n, m in zip(levels, levels[1:])}
 
         reach = []
         real_evaluate = NonlinearitySpec.evaluate
