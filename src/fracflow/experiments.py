@@ -20,17 +20,19 @@ gate, tanh and Burgers) at once, and parallel_ladder runs a cut-off
 ladder as one task per chunk, solving every level inside it through
 solver._ladder_solve.  That generator re-solves a level above the first
 only for the members whose cut-off bound on the level below and copies
-the others; each level's trajectory and diagnostics are still those of
-a full solve of that level, bit for bit.  No
+the others; each level's trajectory and residual history are still
+those of a full solve of that level, bit for bit.  No
 trajectory of a pooled statistic leaves the process that solved it:
 energy-dissipation's chunks return each member's dissipation series
 (avg_x u^2 and the Dirichlet rate per node), the ladder's chunks each
 member's pair distances and top-level moments per node plus the top
 level's last node, and the parent reduces the joined (nodes, members)
-series across members.  A chunk returns its residual series unjudged:
-the NonContractionError rule of picard_solve is applied once per solve,
-to the series merged over its chunks, which is the whole batch's series.
-picard-contraction still solves its ensemble in one process.
+series across members.  Residuals work the same way: a chunk returns
+each member's residual history, (max_iter, members) per solve or per
+ladder level, and the parent joins the histories along the member axis
+and builds each solve's PicardDiagnostics from the whole batch's once,
+with solver._diagnostics, which also applies the NonContractionError
+rule.  picard-contraction still solves its ensemble in one process.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ from .random_fields import (
 )
 from .solver import (
     NonlinearitySpec,
-    PicardDiagnostics,
     SolverConfig,
     _diagnostics,
     _free_flow,
@@ -136,11 +137,12 @@ def _solve_chunk(payload: dict) -> dict:
     every level n in increasing order through _ladder_solve, which
     re-solves only the members whose cut-off bound on the level below,
     and final holds the top level's last node.  The member axis of
-    values is 1 in every case.  The residual series come back unjudged,
-    for the growth rule to see the merged series: a ladder chunk's
-    diagnostics map each level it solved to its PicardDiagnostics.  A
-    plain chunk whose spec is None solves the linear equation (f = 0) as
-    its free flow P_t u0, with no sweep.
+    values is 1 in every case.  history is each member's residual history
+    in _picard_iterate's form, for the parent to join with the other
+    chunks' before any diagnostics are built; a ladder chunk's maps each
+    level it solved to its history.  A plain chunk whose spec is None
+    solves the linear equation (f = 0) as its free flow P_t u0, with no
+    sweep.
     Numeric blowup inside a chunk is reported, not raised: the run
     continues with those members flagged, and a ladder chunk stops at the
     level that failed."""
@@ -152,18 +154,15 @@ def _solve_chunk(payload: dict) -> dict:
            "error": None}
     try:
         if payload["ladder"] is None:
-            if spec is None:
-                traj, out["diagnostics"] = _free_flow(ens, config)
-            else:
-                traj, history = _picard_iterate(ens, spec, config)
-                out["diagnostics"] = _diagnostics(history, spec, config)
+            traj, out["history"] = (_free_flow(ens, config) if spec is None
+                                    else _picard_iterate(ens, spec, config))
             out["values"] = (dissipation_series(traj, config.s)
                              if payload["dissipation"] else traj.values)
             return out
-        solutions, out["diagnostics"] = {}, {}
-        for n, values, diag in _ladder_solve(ens, spec, payload["ladder"],
-                                             config):
-            solutions[n], out["diagnostics"][n] = values, diag
+        solutions, out["history"] = {}, {}
+        for n, values, history in _ladder_solve(ens, spec, payload["ladder"],
+                                                config):
+            solutions[n], out["history"][n] = values, history
     except NumericError as exc:
         out["error"] = str(exc)
         return out
@@ -191,16 +190,18 @@ def _require_members(n_members: int, what: str):
         raise ConfigurationError(f"{what} needs >= 2 members, got {n_members}")
 
 
-def _merge_chunks(results) -> tuple:
-    """(values, seeds, merged PicardDiagnostics, flagged entries) of one
-    plain or dissipation solve's chunk results, in chunk order.  values
-    concatenates the chunks' values along the member axis 1: whole
-    trajectories for parallel_picard, (nodes, members, 2) dissipation
-    series for energy-dissipation; flagged holds (index, seed, message)
-    for each member of a chunk that failed numerically, and those members
-    leave no rows.  Raises NonContractionError by the rule of
-    picard_solve, applied to the merged residual series."""
-    blocks, seeds, diags, flagged = [], [], [], []
+def _merge_chunks(results, spec: NonlinearitySpec,
+                  config: SolverConfig) -> tuple:
+    """(values, seeds, PicardDiagnostics, flagged entries) of one plain or
+    dissipation solve's chunk results, in chunk order.  values and the
+    residual histories are joined along the member axis 1: values are
+    whole trajectories for parallel_picard, (nodes, members, 2)
+    dissipation series for energy-dissipation, and the diagnostics are
+    _diagnostics of the joined history under spec (NonlinearitySpec.zero()
+    for the free flow), so a growing solve raises NonContractionError
+    here.  flagged holds (index, seed, message) for each member of a chunk
+    that failed numerically, and those members leave no rows."""
+    blocks, seeds, histories, flagged = [], [], [], []
     for res in results:
         if res["error"] is not None:
             flagged.extend((res["start"] + j, member_seed, res["error"])
@@ -208,11 +209,10 @@ def _merge_chunks(results) -> tuple:
             continue
         blocks.append(res["values"])
         seeds.extend(res["seeds"])
-        diags.append(res["diagnostics"])
+        histories.append(res["history"])
     if not blocks:
         raise NumericError("every member chunk failed numerically")
-    diag = PicardDiagnostics.merge(diags)
-    diag.raise_if_growing()
+    diag = _diagnostics(np.concatenate(histories, axis=1), spec, config)
     return np.concatenate(blocks, axis=1), seeds, diag, flagged
 
 
@@ -243,16 +243,18 @@ def parallel_picard(grid: Grid, measure, spec: NonlinearitySpec,
     """Chunked ensemble Picard solve; returns (trajectory Ensemble, info).
     A spec of None solves the linear equation as its free flow, no sweep.
 
-    info carries the PicardDiagnostics merged over the chunks
-    (diagnostics) and its converged flag, all member seeds in order, and
-    flagged (index, seed, message) entries for chunks that failed
-    numerically.  Raises NonContractionError by the rule of picard_solve,
-    applied to the merged series.  Identical output for any worker count.
+    info carries the PicardDiagnostics of the residual histories joined
+    over the chunks (diagnostics) and its converged flag, all member seeds
+    in order, and flagged (index, seed, message) entries for chunks that
+    failed numerically.  Raises NonContractionError as picard_solve does
+    on the whole batch.  Identical output for any worker count.
     """
     payloads = _chunk_payloads(measure, spec, solver, n_members, seed,
                                counter_offset)
     with _chunk_results([payloads], workers) as solves:
-        values, seeds, diag, flagged = _merge_chunks(next(solves))
+        values, seeds, diag, flagged = _merge_chunks(
+            next(solves), NonlinearitySpec.zero() if spec is None else spec,
+            solver)
     traj = Ensemble(grid, values, solver.time_grid, seeds)
     info = {"converged": diag.converged, "diagnostics": diag,
             "member_seeds": list(traj.seeds), "flagged": flagged}
@@ -273,9 +275,10 @@ def parallel_ladder(grid: Grid, measure, spec: NonlinearitySpec,
     its ladder_series, so no trajectory leaves its worker.  The report's
     moment guard needs two members, so one is rejected before any solve.
     Level by level in increasing order, a chunk that failed at that level
-    raises NumericError and a growing merged series raises
-    NonContractionError.  Identical output for any worker count and any
-    CHUNK.
+    raises NumericError, and the chunks' residual histories of the level,
+    joined along the member axis, give its PicardDiagnostics under
+    f(h_n(.)) or raise NonContractionError.  Identical output for any
+    worker count and any CHUNK.
     """
     levels = ladder_levels(spec, ladder)
     _require_members(n_members, "cut-off ladder moment guard")
@@ -285,12 +288,12 @@ def parallel_ladder(grid: Grid, measure, spec: NonlinearitySpec,
         chunks = list(next(solves))
     diagnostics = {}
     for n in levels:
-        failed = [c["error"] for c in chunks if n not in c["diagnostics"]]
+        failed = [c["error"] for c in chunks if n not in c["history"]]
         if failed:
             raise NumericError(f"ladder level {n:g}: {failed[0]}")
-        diagnostics[n] = PicardDiagnostics.merge(
-            [c["diagnostics"][n] for c in chunks])
-        diagnostics[n].raise_if_growing()
+        diagnostics[n] = _diagnostics(
+            np.concatenate([c["history"][n] for c in chunks], axis=1),
+            replace(spec, cutoff_level=n), solver)
     series = np.concatenate([c["values"] for c in chunks], axis=1)
     times = solver.time_grid
     final_state = Ensemble(grid, np.concatenate([c["final"] for c in chunks]),
@@ -728,17 +731,17 @@ def _energy_dissipation(config: dict, workers: int) -> ExperimentResult:
                 for k, solve in enumerate(solves)]
     with _chunk_results(payloads, workers) as results:
 
-        def next_report(label):
+        def next_report(label, flux):
             """The solve's DissipationReport and its unconverged note."""
             series, member_seeds, diag, member_flags = _merge_chunks(
-                next(results))
+                next(results), flux, solver)
             seeds.extend(member_seeds)
             flagged.extend(member_flags)
             report = reduce_dissipation(times, series)
             return report, _unconverged_note({label: diag}, report.n_members,
                                              "solve")
 
-        gate, note = next_report("linear gate")
+        gate, note = next_report("linear gate", NonlinearitySpec.zero())
         inner = ~gate.low_confidence
         gate_ok = bool(np.all(
             np.abs(gate.residual[inner])
@@ -759,8 +762,8 @@ def _energy_dissipation(config: dict, workers: int) -> ExperimentResult:
             checks.append(CheckResult("burgers-identity", False,
                                       "skipped: linear gate failed"))
         else:
-            for label in ("tanh", "burgers"):
-                report, note = next_report(label)
+            for label, (_, flux) in zip(("tanh", "burgers"), solves[1:]):
+                report, note = next_report(label, flux)
                 inner = ~report.low_confidence
                 cap = np.maximum(0.05 * np.abs(report.rhs[inner]),
                                  3.0 * report.stderr[inner])
@@ -835,7 +838,8 @@ def _cutoff_ladder(config: dict, workers: int) -> ExperimentResult:
         (1, 2, 4, 8), workers)
     rows = [[pair[0], pair[1], sup]
             for pair, sup in sorted(report.sup_distances.items())]
-    guard_min = min(float(np.min(v)) for v in report.guard_z.values())
+    # node 0 compares h_top(u0) with itself, so its z is 0 by construction
+    guard_min = min(float(np.min(v[1:])) for v in report.guard_z.values())
     checks = [
         CheckResult("cauchy-distances",
                     report.cauchy_violations == 0,

@@ -296,29 +296,6 @@ class PicardDiagnostics:
         r = self.residuals
         return [b / a for a, b in zip(r, r[1:]) if a > 0]
 
-    @classmethod
-    def merge(cls, parts: list) -> "PicardDiagnostics":
-        """The diagnostics of one solve run as member chunks: at each sweep
-        the largest residual of the chunks still iterating, converged when
-        every chunk converged, unconverged members summed.  Members iterate
-        independently, so this is the whole batch's series."""
-        sweeps = max(d.iterations for d in parts)
-        residuals = [max(d.residuals[m] for d in parts if m < d.iterations)
-                     for m in range(sweeps)]
-        return replace(
-            parts[0], residuals=residuals,
-            converged=all(d.converged for d in parts),
-            unconverged_members=sum(d.unconverged_members for d in parts))
-
-    def raise_if_growing(self):
-        """The NonContractionError rule: a solve that reached the iteration
-        cap with its last residual above its first is not contracting."""
-        r = self.residuals
-        if not self.converged and len(r) >= 2 and r[-1] > r[0]:
-            measured = (r[-1] / r[0]) ** (1.0 / (len(r) - 1))
-            raise NonContractionError(measured, self.rho_multiplier,
-                                      self.iterations)
-
 
 # ------------------------------------------------------------------ phi weights
 
@@ -499,20 +476,19 @@ def picard_solve(initial: Ensemble, spec: NonlinearitySpec,
     members still above tol in diag.unconverged_members.
     """
     traj, history = _picard_iterate(initial, spec, config)
-    diag = _diagnostics(history, spec, config)
-    diag.raise_if_growing()
-    return traj, diag
+    return traj, _diagnostics(history, spec, config)
 
 
 def _picard_iterate(initial: Ensemble, spec: NonlinearitySpec,
                     config: SolverConfig,
                     reach: np.ndarray | None = None) -> tuple:
-    """picard_solve without the growth rule: the trajectory and the
-    residual history, (max_iter, members), each member's residual at
-    every sweep and -inf where it did not sweep.  Member chunks reduce it
-    with _diagnostics and return it unjudged; the rule runs once on the
-    merged series.  ``reach``, one entry per member, is raised in place
-    to each member's max |u| over every flux input of every sweep it ran.
+    """picard_solve without _diagnostics: the trajectory and the residual
+    history, (max_iter, members), each member's residual at every sweep
+    and -inf where it did not sweep.  Member chunks return the history
+    as it is; the parent joins the chunks' histories along the member
+    axis and judges the whole batch's once.  ``reach``, one entry per
+    member, is raised in place to each member's max |u| over every flux
+    input of every sweep it ran.
     """
     _check_initial(initial, spec)
     grid, u0 = initial.grid, initial.values
@@ -545,30 +521,34 @@ def _diagnostics(history: np.ndarray, spec: NonlinearitySpec,
                  config: SolverConfig) -> PicardDiagnostics:
     """The PicardDiagnostics of a residual history as _picard_iterate
     returns it: at each sweep the largest residual of the members that
-    ran it, and the members still above tol at the last sweep."""
+    ran it, and the members still above tol at the last sweep.  Raises
+    NonContractionError when the solve stopped unconverged after at
+    least two sweeps with its last residual above its first."""
     # every member sweeps from the first sweep on, so the swept rows lead
     largest = np.max(history, axis=1)
+    r = largest[largest > -np.inf].tolist()
     unconverged = int(np.count_nonzero(history[-1] > config.tol))
-    return PicardDiagnostics(
-        residuals=largest[largest > -np.inf].tolist(),
-        rho_multiplier=_multiplier_rho(config, spec.effective_lipschitz()),
-        converged=unconverged == 0,
-        unconverged_members=unconverged,
-    )
+    rho = _multiplier_rho(config, spec.effective_lipschitz())
+    if unconverged and len(r) >= 2 and r[-1] > r[0]:
+        raise NonContractionError((r[-1] / r[0]) ** (1.0 / (len(r) - 1)),
+                                  rho, len(r))
+    return PicardDiagnostics(residuals=r, rho_multiplier=rho,
+                             converged=unconverged == 0,
+                             unconverged_members=unconverged)
 
 
 def _free_flow(initial: Ensemble, config: SolverConfig) -> tuple:
-    """The solve of the linear equation (f = 0) in picard_solve's form:
-    its mild solution is the free flow P_t u0 itself, so it takes no
-    sweep, and its diagnostics are those of a solve converged at once."""
+    """The solve of the linear equation (f = 0) in _picard_iterate's
+    form: its mild solution is the free flow P_t u0 itself, so it takes
+    no sweep, and its residual history is -inf throughout."""
     spec = NonlinearitySpec.zero()
     _check_initial(initial, spec)
     plan = _DuhamelPlan(initial.grid, spec, config)
     u0 = initial.values
     values = plan.free_flow(u0, real_dft(initial.grid, u0))
-    diag = PicardDiagnostics(residuals=[], rho_multiplier=0.0, converged=True,
-                             unconverged_members=0)
-    return Ensemble(initial.grid, values, config.time_grid, initial.seeds), diag
+    history = np.full((config.max_iter, u0.shape[0]), -np.inf)
+    return (Ensemble(initial.grid, values, config.time_grid, initial.seeds),
+            history)
 
 
 def step_solve(initial: Ensemble, spec: NonlinearitySpec,
@@ -686,11 +666,6 @@ class LadderReport:
     guard_z: dict
     diagnostics: dict
 
-    @property
-    def unconverged_levels(self) -> list:
-        """Levels whose Picard solve stopped at max_iter above tol."""
-        return [n for n in self.levels if not self.diagnostics[n].converged]
-
 
 # top-level moment orders a ladder keeps per member: the guard's 2 and 4,
 # and moment-monotonicity's 2, 4, 6
@@ -753,8 +728,9 @@ def ladder_rung(initial: Ensemble, spec: NonlinearitySpec,
 
 def _ladder_solve(initial: Ensemble, spec: NonlinearitySpec, levels: list,
                   config: SolverConfig):
-    """Yield (n, trajectory values, PicardDiagnostics) of the ladder_rung
-    solve of each level n, in increasing order.
+    """Yield (n, trajectory values, residual history) of the ladder_rung
+    solve of each level n, in increasing order, the history in
+    _picard_iterate's form.
 
     Above the first level only the members not yet free are solved, as
     one sub-batch carrying their seeds; the others' rows and residual
@@ -769,7 +745,6 @@ def _ladder_solve(initial: Ensemble, spec: NonlinearitySpec, levels: list,
     history = np.full((config.max_iter, initial.n_members), -np.inf)
     values = None
     for n in levels:
-        rung_spec = replace(spec, cutoff_level=n)
         todo = np.flatnonzero(~free)
         if todo.size:
             # ladder_rung's data, clipped for the members to solve only
@@ -778,8 +753,8 @@ def _ladder_solve(initial: Ensemble, spec: NonlinearitySpec, levels: list,
             # the clipped data reach n exactly where the raw data do, so
             # they decide for the raw data too; the top level frees none
             reach = _abs_max(sub.grid, sub.values) if n < levels[-1] else None
-            traj, history[:, todo] = _picard_iterate(sub, rung_spec, config,
-                                                     reach)
+            traj, history[:, todo] = _picard_iterate(
+                sub, replace(spec, cutoff_level=n), config, reach)
             if todo.size == free.size:
                 values = traj.values
             else:
@@ -788,7 +763,7 @@ def _ladder_solve(initial: Ensemble, spec: NonlinearitySpec, levels: list,
             del sub, traj             # freed before the level is yielded
             if reach is not None:
                 free[todo] = reach < n
-        yield n, values, _diagnostics(history, rung_spec, config)
+        yield n, values, history.copy()
 
 
 def ladder_report(times: np.ndarray, series: np.ndarray,

@@ -424,13 +424,18 @@ class TestChunkSize:
         def artifacts(chunk, workers):
             monkeypatch.setattr(fracflow.experiments, "CHUNK", chunk)
             out = tmp_path / f"c{chunk}-w{workers}"
-            run_experiment(cfg, workers=workers, out=out)
-            return {name: (out / name).read_bytes()
-                    for name in sorted(os.listdir(out))
-                    if name.endswith((".tsv", ".bin"))}
+            manifest, _ = run_experiment(cfg, workers=workers, out=out)
+            files = {name: (out / name).read_bytes()
+                     for name in sorted(os.listdir(out))
+                     if name.endswith((".tsv", ".bin"))}
+            # the detail lines carry the notes built from the residual
+            # histories joined over the chunks
+            checks = [(c["name"], c["passed"], c["detail"])
+                      for c in manifest.checks]
+            return files, checks
 
         ref = artifacts(CHUNK, 1)
-        assert any(name.endswith(".tsv") for name in ref)
+        assert any(name.endswith(".tsv") for name in ref[0])
         for chunk in (16, 256):
             for workers in (1, 2):
                 assert artifacts(chunk, workers) == ref, (chunk, workers)
@@ -560,6 +565,7 @@ class TestParallelPicard:
             parallel_picard(self.GRID, self.MEASURE, nl, solver, n, seed=5,
                             workers=workers)
         assert pooled.value.measured_ratio == whole.value.measured_ratio
+        assert pooled.value.bound == whole.value.bound
         assert pooled.value.iterations == whole.value.iterations == 8
 
     def test_pool_no_wider_than_chunk_count(self, monkeypatch):
@@ -620,7 +626,6 @@ class TestParallelLadder:
             assert report.guard_z.keys() == ref.guard_z.keys() == {2, 4}
             for p, z in report.guard_z.items():
                 assert np.array_equal(z, ref.guard_z[p])
-            assert report.unconverged_levels == ref.unconverged_levels
             assert report.cauchy_violations == ref.cauchy_violations
             assert np.array_equal(report.times, ref.times)
             assert np.array_equal(final.values, ref_final.values)
@@ -775,20 +780,46 @@ class TestParallelLadder:
             parallel_ladder(*_cfg_parts(cfg.to_dict()), cfg.n_members,
                             cfg.seed, (1, 2, 4))
 
-    def test_growing_level_raises_noncontraction(self, monkeypatch):
-        # on this sample a rung's merged residual series ends above its
-        # first; the pooled ladder raises as the whole batch does
+    def test_growing_level_raises_noncontraction(self):
+        # on this sample a rung's residual series ends above its first; the
+        # pooled ladder raises as picard_solve does on the whole batch's
+        # rungs, with the bound of the level's cut-off flux
         cfg = RunConfig.from_dict(dict(self.CONFIG, seed=99,
                                        grid={"n": 128}))
-        args = (*_cfg_parts(cfg.to_dict()), cfg.n_members, cfg.seed,
-                (1, 2, 4, 8))
+        levels = (1, 2, 4, 8)
+        parts = _cfg_parts(cfg.to_dict())
+        _, measure, spec, solver = parts
+        args = (*parts, cfg.n_members, cfg.seed, levels)
+        ens = sample_ensemble(measure, cfg.n_members, cfg.seed)
         with pytest.raises(NonContractionError) as whole:
-            self.whole_batch(monkeypatch, *args)
+            for n in levels:
+                picard_solve(*ladder_rung(ens, spec, n), solver)
         for workers in (1, 2):
             with pytest.raises(NonContractionError) as pooled:
                 parallel_ladder(*args, workers=workers)
             assert pooled.value.measured_ratio == whole.value.measured_ratio
+            assert pooled.value.bound == whole.value.bound
             assert pooled.value.iterations == whole.value.iterations
+
+    def test_moment_guard_detail_skips_node_zero(self, monkeypatch):
+        """Node 0 compares h_top(u0) with itself, so its z is 0 whatever
+        the data; the detail line reports the minimum over nodes 1..N."""
+        reports = []
+        real_report = fracflow.experiments.ladder_report
+
+        def capture(*args):
+            reports.append(real_report(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(fracflow.experiments, "ladder_report", capture)
+        cfg = RunConfig.from_dict(self.CONFIG)
+        result = get_experiment("cutoff-ladder").fn(cfg.to_dict(), 1)
+        guard_z = reports[0].guard_z
+        assert all(z[0] == 0.0 for z in guard_z.values())
+        later = min(float(np.min(z[1:])) for z in guard_z.values())
+        check = {c.name: c for c in result.checks}["moment-guard"]
+        assert check.detail == f"min initial-bound z = {later:.2f}"
+        assert check.passed
 
     def test_on_disk_bytes_worker_independent(self, tmp_path):
         cfg = RunConfig.from_dict(self.CONFIG)
