@@ -101,11 +101,10 @@ def moment_series(traj: Ensemble, p: float) -> MomentSeries:
     return reduce_moments(traj.times, member_moments(traj.values, p), p)
 
 
-def _dirichlet_rate(grid: Grid, s: float, node: np.ndarray) -> np.ndarray:
+def _dirichlet_rate(grid: Grid, sym: np.ndarray, node: np.ndarray) -> np.ndarray:
     """-2 avg_x |(-lap)^{s/2} u|^2 per member of one node's (member, grid)
-    values, via Parseval on the half spectrum with the Parseval weights
-    folded into the symbol."""
-    sym = half_spectrum(grid, grid.k_abs ** (2.0 * s)) * half_spectrum_weights(grid)
+    values, via Parseval on the half spectrum; sym is |k|^{2s} on the half
+    spectrum with the Parseval weights folded in."""
     axes = tuple(range(1, node.ndim))
     coeffs = real_forward_transform(grid, node)
     return -2.0 * np.sum(sym * np.abs(coeffs) ** 2, axis=axes) \
@@ -173,9 +172,11 @@ def dissipation_series(traj: Ensemble, s: float) -> np.ndarray:
     values = traj.values
     axes = tuple(range(1, values.ndim - 1))
     out = np.empty(values.shape[:2] + (2,))
+    grid = traj.grid
+    sym = half_spectrum(grid, grid.k_abs ** (2.0 * s)) * half_spectrum_weights(grid)
     for j, node in enumerate(values):
         out[j, :, 0] = np.mean(node**2, axis=axes)
-        out[j, :, 1] = _dirichlet_rate(traj.grid, s, node)
+        out[j, :, 1] = _dirichlet_rate(grid, sym, node)
     return out
 
 

@@ -196,7 +196,12 @@ def _member_rng(seed: int, counter: int) -> np.random.Generator:
     seed, counter = int(seed), int(counter)
     if seed < 0 or counter < 0:
         raise ConfigurationError("seed and counter must be nonnegative integers")
-    return np.random.Generator(np.random.Philox(key=seed).jumped(counter))
+    # the state Philox(key=seed).jumped(counter) reaches, set directly at a
+    # third of the cost: jumped adds counter, mod 2^128, to the upper two
+    # counter words.  A uint64 array, as a list fails for words >= 2^63.
+    words = np.array([0, 0, counter % 2**64, (counter >> 64) % 2**64],
+                     dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=seed, counter=words))
 
 
 @dataclass

@@ -18,6 +18,7 @@ from fracflow.random_fields import (
     Ensemble,
     SpectralMeasure,
     _member_noise,
+    _member_rng,
     directional_orthogonality_stat,
     estimate_spectrum,
     export_ensemble,
@@ -203,6 +204,22 @@ class TestNoise:
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigurationError):
             _member_noise(GRID, seed=-1)
+
+    @pytest.mark.parametrize("seed", [0, 72, 2**40 + 3])
+    @pytest.mark.parametrize("counter", [0, 1, 257, 2**31, 2**63, 2**64 - 1,
+                                         2**64 + 5, 3 * 2**64 + 7, 2**128 + 3])
+    def test_member_stream_is_the_jumped_substream(self, seed, counter):
+        """The counter set directly gives Philox(key=seed).jumped(counter):
+        the same bit generator state and the same draws."""
+        jumped = np.random.Philox(key=seed).jumped(counter)
+        rng = _member_rng(seed, counter)
+        got, want = rng.bit_generator.state, jumped.state
+        for word in ("counter", "key"):
+            assert np.array_equal(got["state"][word], want["state"][word])
+        assert np.array_equal(got["buffer"], want["buffer"])
+        assert got["buffer_pos"] == want["buffer_pos"]
+        assert np.array_equal(rng.standard_normal(1024),
+                              np.random.Generator(jumped).standard_normal(1024))
 
 
 class TestSamplingDeterminism:

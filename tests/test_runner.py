@@ -8,6 +8,7 @@ import math
 import os
 import re
 import sys
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -439,6 +440,26 @@ class TestChunkSize:
         for chunk in (16, 256):
             for workers in (1, 2):
                 assert artifacts(chunk, workers) == ref, (chunk, workers)
+
+    def test_ladder_chunk_peak_memory(self):
+        # a ladder task holds every level's trajectory of its members, so
+        # CHUNK sets a pool worker's peak; at the shipped grid (n = 512,
+        # 11 nodes, levels 1, 2, 4, 8) it must stay under 8 MiB
+        cfg = RunConfig.from_dict({"experiment": "cutoff-ladder",
+                                   "n_members": CHUNK})
+        _, measure, spec, solver = _cfg_parts(cfg.to_dict())
+        assert (measure.grid.n, len(solver.time_grid)) == (512, 11)
+        payload = fracflow.experiments._chunk_payloads(
+            measure, spec, solver, CHUNK, cfg.seed,
+            ladder=(1.0, 2.0, 4.0, 8.0))[0]
+        tracemalloc.start()
+        try:
+            res = fracflow.experiments._solve_chunk(payload)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res["error"] is None and res["final"].shape == (CHUNK, 512)
+        assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("kind", ["plain", "dissipation", "ladder"])
     def test_chunk_values_have_member_axis_one(self, kind):
