@@ -9,8 +9,10 @@ the command line lists and runs; tests drive the same entry points.
 Each experiment builds its grid, measure, flux and solver config once
 from the run record (_cfg_parts); pooled solves hand those objects to
 their member chunks as they are.  A chunk is CHUNK members, one pool
-task, sampled once, and chunk results are joined in chunk order by
-concatenation along the member axis.  Together with counter-based
+task, sampled once.  The parent allocates each joined array once, with
+the whole run's members, writes every chunk result into its member
+columns as the pool yields it and then drops it, so it holds at most
+one chunk result besides the joined arrays.  Together with counter-based
 per-member seeding this makes every number independent of the worker
 count and of CHUNK.  _chunk_results runs the chunks of several solves as
 the tasks of one process pool, with no more workers than chunks, and
@@ -29,7 +31,7 @@ member's pair distances and top-level moments per node plus the top
 level's last node, and the parent reduces the joined (nodes, members)
 series across members.  Residuals work the same way: a chunk returns
 each member's residual history, (max_iter, members) per solve or per
-ladder level, and the parent joins the histories along the member axis
+ladder level, and the parent writes the histories into its joined ones
 and builds each solve's PicardDiagnostics from the whole batch's once,
 with solver._diagnostics, which also applies the NonContractionError
 rule.  picard-contraction still solves its ensemble in one process.
@@ -194,30 +196,63 @@ def _require_members(n_members: int, what: str):
         raise ConfigurationError(f"{what} needs >= 2 members, got {n_members}")
 
 
-def _merge_chunks(results, spec: NonlinearitySpec,
+def _member_columns(res: dict) -> slice:
+    """The member columns of a chunk result in the joined arrays."""
+    return slice(res["start"], res["start"] + len(res["seeds"]))
+
+
+def _write_block(joined, block: np.ndarray, cols: slice, n_members: int,
+                 axis: int = 1) -> np.ndarray:
+    """Write a chunk's block into its member columns along axis of the
+    joined array and return that.  The joined array is allocated at the
+    first block, with n_members along axis: by then the pool has forked
+    its workers, so none of them inherits it.  Columns no block was
+    written to stay unset."""
+    if joined is None:
+        shape = list(block.shape)
+        shape[axis] = n_members
+        joined = np.empty(shape, dtype=block.dtype)
+    joined[(slice(None),) * axis + (cols,)] = block
+    return joined
+
+
+def _merge_chunks(results, n_members: int, spec: NonlinearitySpec,
                   config: SolverConfig) -> tuple:
     """(values, seeds, PicardDiagnostics, flagged entries) of one plain or
-    dissipation solve's chunk results, in chunk order.  values and the
-    residual histories are joined along the member axis 1: values are
-    whole trajectories for parallel_picard, (nodes, members, 2)
-    dissipation series for energy-dissipation, and the diagnostics are
+    dissipation solve's chunk results, n_members in all.  values and the
+    residual histories are joined along the member axis 1, each chunk
+    written into its member columns as it arrives and then dropped, so
+    the parent holds the joined arrays and at most one chunk result:
+    values are whole trajectories for parallel_picard, (nodes, members,
+    2) dissipation series for energy-dissipation, and the diagnostics are
     _diagnostics of the joined history under spec (NonlinearitySpec.zero()
     for the free flow), so a growing solve raises NonContractionError
     here.  flagged holds (index, seed, message) for each member of a chunk
-    that failed numerically, and those members leave no rows."""
-    blocks, seeds, histories, flagged = [], [], [], []
+    that failed numerically, and those members' columns are dropped once
+    at the end."""
+    values = history = None
+    seeds, flagged = [None] * n_members, []
+    kept = np.ones(n_members, dtype=bool)
     for res in results:
+        cols = _member_columns(res)
+        seeds[cols] = res["seeds"]
         if res["error"] is not None:
+            kept[cols] = False
             flagged.extend((res["start"] + j, member_seed, res["error"])
                            for j, member_seed in enumerate(res["seeds"]))
-            continue
-        blocks.append(res["values"])
-        seeds.extend(res["seeds"])
-        histories.append(res["history"])
-    if not blocks:
+        else:
+            values = _write_block(values, res["values"], cols, n_members)
+            history = _write_block(history, res["history"], cols, n_members)
+        # drop it before the next chunk arrives
+        del res
+    if values is None:
         raise NumericError("every member chunk failed numerically")
-    diag = _diagnostics(np.concatenate(histories, axis=1), spec, config)
-    return np.concatenate(blocks, axis=1), seeds, diag, flagged
+    if not kept.all():
+        # compress, unlike a mask index, returns C-ordered arrays
+        values, history = (np.compress(kept, a, axis=1)
+                           for a in (values, history))
+        seeds = [s for s, keep in zip(seeds, kept) if keep]
+    return values, seeds, _diagnostics(history, spec, config), flagged
 
 
 @contextmanager
@@ -257,8 +292,8 @@ def parallel_picard(grid: Grid, measure, spec: NonlinearitySpec,
                                counter_offset)
     with _chunk_results([payloads], workers) as solves:
         values, seeds, diag, flagged = _merge_chunks(
-            next(solves), NonlinearitySpec.zero() if spec is None else spec,
-            solver)
+            next(solves), n_members,
+            NonlinearitySpec.zero() if spec is None else spec, solver)
     traj = Ensemble(grid, values, solver.time_grid, seeds)
     info = {"converged": diag.converged, "diagnostics": diag,
             "member_seeds": list(traj.seeds), "flagged": flagged}
@@ -276,32 +311,51 @@ def parallel_ladder(grid: Grid, measure, spec: NonlinearitySpec,
     member_moments for each p of LADDER_MOMENTS.
 
     Each member chunk is one pool task that solves every level and returns
-    its ladder_series, so no trajectory leaves its worker.  The report's
-    moment guard needs two members, so one is rejected before any solve.
-    Level by level in increasing order, a chunk that failed at that level
-    raises NumericError, and the chunks' residual histories of the level,
-    joined along the member axis, give its PicardDiagnostics under
-    f(h_n(.)) or raise NonContractionError.  Identical output for any
-    worker count and any CHUNK.
+    its ladder_series, so no trajectory leaves its worker.  The parent
+    writes each chunk's series, final state and per-level residual
+    histories into their member columns of the joined arrays as the
+    chunk arrives and then drops it, so it holds the joined arrays and at
+    most one chunk result.  The report's moment guard needs two members,
+    so one is rejected before any solve.  Level by level in increasing
+    order, a chunk that failed at that level raises NumericError (the
+    first such chunk's message), and the level's joined residual history
+    gives its PicardDiagnostics under f(h_n(.)) or raises
+    NonContractionError.  Identical output for any worker count and any
+    CHUNK.
     """
     levels = ladder_levels(spec, ladder)
     _require_members(n_members, "cut-off ladder moment guard")
     payloads = _chunk_payloads(measure, spec, solver, n_members, seed,
                                ladder=levels)
+    series = final = None
+    seeds, histories = [None] * n_members, {}
+    failed = {}                   # level -> the first chunk's message there
     with _chunk_results([payloads], workers) as solves:
-        chunks = list(next(solves))
+        for res in next(solves):
+            cols = _member_columns(res)
+            seeds[cols] = res["seeds"]
+            # a failed chunk holds the histories of the levels below its
+            # failure, which the diagnostics of those levels need; a level
+            # any chunk failed at raises below, unset columns and all
+            for n, history in res["history"].items():
+                histories[n] = _write_block(histories.get(n), history, cols,
+                                            n_members)
+            if res["error"] is not None:
+                failed.setdefault(levels[len(res["history"])], res["error"])
+            else:
+                series = _write_block(series, res["values"], cols, n_members)
+                final = _write_block(final, res["final"], cols, n_members,
+                                     axis=0)
+            # drop it before the next chunk arrives
+            del res
     diagnostics = {}
     for n in levels:
-        failed = [c["error"] for c in chunks if n not in c["history"]]
-        if failed:
-            raise NumericError(f"ladder level {n:g}: {failed[0]}")
-        diagnostics[n] = _diagnostics(
-            np.concatenate([c["history"][n] for c in chunks], axis=1),
-            replace(spec, cutoff_level=n), solver)
-    series = np.concatenate([c["values"] for c in chunks], axis=1)
+        if n in failed:
+            raise NumericError(f"ladder level {n:g}: {failed[n]}")
+        diagnostics[n] = _diagnostics(histories[n],
+                                      replace(spec, cutoff_level=n), solver)
     times = solver.time_grid
-    final_state = Ensemble(grid, np.concatenate([c["final"] for c in chunks]),
-                           times[-1], [s for c in chunks for s in c["seeds"]])
+    final_state = Ensemble(grid, final, times[-1], seeds)
     return (final_state, ladder_moments(series),
             ladder_report(times, series, diagnostics))
 
@@ -738,7 +792,7 @@ def _energy_dissipation(config: dict, workers: int) -> ExperimentResult:
         def next_report(label, flux):
             """The solve's DissipationReport and its unconverged note."""
             series, member_seeds, diag, member_flags = _merge_chunks(
-                next(results), flux, solver)
+                next(results), n_members, flux, solver)
             seeds.extend(member_seeds)
             flagged.extend(member_flags)
             report = reduce_dissipation(times, series)

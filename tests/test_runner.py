@@ -10,6 +10,7 @@ import re
 import sys
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -482,6 +483,100 @@ class TestChunkSize:
             assert res["final"].shape == (5, 32)
 
 
+class TestJoinMemory:
+    """The parent writes each chunk result into the joined arrays as it
+    arrives and drops it, so its traced peak stays near the joined
+    arrays' bytes; a join holding every chunk until the end would read
+    about twice that.  The chunk results are synthetic, each built only
+    when the join reads it, at the shipped ladder grid (n = 512, 11
+    nodes, levels 1, 2, 4, 8)."""
+    LEVELS = (1.0, 2.0, 4.0, 8.0)
+
+    def parts(self):
+        cfg = RunConfig.from_dict({"experiment": "cutoff-ladder"})
+        parts = _cfg_parts(cfg.to_dict())
+        assert (parts[0].n, len(parts[3].time_grid)) == (512, 11)
+        return parts
+
+    def traced_peak(self, monkeypatch, result, call) -> int:
+        """tracemalloc peak of a second call() with every chunk result
+        made by result(payload) as the join reads it."""
+        @contextmanager
+        def synthetic(solves, workers):
+            yield ((result(p) for p in solve) for solve in solves)
+
+        monkeypatch.setattr(fracflow.experiments, "_chunk_results",
+                            synthetic)
+        # untraced first: the first call's one-off imports and caches
+        # would count against the join
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    @staticmethod
+    def chunk(payload, **arrays) -> dict:
+        size = payload["size"]
+        seeds = [(payload["seed"], payload["start"] + j) for j in range(size)]
+        return {"start": payload["start"], "seeds": seeds, "error": None,
+                **arrays}
+
+    @staticmethod
+    def history(config, size) -> np.ndarray:
+        # one sweep, converged
+        history = np.full((config.max_iter, size), -np.inf)
+        history[0] = 1e-9
+        return history
+
+    @pytest.mark.parametrize("chunks", [8, 32])
+    def test_ladder_peak_near_joined_bytes(self, monkeypatch, chunks):
+        grid, measure, spec, solver = self.parts()
+        nodes, n_members = len(solver.time_grid), chunks * CHUNK
+        k = 6 + 3                 # level pairs, then moments p = 2, 4, 6
+
+        def result(payload):
+            size = payload["size"]
+            rng = np.random.default_rng(payload["start"])
+            # distances shrink as the lower level rises: no LadderWarning
+            series = rng.random((nodes, size, k)) / np.arange(1, k + 1)
+            return self.chunk(
+                payload, values=series, final=rng.random((size, grid.n)),
+                history={n: self.history(solver, size) for n in self.LEVELS})
+
+        joined = 8 * n_members * (nodes * k + grid.n
+                                  + len(self.LEVELS) * solver.max_iter)
+        final = []
+        peak = self.traced_peak(monkeypatch, result, lambda: final.append(
+            parallel_ladder(grid, measure, spec, solver, n_members, 96,
+                            self.LEVELS)[0]))
+        assert final[-1].values.shape == (n_members, grid.n)
+        assert peak < 1.5 * joined, peak / joined
+
+    @pytest.mark.parametrize("chunks", [8, 32])
+    def test_picard_peak_near_joined_bytes(self, monkeypatch, chunks):
+        _, measure, _, solver = self.parts()
+        grid = Grid(1, 128, 2 * math.pi)
+        nodes, n_members = len(solver.time_grid), chunks * CHUNK
+
+        def result(payload):
+            size = payload["size"]
+            return self.chunk(payload,
+                              values=np.ones((nodes, size, grid.n)),
+                              history=self.history(solver, size))
+
+        joined = 8 * n_members * (nodes * grid.n + solver.max_iter)
+        trajs = []
+        peak = self.traced_peak(monkeypatch, result, lambda: trajs.append(
+            parallel_picard(grid, measure, NonlinearitySpec.tanh(0.5),
+                            solver, n_members, 96)[0]))
+        assert trajs[-1].values.shape == (nodes, n_members, grid.n)
+        assert peak < 1.5 * joined, peak / joined
+
+
 class TestParallelPicard:
     GRID = Grid(1, 32, 2 * math.pi)
     MEASURE = gaussian_bump_measure(GRID, 0.6, mass=1.0)
@@ -529,6 +624,35 @@ class TestParallelPicard:
         assert {f[2] for f in info["flagged"]} == {"synthetic blowup"}
         assert info["member_seeds"] == whole.seeds[CHUNK:]
         assert np.array_equal(traj.values, whole.values[:, CHUNK:])
+
+    def test_failed_middle_chunk_drops_its_columns(self, monkeypatch):
+        # three chunks, the middle one fails: the joined run is the whole
+        # run without that chunk's columns, diagnostics included
+        real = fracflow.experiments._picard_iterate
+
+        def middle_chunk_fails(ens, spec, config):
+            if ens.seeds[0] == (5, CHUNK):
+                raise NumericError("synthetic blowup")
+            return real(ens, spec, config)
+
+        n = 2 * CHUNK + 3
+        whole, _ = parallel_picard(self.GRID, self.MEASURE, self.TANH,
+                                   self.solver(), n, seed=5)
+        kept = np.r_[0:CHUNK, 2 * CHUNK:n]
+        _, diag = picard_solve(
+            Ensemble(self.GRID, whole.values[0, kept],
+                     seeds=[whole.seeds[i] for i in kept]),
+            self.TANH, self.solver())
+        monkeypatch.setattr(fracflow.experiments, "_picard_iterate",
+                            middle_chunk_fails)
+        traj, info = parallel_picard(self.GRID, self.MEASURE, self.TANH,
+                                     self.solver(), n, seed=5)
+        assert [f[0] for f in info["flagged"]] == list(range(CHUNK, 2 * CHUNK))
+        assert [f[1] for f in info["flagged"]] == whole.seeds[CHUNK:2 * CHUNK]
+        assert info["member_seeds"] == [whole.seeds[i] for i in kept]
+        assert np.array_equal(traj.values, whole.values[:, kept])
+        assert traj.values.flags.c_contiguous
+        assert info["diagnostics"] == diag
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_non_finite_flux_flags_its_chunk(self, monkeypatch, workers):
@@ -800,6 +924,34 @@ class TestParallelLadder:
         with pytest.raises(NumericError, match="ladder level 2: synthetic"):
             parallel_ladder(*_cfg_parts(cfg.to_dict()), cfg.n_members,
                             cfg.seed, (1, 2, 4))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_lowest_failed_level_raises(self, monkeypatch, workers):
+        """Chunk 0 fails at level 4 and chunk 2, read later, at level 2:
+        the ladder raises for level 2 with chunk 2's message."""
+        real = fracflow.solver._picard_iterate
+        fails = {(4.0, 0): "chunk 0 blowup", (2.0, 2): "chunk 2 blowup"}
+
+        def failing(ens, spec, config, reach=None):
+            chunk = ens.seeds[0][1] // CHUNK
+            if (spec.cutoff_level, chunk) in fails:
+                raise NumericError(fails[spec.cutoff_level, chunk])
+            return real(ens, spec, config, reach)
+
+        # a module global: forked pool workers inherit the patch
+        monkeypatch.setattr(fracflow.solver, "_picard_iterate", failing)
+        cfg = RunConfig.from_dict(dict(self.CONFIG,
+                                       n_members=2 * CHUNK + 3))
+        args = (*_cfg_parts(cfg.to_dict()), cfg.n_members, cfg.seed,
+                (1, 2, 4))
+        with pytest.raises(NumericError,
+                           match="^ladder level 2: chunk 2 blowup$"):
+            parallel_ladder(*args, workers=workers)
+        # chunk 0 alone: it does reach level 4 and fail there
+        del fails[2.0, 2]
+        with pytest.raises(NumericError,
+                           match="^ladder level 4: chunk 0 blowup$"):
+            parallel_ladder(*args, workers=workers)
 
     def test_growing_level_raises_noncontraction(self):
         # on this sample a rung's residual series ends above its first; the
