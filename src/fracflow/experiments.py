@@ -9,12 +9,7 @@ the command line lists and runs; tests drive the same entry points.
 Each experiment builds its grid, measure, flux and solver config once
 from the run record (_cfg_parts); pooled solves hand those objects to
 their member chunks as they are.  A chunk is CHUNK members, one pool
-task, sampled once.  The parent allocates each joined array once, with
-the whole run's members, writes every chunk result into its member
-columns as the pool yields it and then drops it, so it holds at most
-one chunk result besides the joined arrays.  Together with counter-based
-per-member seeding this makes every number independent of the worker
-count and of CHUNK.  _chunk_results runs the chunks of several solves as
+task, sampled once.  _chunk_results runs the chunks of several solves as
 the tasks of one process pool, with no more workers than chunks, and
 yields each solve's results in chunk order: parallel_picard is its
 one-solve case, energy-dissipation submits its three solves (the linear
@@ -23,18 +18,28 @@ ladder as one task per chunk, solving every level inside it through
 solver._ladder_solve.  That generator re-solves a level above the first
 only for the members whose cut-off bound on the level below and copies
 the others; each level's trajectory and residual history are still
-those of a full solve of that level, bit for bit.  No
+those of a full solve of that level, bit for bit.
+Every pooled solve joins its chunk results in _merge_chunks, the one
+join and the one failure policy.  The parent allocates each joined array
+once, with the whole run's members, writes every chunk result into its
+member columns as the pool yields it and then drops it, so it holds at
+most one chunk result besides the joined arrays.  A chunk that failed
+numerically (at any level, for a ladder) returns only its seeds and
+message: its members are flagged and their columns dropped, and the run
+goes on.  Together with counter-based per-member seeding this makes
+every number independent of the worker count and of CHUNK.  No
 trajectory of a pooled statistic leaves the process that solved it:
 energy-dissipation's chunks return each member's dissipation series
 (avg_x u^2 and the Dirichlet rate per node), the ladder's chunks each
 member's pair distances and top-level moments per node plus the top
 level's last node, and the parent reduces the joined (nodes, members)
 series across members.  Residuals work the same way: a chunk returns
-each member's residual history, (max_iter, members) per solve or per
-ladder level, and the parent writes the histories into its joined ones
-and builds each solve's PicardDiagnostics from the whole batch's once,
-with solver._diagnostics, which also applies the NonContractionError
-rule.  picard-contraction still solves its ensemble in one process.
+each member's residual history, (max_iter, members) per solve or
+(levels, max_iter, members) per ladder, and each caller builds every
+solve's or ladder level's PicardDiagnostics once from the joined
+history, with solver._diagnostics, which also applies the
+NonContractionError rule.  picard-contraction still solves its ensemble
+in one process.
 """
 
 from __future__ import annotations
@@ -145,37 +150,38 @@ def _solve_chunk(payload: dict) -> dict:
     and final holds the top level's last node.  The member axis of
     values is 1 in every case.  history is each member's residual history
     in _picard_iterate's form, for the parent to join with the other
-    chunks' before any diagnostics are built; a ladder chunk's maps each
-    level it solved to its history.  A plain chunk whose spec is None
-    solves the linear equation (f = 0) as its free flow P_t u0, with no
-    sweep.
-    Numeric blowup inside a chunk is reported, not raised: the run
-    continues with those members flagged, and a ladder chunk stops at the
-    level that failed."""
-    measure, spec, config = (payload["measure"], payload["spec"],
-                             payload["solver"])
+    chunks' before any diagnostics are built; a ladder chunk's stacks
+    every level's, (levels, max_iter, members).  A plain chunk whose spec
+    is None solves the linear equation (f = 0) as its free flow P_t u0,
+    with no sweep.
+    Numeric blowup inside a chunk is reported, not raised: the chunk
+    returns only its seeds and the message, prefixed "ladder level n: "
+    for the level a ladder chunk failed at, and the run continues with
+    its members flagged."""
+    measure, spec, config, levels = (payload["measure"], payload["spec"],
+                                     payload["solver"], payload["ladder"])
     ens = sample_ensemble(measure, payload["size"], payload["seed"],
                           counter_offset=payload["offset"] + payload["start"])
     out = {"start": payload["start"], "seeds": ens.seeds, "values": None,
            "error": None}
+    solutions, histories = {}, []
     try:
-        if payload["ladder"] is None:
-            traj, out["history"] = (_free_flow(ens, config) if spec is None
-                                    else _picard_iterate(ens, spec, config))
-            out["values"] = (dissipation_series(traj, config.s)
-                             if payload["dissipation"] else traj.values)
-            return out
-        solutions, out["history"] = {}, {}
-        for n, values, history in _ladder_solve(ens, spec, payload["ladder"],
-                                                config):
-            solutions[n], out["history"][n] = values, history
+        if levels is None:
+            traj, history = (_free_flow(ens, config) if spec is None
+                             else _picard_iterate(ens, spec, config))
+            values = (dissipation_series(traj, config.s)
+                      if payload["dissipation"] else traj.values)
+            return dict(out, values=values, history=history)
+        for n, values, history in _ladder_solve(ens, spec, levels, config):
+            solutions[n] = values
+            histories.append(history)
     except NumericError as exc:
-        out["error"] = str(exc)
-        return out
-    out["values"] = ladder_series(measure.grid, solutions)
+        where = ("" if levels is None
+                 else f"ladder level {levels[len(histories)]:g}: ")
+        return dict(out, error=f"{where}{exc}")
     # a copy, not a view, so an in-process chunk frees its trajectories
-    out["final"] = values[-1].copy()
-    return out
+    return dict(out, values=ladder_series(measure.grid, solutions),
+                history=np.stack(histories), final=values[-1].copy())
 
 
 def _chunk_payloads(measure, spec: NonlinearitySpec, solver: SolverConfig,
@@ -196,13 +202,12 @@ def _require_members(n_members: int, what: str):
         raise ConfigurationError(f"{what} needs >= 2 members, got {n_members}")
 
 
-def _member_columns(res: dict) -> slice:
-    """The member columns of a chunk result in the joined arrays."""
-    return slice(res["start"], res["start"] + len(res["seeds"]))
+# the member axis of each array a chunk result may hold
+_MEMBER_AXIS = {"values": 1, "history": -1, "final": 0}
 
 
 def _write_block(joined, block: np.ndarray, cols: slice, n_members: int,
-                 axis: int = 1) -> np.ndarray:
+                 axis: int) -> np.ndarray:
     """Write a chunk's block into its member columns along axis of the
     joined array and return that.  The joined array is allocated at the
     first block, with n_members along axis: by then the pool has forked
@@ -212,47 +217,49 @@ def _write_block(joined, block: np.ndarray, cols: slice, n_members: int,
         shape = list(block.shape)
         shape[axis] = n_members
         joined = np.empty(shape, dtype=block.dtype)
-    joined[(slice(None),) * axis + (cols,)] = block
+    index = [slice(None)] * block.ndim
+    index[axis] = cols
+    joined[tuple(index)] = block
     return joined
 
 
-def _merge_chunks(results, n_members: int, spec: NonlinearitySpec,
-                  config: SolverConfig) -> tuple:
-    """(values, seeds, PicardDiagnostics, flagged entries) of one plain or
-    dissipation solve's chunk results, n_members in all.  values and the
-    residual histories are joined along the member axis 1, each chunk
-    written into its member columns as it arrives and then dropped, so
-    the parent holds the joined arrays and at most one chunk result:
-    values are whole trajectories for parallel_picard, (nodes, members,
-    2) dissipation series for energy-dissipation, and the diagnostics are
-    _diagnostics of the joined history under spec (NonlinearitySpec.zero()
-    for the free flow), so a growing solve raises NonContractionError
-    here.  flagged holds (index, seed, message) for each member of a chunk
-    that failed numerically, and those members' columns are dropped once
-    at the end."""
-    values = history = None
-    seeds, flagged = [None] * n_members, []
+def _merge_chunks(results, n_members: int) -> tuple:
+    """(joined, seeds, flagged entries) of one solve's chunk results,
+    n_members in all; the one place chunk results are joined and a
+    failed chunk is handled, for parallel_picard, energy-dissipation and
+    parallel_ladder alike.  joined maps each array of a chunk result
+    (values, history and a ladder's final; see _solve_chunk) to the
+    whole run's, joined along its member axis: each chunk is written
+    into its member columns as it arrives and then dropped, so the
+    parent holds the joined arrays and at most one chunk result.  flagged
+    holds (index, seed, message) for each member of a chunk that failed
+    numerically, and those members' columns and seeds are dropped once
+    at the end, so every joined array is the whole run's minus them.
+    The caller builds each solve's diagnostics from joined["history"]."""
+    joined, seeds, flagged = {}, [None] * n_members, []
     kept = np.ones(n_members, dtype=bool)
     for res in results:
-        cols = _member_columns(res)
+        cols = slice(res["start"], res["start"] + len(res["seeds"]))
         seeds[cols] = res["seeds"]
         if res["error"] is not None:
             kept[cols] = False
             flagged.extend((res["start"] + j, member_seed, res["error"])
                            for j, member_seed in enumerate(res["seeds"]))
         else:
-            values = _write_block(values, res["values"], cols, n_members)
-            history = _write_block(history, res["history"], cols, n_members)
+            for key, axis in _MEMBER_AXIS.items():
+                if key in res:
+                    joined[key] = _write_block(joined.get(key), res[key],
+                                               cols, n_members, axis)
         # drop it before the next chunk arrives
         del res
-    if values is None:
+    if not joined:
         raise NumericError("every member chunk failed numerically")
     if not kept.all():
         # compress, unlike a mask index, returns C-ordered arrays
-        values, history = (np.compress(kept, a, axis=1)
-                           for a in (values, history))
+        joined = {key: np.compress(kept, a, axis=_MEMBER_AXIS[key])
+                  for key, a in joined.items()}
         seeds = [s for s, keep in zip(seeds, kept) if keep]
-    return values, seeds, _diagnostics(history, spec, config), flagged
+    return joined, seeds, flagged
 
 
 @contextmanager
@@ -291,10 +298,11 @@ def parallel_picard(grid: Grid, measure, spec: NonlinearitySpec,
     payloads = _chunk_payloads(measure, spec, solver, n_members, seed,
                                counter_offset)
     with _chunk_results([payloads], workers) as solves:
-        values, seeds, diag, flagged = _merge_chunks(
-            next(solves), n_members,
-            NonlinearitySpec.zero() if spec is None else spec, solver)
-    traj = Ensemble(grid, values, solver.time_grid, seeds)
+        joined, seeds, flagged = _merge_chunks(next(solves), n_members)
+    diag = _diagnostics(joined["history"],
+                        NonlinearitySpec.zero() if spec is None else spec,
+                        solver)
+    traj = Ensemble(grid, joined["values"], solver.time_grid, seeds)
     info = {"converged": diag.converged, "diagnostics": diag,
             "member_seeds": list(traj.seeds), "flagged": flagged}
     return traj, info
@@ -306,58 +314,36 @@ def parallel_ladder(grid: Grid, measure, spec: NonlinearitySpec,
     """The cut-off ladder of a polynomial flux on member chunks: for each
     level n solve with data h_n(u0) and flux f(h_n(.)), then measure
     whether the solutions form a Cauchy sequence in n.  Returns
-    (final_state, moments, LadderReport): the top level's last-node
-    snapshot Ensemble with every member seed, and the top level's
-    member_moments for each p of LADDER_MOMENTS.
+    (final_state, moments, LadderReport, flagged): the top level's
+    last-node snapshot Ensemble with every kept member's seed, the top
+    level's member_moments for each p of LADDER_MOMENTS, and the
+    (index, seed, message) entries of the members flagged for numeric
+    failure.
 
     Each member chunk is one pool task that solves every level and returns
-    its ladder_series, so no trajectory leaves its worker.  The parent
-    writes each chunk's series, final state and per-level residual
-    histories into their member columns of the joined arrays as the
-    chunk arrives and then drops it, so it holds the joined arrays and at
-    most one chunk result.  The report's moment guard needs two members,
-    so one is rejected before any solve.  Level by level in increasing
-    order, a chunk that failed at that level raises NumericError (the
-    first such chunk's message), and the level's joined residual history
-    gives its PicardDiagnostics under f(h_n(.)) or raises
-    NonContractionError.  Identical output for any worker count and any
-    CHUNK.
+    its ladder_series, so no trajectory leaves its worker; _merge_chunks
+    joins the chunks' series, final states and stacked residual
+    histories as they arrive, as it does for every pooled solve.  A
+    chunk that failed at any level is flagged with its "ladder level n: "
+    message and its members are dropped from every level.  The report's
+    moment guard needs two members, so one is rejected before any solve.
+    Each level's joined residual history gives its PicardDiagnostics
+    under f(h_n(.)) or raises NonContractionError.  Identical output for
+    any worker count and any CHUNK.
     """
     levels = ladder_levels(spec, ladder)
     _require_members(n_members, "cut-off ladder moment guard")
     payloads = _chunk_payloads(measure, spec, solver, n_members, seed,
                                ladder=levels)
-    series = final = None
-    seeds, histories = [None] * n_members, {}
-    failed = {}                   # level -> the first chunk's message there
     with _chunk_results([payloads], workers) as solves:
-        for res in next(solves):
-            cols = _member_columns(res)
-            seeds[cols] = res["seeds"]
-            # a failed chunk holds the histories of the levels below its
-            # failure, which the diagnostics of those levels need; a level
-            # any chunk failed at raises below, unset columns and all
-            for n, history in res["history"].items():
-                histories[n] = _write_block(histories.get(n), history, cols,
-                                            n_members)
-            if res["error"] is not None:
-                failed.setdefault(levels[len(res["history"])], res["error"])
-            else:
-                series = _write_block(series, res["values"], cols, n_members)
-                final = _write_block(final, res["final"], cols, n_members,
-                                     axis=0)
-            # drop it before the next chunk arrives
-            del res
-    diagnostics = {}
-    for n in levels:
-        if n in failed:
-            raise NumericError(f"ladder level {n:g}: {failed[n]}")
-        diagnostics[n] = _diagnostics(histories[n],
-                                      replace(spec, cutoff_level=n), solver)
-    times = solver.time_grid
-    final_state = Ensemble(grid, final, times[-1], seeds)
+        joined, seeds, flagged = _merge_chunks(next(solves), n_members)
+    diagnostics = {n: _diagnostics(history, replace(spec, cutoff_level=n),
+                                   solver)
+                   for n, history in zip(levels, joined["history"])}
+    times, series = solver.time_grid, joined["values"]
+    final_state = Ensemble(grid, joined["final"], times[-1], seeds)
     return (final_state, ladder_moments(series),
-            ladder_report(times, series, diagnostics))
+            ladder_report(times, series, diagnostics), flagged)
 
 
 # ----------------------------------------------------------------- registry
@@ -730,7 +716,7 @@ def _picard_contraction(config: dict, workers: int) -> ExperimentResult:
     ),
 )
 def _moment_monotonicity(config: dict, workers: int) -> ExperimentResult:
-    final, moments, report = parallel_ladder(
+    final, moments, report, flagged = parallel_ladder(
         *_cfg_parts(config), config["n_members"], config["seed"],
         (1, 2, 4, 8), workers)
     checks, tables = [], {}
@@ -748,7 +734,7 @@ def _moment_monotonicity(config: dict, workers: int) -> ExperimentResult:
         f"{_rung_note(report, final.n_members)}"))
     return ExperimentResult(config["experiment"], checks, tables,
                             fields={"final_state": final},
-                            member_seeds=list(final.seeds))
+                            member_seeds=list(final.seeds), flagged=flagged)
 
 
 @_register(
@@ -791,11 +777,12 @@ def _energy_dissipation(config: dict, workers: int) -> ExperimentResult:
 
         def next_report(label, flux):
             """The solve's DissipationReport and its unconverged note."""
-            series, member_seeds, diag, member_flags = _merge_chunks(
-                next(results), n_members, flux, solver)
+            joined, member_seeds, member_flags = _merge_chunks(
+                next(results), n_members)
             seeds.extend(member_seeds)
             flagged.extend(member_flags)
-            report = reduce_dissipation(times, series)
+            diag = _diagnostics(joined["history"], flux, solver)
+            report = reduce_dissipation(times, joined["values"])
             return report, _unconverged_note({label: diag}, report.n_members,
                                              "solve")
 
@@ -891,7 +878,7 @@ def _orthogonality(config: dict, workers: int) -> ExperimentResult:
 def _cutoff_ladder(config: dict, workers: int) -> ExperimentResult:
     # mass 6.25 puts the field rms at 2.5, so levels 1, 2 clip hard and
     # 4, 8 clip rarely: the distances have room to shrink
-    final, _, report = parallel_ladder(
+    final, _, report, flagged = parallel_ladder(
         *_cfg_parts(config), config["n_members"], config["seed"],
         (1, 2, 4, 8), workers)
     rows = [[pair[0], pair[1], sup]
@@ -911,7 +898,7 @@ def _cutoff_ladder(config: dict, workers: int) -> ExperimentResult:
         {"ladder_distances": (["level_lo", "level_hi", "sup_distance"],
                               rows)},
         fields={"final_state": final},
-        member_seeds=list(final.seeds))
+        member_seeds=list(final.seeds), flagged=flagged)
 
 
 @_register(

@@ -623,24 +623,11 @@ def minimal_K(s: float, lipschitz: float) -> float:
     if not (lipschitz > 0 and math.isfinite(lipschitz)):
         raise ConfigurationError(f"lipschitz must be > 0, got {lipschitz}")
     a = gradient_constant(s) * lipschitz * math.gamma(1.0 - 1.0 / (2.0 * s))
-    expo = 2.0 * s / (2.0 * s - 1.0)
     try:
-        k0 = a**expo
+        return a ** (2.0 * s / (2.0 * s - 1.0))
     except OverflowError:
-        k0 = math.inf
-    if math.isinf(k0):
-        # closed form overflowed; bisect rho(K) = 1 on the representable range
-        lo, hi = 1.0, 1e300
-        if contraction_bound(s, lipschitz, hi) > 1.0:
-            return math.inf
-        for _ in range(200):
-            mid = math.sqrt(lo * hi)
-            if contraction_bound(s, lipschitz, mid) > 1.0:
-                lo = mid
-            else:
-                hi = mid
-        k0 = math.sqrt(lo * hi)
-    return k0
+        # K0 is past the float range, so rho > 1 at every representable K
+        return math.inf
 
 
 # ------------------------------------------------------------------ cut-off ladder

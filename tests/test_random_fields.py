@@ -379,6 +379,25 @@ class TestEnsembleContainer:
         with pytest.raises(ConfigurationError):
             load_ensemble(tmp_path / "ens")
 
+    def test_load_rejects_wrong_magic(self, tmp_path):
+        ens = sample_ensemble(bump(), 2, seed=1)
+        _, json_path = export_ensemble(ens, tmp_path / "ens")
+        meta = json.loads(Path(json_path).read_text())
+        meta["format"] = "fracflow-binary-v0"
+        Path(json_path).write_text(json.dumps(meta))
+        with pytest.raises(ConfigurationError, match="not a fracflow-binary"):
+            load_ensemble(tmp_path / "ens")
+
+    def test_load_rejects_truncated_bin(self, tmp_path):
+        ens = sample_ensemble(bump(), 2, seed=1)
+        bin_path, _ = export_ensemble(ens, tmp_path / "ens")
+        data = Path(bin_path).read_bytes()
+        Path(bin_path).write_bytes(data[:-8])
+        with pytest.raises(ConfigurationError,
+                           match=rf"has {len(data) - 8} bytes, metadata "
+                                 rf"implies {len(data)}"):
+            load_ensemble(tmp_path / "ens")
+
     @pytest.mark.parametrize("edit", [lambda g: g.update(d=1.9),
                                       lambda g: g.pop("len")],
                              ids=["fractional-d", "no-len"])

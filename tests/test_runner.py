@@ -11,6 +11,7 @@ import sys
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -545,7 +546,8 @@ class TestJoinMemory:
             series = rng.random((nodes, size, k)) / np.arange(1, k + 1)
             return self.chunk(
                 payload, values=series, final=rng.random((size, grid.n)),
-                history={n: self.history(solver, size) for n in self.LEVELS})
+                history=np.stack([self.history(solver, size)]
+                                 * len(self.LEVELS)))
 
         joined = 8 * n_members * (nodes * k + grid.n
                                   + len(self.LEVELS) * solver.max_iter)
@@ -753,14 +755,16 @@ class TestParallelLadder:
         parts = _cfg_parts(cfg.to_dict())
         _, measure, spec, solver = parts
         args = (*parts, cfg.n_members, cfg.seed, (1, 2, 4, 8))
-        ref_final, ref_moments, ref = self.whole_batch(monkeypatch, *args)
+        ref_final, ref_moments, ref, _ = self.whole_batch(monkeypatch, *args)
         # the top rung as a trajectory, for the moment tables' rows
         top, _ = picard_solve(*ladder_rung(
             sample_ensemble(measure, cfg.n_members, cfg.seed), spec, 8.0),
             solver)
         # two chunks, each reduced per member as its levels arrive
         for workers in (1, 2):
-            final, moments, report = parallel_ladder(*args, workers=workers)
+            final, moments, report, flagged = parallel_ladder(
+                *args, workers=workers)
+            assert flagged == []
             assert report.levels == ref.levels == [1.0, 2.0, 4.0, 8.0]
             for n in report.levels:
                 assert report.diagnostics[n] == ref.diagnostics[n]
@@ -836,7 +840,7 @@ class TestParallelLadder:
         monkeypatch.setattr(_DuhamelPlan, "first_iterate", starting)
         for workers in (1, 2):
             series.clear()
-            final, moments, report = parallel_ladder(
+            final, moments, report, _ = parallel_ladder(
                 *parts, cfg.n_members, cfg.seed, levels, workers=workers)
             for n in levels:
                 assert report.diagnostics[n] == diagnostics[n], (workers, n)
@@ -910,7 +914,11 @@ class TestParallelLadder:
         assert np.max(np.abs(ens.values[17])) < 8.0 <= inputs[17, 8.0]
         assert 17 not in free[8.0]
 
-    def test_failed_chunk_raises(self, monkeypatch):
+    def test_failed_chunk_reaches_the_manifest(self, monkeypatch, capsys,
+                                               tmp_path):
+        """A chunk that fails at level 2 is flagged, not raised: the
+        manifest lists its members with the level's message, the CLI
+        counts them, and the run goes on with the other chunk."""
         real = fracflow.solver._picard_iterate
 
         def level_two_fails(ens, spec, config, reach=None):
@@ -921,37 +929,80 @@ class TestParallelLadder:
         monkeypatch.setattr(fracflow.solver, "_picard_iterate",
                             level_two_fails)
         cfg = RunConfig.from_dict(self.CONFIG)
-        with pytest.raises(NumericError, match="ladder level 2: synthetic"):
-            parallel_ladder(*_cfg_parts(cfg.to_dict()), cfg.n_members,
-                            cfg.seed, (1, 2, 4))
+        config, out = tmp_path / "ladder.json", tmp_path / "run"
+        config.write_text(json.dumps(self.CONFIG))
+        cli_main(["run", str(config), "--workers", "1", "--out", str(out)])
+        assert f"flagged members: {CHUNK}\n" in capsys.readouterr().out
+        manifest = json.loads((out / "manifest.json").read_text())
+        flagged = manifest["flagged_members"]
+        assert [f["member"] for f in flagged] == list(range(CHUNK))
+        assert {f["error"] for f in flagged} == {
+            "ladder level 2: synthetic blowup"}
+        assert [f["seed"] for f in flagged] == \
+            [[cfg.seed, j] for j in range(CHUNK)]
+        assert manifest["member_seeds"] == \
+            [[cfg.seed, j] for j in range(CHUNK, cfg.n_members)]
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_lowest_failed_level_raises(self, monkeypatch, workers):
-        """Chunk 0 fails at level 4 and chunk 2, read later, at level 2:
-        the ladder raises for level 2 with chunk 2's message."""
+    def test_failed_chunks_drop_their_columns(self, monkeypatch, workers):
+        """Chunk 0 fails at level 4 and chunk 2 at level 2: both chunks'
+        members are flagged with their level's message, and every level's
+        series, the final state, the seeds and every level's diagnostics
+        are the whole run's minus those columns."""
+        cfg = RunConfig.from_dict(dict(self.CONFIG,
+                                       n_members=2 * CHUNK + 3))
+        parts = _cfg_parts(cfg.to_dict())
+        _, _, spec, solver = parts
+        args = (*parts, cfg.n_members, cfg.seed, (1, 2, 4))
+        series, histories = [], []
+        real_report = fracflow.experiments.ladder_report
+        real_diagnostics = fracflow.experiments._diagnostics
+
+        def capture_series(times, joined, diags):
+            series.append(joined)
+            return real_report(times, joined, diags)
+
+        def capture_history(history, rung_spec, config):
+            histories.append(history)
+            return real_diagnostics(history, rung_spec, config)
+
+        monkeypatch.setattr(fracflow.experiments, "ladder_report",
+                            capture_series)
+        monkeypatch.setattr(fracflow.experiments, "_diagnostics",
+                            capture_history)
+        whole_final, whole_moments, _, _ = parallel_ladder(*args)
+        whole_series, whole_histories = series.pop(), list(histories)
+
         real = fracflow.solver._picard_iterate
         fails = {(4.0, 0): "chunk 0 blowup", (2.0, 2): "chunk 2 blowup"}
 
-        def failing(ens, spec, config, reach=None):
+        def failing(ens, rung_spec, config, reach=None):
             chunk = ens.seeds[0][1] // CHUNK
-            if (spec.cutoff_level, chunk) in fails:
-                raise NumericError(fails[spec.cutoff_level, chunk])
-            return real(ens, spec, config, reach)
+            if (rung_spec.cutoff_level, chunk) in fails:
+                raise NumericError(fails[rung_spec.cutoff_level, chunk])
+            return real(ens, rung_spec, config, reach)
 
         # a module global: forked pool workers inherit the patch
         monkeypatch.setattr(fracflow.solver, "_picard_iterate", failing)
-        cfg = RunConfig.from_dict(dict(self.CONFIG,
-                                       n_members=2 * CHUNK + 3))
-        args = (*_cfg_parts(cfg.to_dict()), cfg.n_members, cfg.seed,
-                (1, 2, 4))
-        with pytest.raises(NumericError,
-                           match="^ladder level 2: chunk 2 blowup$"):
-            parallel_ladder(*args, workers=workers)
-        # chunk 0 alone: it does reach level 4 and fail there
-        del fails[2.0, 2]
-        with pytest.raises(NumericError,
-                           match="^ladder level 4: chunk 0 blowup$"):
-            parallel_ladder(*args, workers=workers)
+        final, moments, report, flagged = parallel_ladder(*args,
+                                                          workers=workers)
+        kept = np.r_[CHUNK:2 * CHUNK]
+        assert flagged == (
+            [(j, whole_final.seeds[j], "ladder level 4: chunk 0 blowup")
+             for j in range(CHUNK)]
+            + [(j, whole_final.seeds[j], "ladder level 2: chunk 2 blowup")
+               for j in range(2 * CHUNK, cfg.n_members)])
+        assert np.array_equal(series[0], whole_series[:, kept])
+        assert series[0].flags.c_contiguous
+        assert np.array_equal(final.values, whole_final.values[kept])
+        assert final.seeds == [whole_final.seeds[i] for i in kept]
+        for p, m in moments.items():
+            assert np.array_equal(m, whole_moments[p][:, kept])
+        assert list(report.diagnostics) == [1.0, 2.0, 4.0]
+        for n, whole_history in zip(report.levels, whole_histories):
+            assert report.diagnostics[n] == real_diagnostics(
+                whole_history[:, kept], replace(spec, cutoff_level=n),
+                solver)
 
     def test_growing_level_raises_noncontraction(self):
         # on this sample a rung's residual series ends above its first; the
@@ -1215,6 +1266,7 @@ class TestCli:
         {**SMALL, "grid": {"n": 256.7}},
         {**SMALL, "grid": {"len": "long"}},
         {**SMALL, "grid": {"d": True}},
+        {**SMALL, "grid": [32]},
         {**SMALL, "measure": {"params": {"width": "wide"}}},
         {**SMALL, "measure": {"mass": [1.0]}},
         {"experiment": "linear-spectral-decay", "solver": {"z": [1, 0, 3]}},
@@ -1230,7 +1282,8 @@ class TestCli:
         {**SMALL, "n_members": 2.5},
         {**SMALL, "out": 5},
         {**SMALL, "out": True},
-    ], ids=["n-string", "n-fraction", "len-string", "d-bool", "width-string",
+    ], ids=["n-string", "n-fraction", "len-string", "d-bool", "grid-list",
+            "width-string",
             "mass-list", "z-3d-on-1d-grid", "z-string", "s-string",
             "time-grid-strings", "time-grid-ragged", "tol-string", "k-null",
             "scale-string", "max-iter-fraction", "dealias-string",
@@ -1241,6 +1294,18 @@ class TestCli:
         captured = capsys.readouterr()
         assert rc == 2
         assert "configuration error" in captured.err
+        assert captured.out == ""
+
+    def test_solver_failure_exit_one(self, tmp_path, capsys):
+        # a valid config whose ladder does not contract on this sample: a
+        # FracflowError that is not a configuration error
+        cfg = self.write_config(tmp_path, {"experiment": "cutoff-ladder",
+                                           "n_members": 128, "seed": 99})
+        rc = cli_main(["run", cfg, "--workers", "1"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith(
+            "run failed: residual still growing after 40 iterations")
         assert captured.out == ""
 
     @pytest.mark.parametrize("experiment", [

@@ -862,6 +862,20 @@ class TestContractionConstants:
         L = 1.0 / (gradient_constant(1.0) * math.sqrt(math.pi))
         assert minimal_K(1.0, L) == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("s,L", [(0.51, 1e6), (0.5000001, 10.0),
+                                     (0.55, 1e30)])
+    def test_threshold_past_float_range_is_inf(self, s, L):
+        # the closed form overflows; no representable K contracts there
+        assert contraction_bound(s, L, 1e300) > 1.0
+        assert minimal_K(s, L) == math.inf
+
+    def test_threshold_at_float_range_edge(self):
+        # K0 ~ 1.156e300: the closed form still fits in a float
+        K0 = minimal_K(0.75, 1e100)
+        assert 1e300 < K0 < math.inf
+        assert contraction_bound(0.75, 1e100, K0) == pytest.approx(1.0,
+                                                                   abs=1e-12)
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             contraction_bound(0.5, 1.0, 1.0)
