@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .errors import (
     ConfigurationError,
     FracflowError,
-    LadderWarning,
     NonContractionError,
     NumericError,
     ResolutionError,
@@ -39,7 +38,6 @@ from .random_fields import (
     two_mode_measure,
 )
 from .solver import (
-    LadderReport,
     NonlinearitySpec,
     PicardDiagnostics,
     SolverConfig,
@@ -69,8 +67,8 @@ from .runner import RunConfig, RunManifest, replay_run, run_experiment
 
 __all__ = [
     "__version__",
-    "ConfigurationError", "FracflowError", "LadderWarning",
-    "NonContractionError", "NumericError", "ResolutionError",
+    "ConfigurationError", "FracflowError", "NonContractionError",
+    "NumericError", "ResolutionError",
     "Grid", "MultiplierOp", "apply_multiplier_values", "gradient_constant",
     "grad_semigroup_multiplier", "kernel_values", "l2_norm",
     "semigroup_multiplier", "spatial_rms",
@@ -78,7 +76,7 @@ __all__ = [
     "directional_orthogonality_stat", "estimate_spectrum", "export_ensemble",
     "gaussian_bump_measure", "load_ensemble", "measure_from_spec",
     "power_law_measure", "sample_ensemble", "two_mode_measure",
-    "LadderReport", "NonlinearitySpec", "PicardDiagnostics", "SolverConfig",
+    "NonlinearitySpec", "PicardDiagnostics", "SolverConfig",
     "contraction_bound", "cutoff_map", "minimal_K", "picard_solve",
     "step_solve",
     "DissipationReport", "MomentSeries", "SlackReport",

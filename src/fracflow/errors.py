@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package, and the two
+"""Exception types shared across the package, and the two
 checks every config record makes: the record check (a mapping whose keys
 are a dataclass's fields) and the number check on each value."""
 
@@ -43,15 +43,6 @@ class NonContractionError(FracflowError):
 class StepSizeError(FracflowError):
     """The inner fixed-point loop of the marching solver diverged; the
     time step is too large for the nonlinearity."""
-
-
-class LadderWarning(UserWarning):
-    """A cut-off ladder run is not behaving like a Cauchy sequence
-    (pairwise distances fail to decrease); carries the measured data."""
-
-    def __init__(self, message: str, data=None):
-        super().__init__(message)
-        self.data = data
 
 
 def require_number(value, what: str, integer: bool = False):

@@ -40,6 +40,13 @@ solve's or ladder level's PicardDiagnostics once from the joined
 history, with solver._diagnostics, which also applies the
 NonContractionError rule.  picard-contraction still solves its ensemble
 in one process.
+Each ladder check, and linear-spectral-decay's comparison, is built by
+one function of the arrays the parent holds, which the experiment calls
+on the solve and a negative control calls on transformed arrays:
+parallel_ladder returns the joined ladder series and each level's
+diagnostics, which _cauchy_check, _moment_guard and _moment_check read,
+and _decay_check compares one (s, t) of the free flow's spectrum with
+its target.
 """
 
 from __future__ import annotations
@@ -54,6 +61,7 @@ from itertools import islice
 import numpy as np
 
 from .ensemble_stats import (
+    MomentSeries,
     dissipation_series,
     format_table,
     moment_series,
@@ -67,8 +75,10 @@ from .random_fields import (
     directional_orthogonality_stat,
     estimate_spectrum,
     measure_from_spec,
+    member_mean,
     sample_ensemble,
     two_mode_measure,
+    z_score,
 )
 from .solver import (
     NonlinearitySpec,
@@ -80,8 +90,8 @@ from .solver import (
     contraction_bound,
     ladder_levels,
     ladder_moments,
-    ladder_report,
     ladder_series,
+    ladder_sup_distances,
     minimal_K,
     picard_solve,
     step_solve,
@@ -202,6 +212,17 @@ def _require_members(n_members: int, what: str):
         raise ConfigurationError(f"{what} needs >= 2 members, got {n_members}")
 
 
+def _require_kept(seeds: list, flagged: list):
+    """Raise NumericError, naming the first flagged member, when flagged
+    chunks leave fewer than two members for a member-level stderr."""
+    if len(seeds) < 2:
+        index, seed, message = flagged[0]
+        raise NumericError(
+            f"{len(flagged)} members flagged, {len(seeds)} left for a "
+            f"member-level stderr; the first, member {index} (seed "
+            f"{seed}): {message}")
+
+
 # the member axis of each array a chunk result may hold
 _MEMBER_AXIS = {"values": 1, "history": -1, "final": 0}
 
@@ -312,38 +333,39 @@ def parallel_ladder(grid: Grid, measure, spec: NonlinearitySpec,
                     solver: SolverConfig, n_members: int, seed: int, ladder,
                     workers: int = 1) -> tuple:
     """The cut-off ladder of a polynomial flux on member chunks: for each
-    level n solve with data h_n(u0) and flux f(h_n(.)), then measure
-    whether the solutions form a Cauchy sequence in n.  Returns
-    (final_state, moments, LadderReport, flagged): the top level's
-    last-node snapshot Ensemble with every kept member's seed, the top
-    level's member_moments for each p of LADDER_MOMENTS, and the
-    (index, seed, message) entries of the members flagged for numeric
-    failure.
+    level n solve with data h_n(u0) and flux f(h_n(.)).  Returns
+    (final_state, series, diagnostics, flagged): the top level's
+    last-node snapshot Ensemble with every kept member's seed, the joined
+    ladder_series of the kept members, (nodes, members, k), each level's
+    PicardDiagnostics keyed by level in increasing order, and the (index,
+    seed, message) entries of the members flagged for numeric failure.
+    The ladder checks (_cauchy_check, _moment_guard, _moment_check) are
+    functions of series and diagnostics.
 
     Each member chunk is one pool task that solves every level and returns
     its ladder_series, so no trajectory leaves its worker; _merge_chunks
     joins the chunks' series, final states and stacked residual
     histories as they arrive, as it does for every pooled solve.  A
     chunk that failed at any level is flagged with its "ladder level n: "
-    message and its members are dropped from every level.  The report's
-    moment guard needs two members, so one is rejected before any solve.
-    Each level's joined residual history gives its PicardDiagnostics
-    under f(h_n(.)) or raises NonContractionError.  Identical output for
-    any worker count and any CHUNK.
+    message and its members are dropped from every level.  The checks
+    need a member-level stderr, so one member is rejected before any
+    solve, and flagged chunks that leave fewer than two raise
+    NumericError.  Each level's joined residual history gives its
+    PicardDiagnostics under f(h_n(.)) or raises NonContractionError.
+    Identical output for any worker count and any CHUNK.
     """
     levels = ladder_levels(spec, ladder)
-    _require_members(n_members, "cut-off ladder moment guard")
+    _require_members(n_members, "cut-off ladder checks")
     payloads = _chunk_payloads(measure, spec, solver, n_members, seed,
                                ladder=levels)
     with _chunk_results([payloads], workers) as solves:
         joined, seeds, flagged = _merge_chunks(next(solves), n_members)
+    _require_kept(seeds, flagged)
     diagnostics = {n: _diagnostics(history, replace(spec, cutoff_level=n),
                                    solver)
                    for n, history in zip(levels, joined["history"])}
-    times, series = solver.time_grid, joined["values"]
-    final_state = Ensemble(grid, joined["final"], times[-1], seeds)
-    return (final_state, ladder_moments(series),
-            ladder_report(times, series, diagnostics), flagged)
+    final_state = Ensemble(grid, joined["final"], solver.time_grid[-1], seeds)
+    return final_state, joined["values"], diagnostics, flagged
 
 
 # ----------------------------------------------------------------- registry
@@ -409,10 +431,68 @@ def _unconverged_note(solves: dict, n_members: int,
     return f"; unconverged {noun}: {', '.join(named)}" if named else ""
 
 
-def _rung_note(report, n_members: int) -> str:
-    """_unconverged_note of a LadderReport's rungs, named n=level."""
-    return _unconverged_note({f"n={n:g}": report.diagnostics[n]
-                              for n in report.levels}, n_members)
+def _rung_note(diagnostics: dict, n_members: int) -> str:
+    """_unconverged_note of a ladder's rungs (level -> PicardDiagnostics),
+    named n=level."""
+    return _unconverged_note({f"n={n:g}": diag
+                              for n, diag in diagnostics.items()}, n_members)
+
+
+# the detail wording of each experiment's ladder Cauchy check, by name
+_CAUCHY_WORDING = {"cauchy-distances": "increases across min levels",
+                   "ladder-cauchy": "distance increases"}
+
+
+def _cauchy_check(name: str, series: np.ndarray,
+                  diagnostics: dict) -> CheckResult:
+    """A ladder's Cauchy count, from its joined ladder_series and each
+    level's PicardDiagnostics: how often the worst sup distance from a
+    level to the levels above grows as that level rises, zero to pass,
+    with the unconverged rungs noted."""
+    levels = list(diagnostics)
+    sup = ladder_sup_distances(series, levels)
+    worst = [max(sup[n, m] for m in levels if m > n) for n in levels[:-1]]
+    count = sum(b > a for a, b in zip(worst, worst[1:]))
+    return CheckResult(name, count == 0,
+                       f"{count} {_CAUCHY_WORDING[name]}"
+                       f"{_rung_note(diagnostics, series.shape[1])}")
+
+
+def _moment_guard(moments: dict) -> CheckResult:
+    """cutoff-ladder's bound of the top level's moments by the initial
+    data's, E|u(t)|^p <= E|h_n(u0)|^p for p = 2 and 4, from its
+    ladder_moments (p -> (nodes, members)): the paired z of the bound's
+    slack at each node, at least -3 everywhere to pass."""
+    # node 0 is h_top(u0), compared with itself: its z is 0 by construction
+    worst = min(float(np.min(z_score(*member_mean(
+        moments[p][0][None, :] - moments[p], axis=1))[1:])) for p in (2, 4))
+    return CheckResult("moment-guard", worst >= -3.0,
+                       f"min initial-bound z = {worst:.2f}")
+
+
+def _moment_check(series: MomentSeries) -> CheckResult:
+    """moment-monotonicity's check of one moment series: no step increase
+    above 3 paired stderr."""
+    worst = series.max_increase_z()
+    return CheckResult(f"moment-p{series.p}-nonincreasing", worst <= 3.0,
+                       f"largest step increase z = {worst:.2f}")
+
+
+def _decay_check(measure, s: float, t: float, est) -> tuple:
+    """linear-spectral-decay's comparison at (s, t): the SpectrumEstimate
+    est of the flowed data against measure.decayed(s, t), in stderr, at
+    every mode the measure retains.  Returns the CheckResult on the
+    largest |z| and the table rows [s, t, k, target, estimate, stderr, z]."""
+    target = measure.decayed(s, t)
+    worst, rows = 0.0, []
+    for idx in zip(*np.nonzero(measure.weights > 0)):
+        se = est.stderr[idx]
+        z = (est.measure.weights[idx] - target.weights[idx]) / se
+        worst = max(worst, abs(z))
+        rows.append([s, t, measure.grid.axis_wavenumbers[idx[0]],
+                     target.weights[idx], est.measure.weights[idx], se, z])
+    return (CheckResult(f"decay-s{s:g}-t{t:g}", worst <= 3.0,
+                        f"max |z| over retained modes = {worst:.2f}"), rows)
 
 
 def _uniform_grid(t_final: float, nodes: int) -> list:
@@ -452,25 +532,15 @@ _S_SWEEP = (0.6, 0.75, 1.0)
 def _linear_spectral_decay(config: dict, workers: int) -> ExperimentResult:
     grid, measure, _, _ = _cfg_parts(config)
     ens = sample_ensemble(measure, config["n_members"], config["seed"])
-    retained = np.nonzero(measure.weights > 0)
     checks, rows = [], []
     for s in _S_SWEEP:
         for t in (0.1, 0.5, 1.0):
             op = semigroup_multiplier(grid, s, t)
             est = estimate_spectrum(Ensemble(
                 grid, apply_multiplier_values(grid, ens.values, op), t))
-            target = measure.decayed(s, t)
-            worst = 0.0
-            for idx in zip(*retained):
-                se = est.stderr[idx]
-                z = (est.measure.weights[idx] - target.weights[idx]) / se
-                worst = max(worst, abs(z))
-                rows.append([s, t, grid.axis_wavenumbers[idx[0]],
-                             target.weights[idx], est.measure.weights[idx],
-                             se, z])
-            checks.append(CheckResult(
-                f"decay-s{s:g}-t{t:g}", worst <= 3.0,
-                f"max |z| over retained modes = {worst:.2f}"))
+            check, more = _decay_check(measure, s, t, est)
+            checks.append(check)
+            rows.extend(more)
     tables = {"spectral_decay": (
         ["s", "t", "k", "target", "estimate", "stderr", "z"], rows)}
     return ExperimentResult(config["experiment"], checks, tables,
@@ -716,22 +786,17 @@ def _picard_contraction(config: dict, workers: int) -> ExperimentResult:
     ),
 )
 def _moment_monotonicity(config: dict, workers: int) -> ExperimentResult:
-    final, moments, report, flagged = parallel_ladder(
-        *_cfg_parts(config), config["n_members"], config["seed"],
-        (1, 2, 4, 8), workers)
+    parts = _cfg_parts(config)
+    final, series, diagnostics, flagged = parallel_ladder(
+        *parts, config["n_members"], config["seed"], (1, 2, 4, 8), workers)
+    moments = ladder_moments(series)
     checks, tables = [], {}
     for p in (2, 4, 6):
-        series = reduce_moments(report.times, moments[p], p)
-        worst = series.max_increase_z()
-        checks.append(CheckResult(
-            f"moment-p{p}-nonincreasing", worst <= 3.0,
-            f"largest step increase z = {worst:.2f}"))
+        moment = reduce_moments(parts[3].time_grid, moments[p], p)
+        checks.append(_moment_check(moment))
         tables[f"moment_p{p}"] = (
-            ["t", "estimate", "stderr", "increase_z"], series.rows())
-    checks.append(CheckResult(
-        "ladder-cauchy", report.cauchy_violations == 0,
-        f"{report.cauchy_violations} distance increases"
-        f"{_rung_note(report, final.n_members)}"))
+            ["t", "estimate", "stderr", "increase_z"], moment.rows())
+    checks.append(_cauchy_check("ladder-cauchy", series, diagnostics))
     return ExperimentResult(config["experiment"], checks, tables,
                             fields={"final_state": final},
                             member_seeds=list(final.seeds), flagged=flagged)
@@ -779,6 +844,7 @@ def _energy_dissipation(config: dict, workers: int) -> ExperimentResult:
             """The solve's DissipationReport and its unconverged note."""
             joined, member_seeds, member_flags = _merge_chunks(
                 next(results), n_members)
+            _require_kept(member_seeds, member_flags)
             seeds.extend(member_seeds)
             flagged.extend(member_flags)
             diag = _diagnostics(joined["history"], flux, solver)
@@ -878,21 +944,13 @@ def _orthogonality(config: dict, workers: int) -> ExperimentResult:
 def _cutoff_ladder(config: dict, workers: int) -> ExperimentResult:
     # mass 6.25 puts the field rms at 2.5, so levels 1, 2 clip hard and
     # 4, 8 clip rarely: the distances have room to shrink
-    final, _, report, flagged = parallel_ladder(
+    final, series, diagnostics, flagged = parallel_ladder(
         *_cfg_parts(config), config["n_members"], config["seed"],
         (1, 2, 4, 8), workers)
-    rows = [[pair[0], pair[1], sup]
-            for pair, sup in sorted(report.sup_distances.items())]
-    # node 0 compares h_top(u0) with itself, so its z is 0 by construction
-    guard_min = min(float(np.min(v[1:])) for v in report.guard_z.values())
-    checks = [
-        CheckResult("cauchy-distances",
-                    report.cauchy_violations == 0,
-                    f"{report.cauchy_violations} increases across min "
-                    f"levels{_rung_note(report, final.n_members)}"),
-        CheckResult("moment-guard", guard_min >= -3.0,
-                    f"min initial-bound z = {guard_min:.2f}"),
-    ]
+    rows = [[lo, hi, sup] for (lo, hi), sup in
+            sorted(ladder_sup_distances(series, list(diagnostics)).items())]
+    checks = [_cauchy_check("cauchy-distances", series, diagnostics),
+              _moment_guard(ladder_moments(series))]
     return ExperimentResult(
         config["experiment"], checks,
         {"ladder_distances": (["level_lo", "level_hi", "sup_distance"],
@@ -1021,6 +1079,7 @@ def _replay_determinism(config: dict, workers: int) -> ExperimentResult:
     _require_members(config["n_members"], "replay moment table")
     args = (*_cfg_parts(config), config["n_members"], config["seed"])
     solo, info = parallel_picard(*args, workers=1)
+    _require_kept(info["member_seeds"], info["flagged"])
     multi, _ = parallel_picard(*args, workers=2)
     identical = bool(np.array_equal(solo.values, multi.values))
 

@@ -40,13 +40,16 @@ the config's time grid as node times and the initial data's seeds.
 
 The cut-off ladder's rung reuse lives in :func:`_ladder_solve` alone: it
 re-solves, level by level, only the members whose cut-off bound on the
-level below, through the same batch solve as every other caller.
+level below, through the same batch solve as every other caller.  A
+ladder's per-member numbers are its :func:`ladder_series`;
+:func:`ladder_moments` takes the top level's moments from it and
+:func:`ladder_sup_distances` reduces its distances across members.  The
+checks on them live with the experiments.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from itertools import combinations
 
@@ -55,14 +58,13 @@ import numpy as np
 from .ensemble_stats import member_moments
 from .errors import (
     ConfigurationError,
-    LadderWarning,
     NonContractionError,
     NumericError,
     StepSizeError,
     from_record,
     require_number,
 )
-from .random_fields import Ensemble, member_mean, z_score
+from .random_fields import Ensemble
 from .spectral import (
     Grid,
     _check_s,
@@ -632,28 +634,6 @@ def minimal_K(s: float, lipschitz: float) -> float:
 
 # ------------------------------------------------------------------ cut-off ladder
 
-@dataclass
-class LadderReport:
-    """Cauchy diagnostics of a cut-off ladder run.
-
-    pair_distances maps (n_lo, n_hi) to the per-node rms-over-members L2
-    distance between those two ladder solutions; sup_distances is the
-    time-sup of each.  cauchy_violations counts increases of the worst
-    distance as the lower cut-off level rises.  guard_z holds per-node
-    z-scores of the initial-data moment bound E|u(t)|^p <= E|h_n(u0)|^p
-    for p = 2, 4.  diagnostics maps each level to the PicardDiagnostics of
-    its solve.
-    """
-
-    levels: list
-    times: np.ndarray
-    pair_distances: dict
-    sup_distances: dict
-    cauchy_violations: int
-    guard_z: dict
-    diagnostics: dict
-
-
 # top-level moment orders a ladder keeps per member: the guard's 2 and 4,
 # and moment-monotonicity's 2, 4, 6
 LADDER_MOMENTS = (2, 4, 6)
@@ -688,6 +668,14 @@ def ladder_moments(series: np.ndarray) -> dict:
     k = len(LADDER_MOMENTS)
     return {p: np.ascontiguousarray(series[..., i - k])
             for i, p in enumerate(LADDER_MOMENTS)}
+
+
+def ladder_sup_distances(series: np.ndarray, levels: list) -> dict:
+    """(n_lo, n_hi) -> the time-sup of the rms-over-members L2 distance
+    between those two levels' solutions, from a ladder_series of the
+    given levels."""
+    return {pair: float(np.max(np.sqrt(np.mean(series[..., i] ** 2, axis=1))))
+            for i, pair in enumerate(combinations(levels, 2))}
 
 
 def ladder_levels(spec: NonlinearitySpec, ladder) -> list:
@@ -751,46 +739,3 @@ def _ladder_solve(initial: Ensemble, spec: NonlinearitySpec, levels: list,
             if reach is not None:
                 free[todo] = reach < n
         yield n, values, history.copy()
-
-
-def ladder_report(times: np.ndarray, series: np.ndarray,
-                  diagnostics: dict) -> LadderReport:
-    """The member-axis part of a ladder: the LadderReport of the
-    ladder_series of every member in member order and each level's
-    PicardDiagnostics, keyed by level in increasing order; emits
-    LadderWarning on a non-decreasing distance profile."""
-    levels = list(diagnostics)
-    pair_distances = {}
-    sup_distances = {}
-    for i, pair in enumerate(combinations(levels, 2)):
-        pair_distances[pair] = np.sqrt(np.mean(series[..., i] ** 2, axis=1))
-        sup_distances[pair] = float(np.max(pair_distances[pair]))
-
-    violations = 0
-    if len(levels) >= 3:
-        worst = [max(sup_distances[(n, m)] for m in levels if m > n)
-                 for n in levels[:-1]]
-        violations = sum(1 for a, b in zip(worst, worst[1:]) if b > a)
-
-    moments = ladder_moments(series)
-    # node 0 is h_top(u0)
-    guard_z = {p: z_score(*member_mean(moments[p][0][None, :] - moments[p],
-                                       axis=1))
-               for p in (2, 4)}
-
-    report = LadderReport(
-        levels=levels,
-        times=times,
-        pair_distances=pair_distances,
-        sup_distances=sup_distances,
-        cauchy_violations=violations,
-        guard_z=guard_z,
-        diagnostics=diagnostics,
-    )
-    if violations > 0:
-        warnings.warn(LadderWarning(
-            f"ladder distances increased {violations} time(s) as the cut-off "
-            "level rose; solutions are not behaving like a Cauchy sequence",
-            data=report,
-        ))
-    return report

@@ -38,6 +38,7 @@ from fracflow.experiments import (
     Experiment,
     ExperimentResult,
     _cfg_parts,
+    _moment_guard,
     get_experiment,
     list_experiments,
     parallel_ladder,
@@ -47,8 +48,10 @@ from fracflow.random_fields import (
     Ensemble,
     gaussian_bump_measure,
     load_ensemble,
+    member_mean,
     sample_ensemble,
     two_mode_measure,
+    z_score,
 )
 from fracflow.runner import RunConfig, RunManifest, replay_run, run_experiment
 from fracflow.solver import (
@@ -542,7 +545,6 @@ class TestJoinMemory:
         def result(payload):
             size = payload["size"]
             rng = np.random.default_rng(payload["start"])
-            # distances shrink as the lower level rises: no LadderWarning
             series = rng.random((nodes, size, k)) / np.arange(1, k + 1)
             return self.chunk(
                 payload, values=series, final=rng.random((size, grid.n)),
@@ -755,37 +757,29 @@ class TestParallelLadder:
         parts = _cfg_parts(cfg.to_dict())
         _, measure, spec, solver = parts
         args = (*parts, cfg.n_members, cfg.seed, (1, 2, 4, 8))
-        ref_final, ref_moments, ref, _ = self.whole_batch(monkeypatch, *args)
+        ref_final, ref_series, ref_diagnostics, _ = self.whole_batch(
+            monkeypatch, *args)
         # the top rung as a trajectory, for the moment tables' rows
         top, _ = picard_solve(*ladder_rung(
             sample_ensemble(measure, cfg.n_members, cfg.seed), spec, 8.0),
             solver)
         # two chunks, each reduced per member as its levels arrive
         for workers in (1, 2):
-            final, moments, report, flagged = parallel_ladder(
+            final, series, diagnostics, flagged = parallel_ladder(
                 *args, workers=workers)
             assert flagged == []
-            assert report.levels == ref.levels == [1.0, 2.0, 4.0, 8.0]
-            for n in report.levels:
-                assert report.diagnostics[n] == ref.diagnostics[n]
-            assert report.pair_distances.keys() == ref.pair_distances.keys()
-            for pair, d in report.pair_distances.items():
-                assert np.array_equal(d, ref.pair_distances[pair])
-            assert report.sup_distances == ref.sup_distances
-            assert report.guard_z.keys() == ref.guard_z.keys() == {2, 4}
-            for p, z in report.guard_z.items():
-                assert np.array_equal(z, ref.guard_z[p])
-            assert report.cauchy_violations == ref.cauchy_violations
-            assert np.array_equal(report.times, ref.times)
+            assert list(diagnostics) == [1.0, 2.0, 4.0, 8.0]
+            assert diagnostics == ref_diagnostics
+            assert np.array_equal(series, ref_series)
             assert np.array_equal(final.values, ref_final.values)
             assert np.array_equal(final.values, top.values[-1])
             assert final.times == ref_final.times == top.times[-1]
             assert final.seeds == ref_final.seeds == top.seeds
-            assert moments.keys() == ref_moments.keys() == {2, 4, 6}
+            moments = ladder_moments(series)
+            assert moments.keys() == {2, 4, 6}
             # the rows of moment-monotonicity's moment_p2/p4/p6 tables
             for p in (2, 4, 6):
-                assert np.array_equal(moments[p], ref_moments[p])
-                rows = reduce_moments(report.times, moments[p], p).rows()
+                rows = reduce_moments(solver.time_grid, moments[p], p).rows()
                 assert np.array_equal(rows, moment_series(top, p).rows(),
                                       equal_nan=True)
 
@@ -814,13 +808,6 @@ class TestParallelLadder:
             solutions[n] = traj.values
         ref_series = ladder_series(grid, solutions)
 
-        series = []
-        real_report = fracflow.experiments.ladder_report
-
-        def capture(times, joined, diags):
-            series.append(joined)
-            return real_report(times, joined, diags)
-
         most_rows = {}            # each rung solve's plan -> its widest sweep
         first_rows = {}           # each rung solve's plan -> rows it starts
         real_apply = _DuhamelPlan.apply
@@ -835,20 +822,15 @@ class TestParallelLadder:
             first_rows[plan] = first_rows.get(plan, 0) + u0.shape[0]
             return real_first(plan, u0)
 
-        monkeypatch.setattr(fracflow.experiments, "ladder_report", capture)
         monkeypatch.setattr(_DuhamelPlan, "apply", counting)
         monkeypatch.setattr(_DuhamelPlan, "first_iterate", starting)
         for workers in (1, 2):
-            series.clear()
-            final, moments, report, _ = parallel_ladder(
+            final, series, level_diagnostics, _ = parallel_ladder(
                 *parts, cfg.n_members, cfg.seed, levels, workers=workers)
-            for n in levels:
-                assert report.diagnostics[n] == diagnostics[n], (workers, n)
-            assert np.array_equal(series[0], ref_series)
+            assert level_diagnostics == diagnostics, workers
+            assert np.array_equal(series, ref_series)
             assert np.array_equal(final.values, solutions[8.0][-1])
             assert final.seeds == ens.seeds
-            for p, m in ladder_moments(ref_series).items():
-                assert np.array_equal(moments[p], m)
         # only the in-process run's sweeps are counted: two chunks, workers 1
         def per_level(rows_of):
             return {n: sum(rows for plan, rows in rows_of.items()
@@ -954,24 +936,17 @@ class TestParallelLadder:
         parts = _cfg_parts(cfg.to_dict())
         _, _, spec, solver = parts
         args = (*parts, cfg.n_members, cfg.seed, (1, 2, 4))
-        series, histories = [], []
-        real_report = fracflow.experiments.ladder_report
+        histories = []
         real_diagnostics = fracflow.experiments._diagnostics
-
-        def capture_series(times, joined, diags):
-            series.append(joined)
-            return real_report(times, joined, diags)
 
         def capture_history(history, rung_spec, config):
             histories.append(history)
             return real_diagnostics(history, rung_spec, config)
 
-        monkeypatch.setattr(fracflow.experiments, "ladder_report",
-                            capture_series)
         monkeypatch.setattr(fracflow.experiments, "_diagnostics",
                             capture_history)
-        whole_final, whole_moments, _, _ = parallel_ladder(*args)
-        whole_series, whole_histories = series.pop(), list(histories)
+        whole_final, whole_series, _, _ = parallel_ladder(*args)
+        whole_histories = list(histories)
 
         real = fracflow.solver._picard_iterate
         fails = {(4.0, 0): "chunk 0 blowup", (2.0, 2): "chunk 2 blowup"}
@@ -984,23 +959,21 @@ class TestParallelLadder:
 
         # a module global: forked pool workers inherit the patch
         monkeypatch.setattr(fracflow.solver, "_picard_iterate", failing)
-        final, moments, report, flagged = parallel_ladder(*args,
-                                                          workers=workers)
+        final, series, diagnostics, flagged = parallel_ladder(
+            *args, workers=workers)
         kept = np.r_[CHUNK:2 * CHUNK]
         assert flagged == (
             [(j, whole_final.seeds[j], "ladder level 4: chunk 0 blowup")
              for j in range(CHUNK)]
             + [(j, whole_final.seeds[j], "ladder level 2: chunk 2 blowup")
                for j in range(2 * CHUNK, cfg.n_members)])
-        assert np.array_equal(series[0], whole_series[:, kept])
-        assert series[0].flags.c_contiguous
+        assert np.array_equal(series, whole_series[:, kept])
+        assert series.flags.c_contiguous
         assert np.array_equal(final.values, whole_final.values[kept])
         assert final.seeds == [whole_final.seeds[i] for i in kept]
-        for p, m in moments.items():
-            assert np.array_equal(m, whole_moments[p][:, kept])
-        assert list(report.diagnostics) == [1.0, 2.0, 4.0]
-        for n, whole_history in zip(report.levels, whole_histories):
-            assert report.diagnostics[n] == real_diagnostics(
+        assert list(diagnostics) == [1.0, 2.0, 4.0]
+        for n, whole_history in zip(diagnostics, whole_histories):
+            assert diagnostics[n] == real_diagnostics(
                 whole_history[:, kept], replace(spec, cutoff_level=n),
                 solver)
 
@@ -1025,25 +998,25 @@ class TestParallelLadder:
             assert pooled.value.bound == whole.value.bound
             assert pooled.value.iterations == whole.value.iterations
 
-    def test_moment_guard_detail_skips_node_zero(self, monkeypatch):
+    def test_moment_guard_detail_skips_node_zero(self):
         """Node 0 compares h_top(u0) with itself, so its z is 0 whatever
-        the data; the detail line reports the minimum over nodes 1..N."""
-        reports = []
-        real_report = fracflow.experiments.ladder_report
-
-        def capture(*args):
-            reports.append(real_report(*args))
-            return reports[-1]
-
-        monkeypatch.setattr(fracflow.experiments, "ladder_report", capture)
+        the data; the detail line reports the minimum over nodes 1..N,
+        and the experiment's check is _moment_guard's on its ladder."""
         cfg = RunConfig.from_dict(self.CONFIG)
-        result = get_experiment("cutoff-ladder").fn(cfg.to_dict(), 1)
-        guard_z = reports[0].guard_z
-        assert all(z[0] == 0.0 for z in guard_z.values())
-        later = min(float(np.min(z[1:])) for z in guard_z.values())
-        check = {c.name: c for c in result.checks}["moment-guard"]
+        _, series, _, _ = parallel_ladder(
+            *_cfg_parts(cfg.to_dict()), cfg.n_members, cfg.seed,
+            (1, 2, 4, 8))
+        moments = ladder_moments(series)
+        guard_z = [z_score(*member_mean(m[0][None, :] - m, axis=1))
+                   for m in (moments[2], moments[4])]
+        assert all(z[0] == 0.0 for z in guard_z)
+        later = min(float(np.min(z[1:])) for z in guard_z)
+        assert later > 0.0
+        check = _moment_guard(moments)
         assert check.detail == f"min initial-bound z = {later:.2f}"
         assert check.passed
+        result = get_experiment("cutoff-ladder").fn(cfg.to_dict(), 1)
+        assert {c.name: c for c in result.checks}["moment-guard"] == check
 
     def test_on_disk_bytes_worker_independent(self, tmp_path):
         cfg = RunConfig.from_dict(self.CONFIG)
@@ -1054,6 +1027,38 @@ class TestParallelLadder:
         for name in ("ladder_distances.tsv", "final_state.bin"):
             assert (tmp_path / "w1" / name).read_bytes() == \
                 (tmp_path / "w2" / name).read_bytes()
+
+
+@pytest.mark.parametrize("experiment,owner,solve", [
+    ("cutoff-ladder", fracflow.solver, "_picard_iterate"),
+    ("energy-dissipation", fracflow.experiments, "_free_flow"),
+    ("replay-determinism", fracflow.experiments, "_picard_iterate"),
+])
+def test_flagged_chunks_leaving_one_member_fail_the_run(
+        monkeypatch, capsys, tmp_path, experiment, owner, solve):
+    """Chunk 0 of a CHUNK + 1 member run fails numerically, which leaves
+    one member for a member-level stderr: the run fails (exit 1) naming
+    the flagged count and the first flagged member, and is not reported
+    as a rejected configuration."""
+    real = getattr(owner, solve)
+
+    def chunk_zero_fails(ens, *args, **kwargs):
+        if ens.seeds[0][1] == 0:
+            raise NumericError("synthetic blowup")
+        return real(ens, *args, **kwargs)
+
+    monkeypatch.setattr(owner, solve, chunk_zero_fails)
+    record = {"experiment": experiment, "n_members": CHUNK + 1,
+              "grid": {"n": 32}}
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(record))
+    assert cli_main(["run", str(config), "--workers", "1"]) == 1
+    seed = RunConfig.from_dict(record).seed
+    where = "ladder level 1: " if experiment == "cutoff-ladder" else ""
+    assert capsys.readouterr().err == (
+        f"run failed: {CHUNK} members flagged, 1 left for a member-level "
+        f"stderr; the first, member 0 (seed ({seed}, 0)): "
+        f"{where}synthetic blowup\n")
 
 
 class TestEnergyDissipationPool:

@@ -5,7 +5,6 @@ cut-off ladder."""
 
 import math
 import pickle
-import warnings
 
 import numpy as np
 import pytest
@@ -15,12 +14,11 @@ from scipy.integrate import quad
 
 from fracflow.errors import (
     ConfigurationError,
-    LadderWarning,
     NonContractionError,
     NumericError,
     StepSizeError,
 )
-from fracflow.experiments import parallel_ladder
+from fracflow.experiments import _cauchy_check, _moment_guard, parallel_ladder
 from fracflow.random_fields import (
     Ensemble,
     export_ensemble,
@@ -31,14 +29,14 @@ from fracflow.random_fields import (
 from fracflow.solver import (
     _DuhamelPlan,
     NonlinearitySpec,
-    PicardDiagnostics,
     SolverConfig,
     _phi1,
     _phi2,
     contraction_bound,
     cutoff_map,
     dealias_mask,
-    ladder_report,
+    ladder_moments,
+    ladder_sup_distances,
     minimal_K,
     picard_solve,
     step_solve,
@@ -71,11 +69,12 @@ def two_members(mass=1.0):
 
 
 def burgers_ladder(cfg, levels, mass=1.0, n_members=2, seed=5):
-    """The LadderReport of the cut-off Burgers ladder on n_members draws of
-    the bump measure, in one process; the defaults draw two_members()."""
+    """(series, diagnostics) of the cut-off Burgers ladder on n_members
+    draws of the bump measure, in one process; the defaults draw
+    two_members()."""
     m = gaussian_bump_measure(GRID, width=2.0, mass=mass)
     return parallel_ladder(GRID, m, NonlinearitySpec.burgers(), cfg,
-                           n_members, seed, levels)[2]
+                           n_members, seed, levels)[1:3]
 
 
 def member(ens, i):
@@ -898,9 +897,9 @@ class TestCutoffLadder:
         u0 = two_members(mass=0.04)    # rms 0.2, excursions well under 2
         assert np.max(np.abs(u0.values)) < 1.0
         cfg = make_config(K=2 * minimal_K(0.75, 4.0))
-        report = burgers_ladder(cfg, [2, 4], mass=0.04)
-        assert report.sup_distances[(2.0, 4.0)] == 0.0
-        assert all(d.converged for d in report.diagnostics.values())
+        series, diagnostics = burgers_ladder(cfg, [2, 4], mass=0.04)
+        assert ladder_sup_distances(series, [2.0, 4.0]) == {(2.0, 4.0): 0.0}
+        assert all(d.converged for d in diagnostics.values())
 
     def test_levels_with_every_member_free_build_no_plan(self, monkeypatch):
         """Every member stays strictly inside the lowest level, so the
@@ -934,45 +933,45 @@ class TestCutoffLadder:
 
     def test_per_level_diagnostics_kept(self):
         cfg = make_config(K=2 * minimal_K(0.75, 2.0), tol=1e-14, max_iter=3)
-        report = burgers_ladder(cfg, [1, 2], mass=6.0, n_members=8, seed=9)
-        assert sorted(report.diagnostics) == [1.0, 2.0]
-        for diag in report.diagnostics.values():
+        _, diagnostics = burgers_ladder(cfg, [1, 2], mass=6.0, n_members=8,
+                                        seed=9)
+        assert sorted(diagnostics) == [1.0, 2.0]
+        for diag in diagnostics.values():
             assert diag.iterations == 3 and not diag.converged
             assert len(diag.residuals) == 3 and diag.residuals[-1] > cfg.tol
 
     def test_cauchy_decay_on_binding_cutoffs(self):
         K = 2 * minimal_K(0.75, 8.0)
         cfg = make_config(K=K)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            report = burgers_ladder(cfg, [1, 2, 4, 8], mass=6.0,
-                                    n_members=40, seed=9)
-        assert report.cauchy_violations == 0
-        assert report.levels[-1] == 8.0
-        assert len(report.pair_distances) == 6
+        series, diagnostics = burgers_ladder(cfg, [1, 2, 4, 8], mass=6.0,
+                                             n_members=40, seed=9)
+        check = _cauchy_check("cauchy-distances", series, diagnostics)
+        assert check.passed
+        assert check.detail == "0 increases across min levels"
+        sup = ladder_sup_distances(series, list(diagnostics))
+        assert len(sup) == 6
         # distances group-monotone: worst pair at min level 1 > at 2 > at 4
-        worst = [max(v for k, v in report.sup_distances.items() if k[0] == n)
+        worst = [max(v for k, v in sup.items() if k[0] == n)
                  for n in (1.0, 2.0, 4.0)]
         assert worst[0] > worst[1] > worst[2] > 0
 
     def test_moment_guard_reported_for_ensembles(self):
         cfg = make_config(K=2 * minimal_K(0.75, 4.0))
-        report = burgers_ladder(cfg, [2, 4], mass=6.0, n_members=40, seed=9)
-        assert set(report.guard_z) == {2, 4}
-        assert report.guard_z[2].shape == cfg.time_grid.shape
-        assert float(np.min(report.guard_z[2])) >= -3.0
-        assert float(np.min(report.guard_z[4])) >= -3.0
+        series, _ = burgers_ladder(cfg, [2, 4], mass=6.0, n_members=40,
+                                   seed=9)
+        moments = ladder_moments(series)
+        assert moments[2].shape == (cfg.time_grid.size, 40)
+        assert _moment_guard(moments).passed
 
     def test_certain_guard_violation_is_minus_infinity(self):
         """Three identical members whose top-level p = 2 moment goes from
         1 to 2 after node 0: the bound is broken with zero spread."""
-        moments = np.array([1.0, 2.0])[:, None, None] * np.ones((1, 3, 3))
-        diag = PicardDiagnostics([0.0], 0.0, True, 0)
-        report = ladder_report(np.array([0.0, 0.1]), moments, {8.0: diag})
-        assert report.guard_z[2][0] == 0.0
-        assert report.guard_z[2][1] == -math.inf
+        moments = np.array([1.0, 2.0])[:, None] * np.ones((1, 3))
+        check = _moment_guard({2: moments, 4: np.ones((2, 3))})
+        assert not check.passed
+        assert check.detail == "min initial-bound z = -inf"
 
-    def test_non_cauchy_profile_emits_warning(self, monkeypatch):
+    def test_non_cauchy_profile_fails_the_check(self, monkeypatch):
         import fracflow.solver as solver_mod
 
         def fake_distance(grid, a, b):
@@ -983,10 +982,10 @@ class TestCutoffLadder:
         fake_distance.calls = 0
         monkeypatch.setattr(solver_mod, "_pair_distance", fake_distance)
         cfg = make_config(K=2 * minimal_K(0.75, 4.0))
-        with pytest.warns(LadderWarning) as caught:
-            report = burgers_ladder(cfg, [1, 2, 4], mass=0.04)
-        assert report.cauchy_violations >= 1
-        assert caught[0].message.data is report
+        series, diagnostics = burgers_ladder(cfg, [1, 2, 4], mass=0.04)
+        check = _cauchy_check("ladder-cauchy", series, diagnostics)
+        assert not check.passed
+        assert check.detail == "1 distance increases"
 
     def test_validation(self):
         m = gaussian_bump_measure(GRID, width=2.0, mass=1.0)
