@@ -50,11 +50,10 @@ from .solver import (
 from .ensemble_stats import (
     DissipationReport,
     MomentSeries,
-    SlackReport,
+    convexity_members,
     dissipation_residual,
     format_table,
     moment_series,
-    stroock_varopoulos_check,
 )
 from .experiments import (
     Experiment,
@@ -79,9 +78,8 @@ __all__ = [
     "NonlinearitySpec", "PicardDiagnostics", "SolverConfig",
     "contraction_bound", "cutoff_map", "minimal_K", "picard_solve",
     "step_solve",
-    "DissipationReport", "MomentSeries", "SlackReport",
+    "DissipationReport", "MomentSeries", "convexity_members",
     "dissipation_residual", "format_table", "moment_series",
-    "stroock_varopoulos_check",
     "Experiment", "ExperimentResult", "get_experiment", "list_experiments",
     "parallel_picard",
     "RunConfig", "RunManifest", "replay_run", "run_experiment",

@@ -1,9 +1,9 @@
 """Monte Carlo verification statistics over solved ensembles: moment
 series and their monotonicity, the energy-dissipation identity, and the
-semigroup convexity inequality
+two sides of the semigroup convexity inequality
 E[(P_h - I)(theta |w|^a) theta |w|^b] <= ab E[(P_h - I)|w| |w|]
 for a + b = 2.  The series statistics take a trajectory :class:`Ensemble`
-(values indexed node, member, grid); the convexity check takes a snapshot.
+(values indexed node, member, grid); convexity_members takes a snapshot.
 
 Every estimator reduces member-level statistics (one number per
 realization first, then member_mean and z_score over members), so spatial
@@ -12,6 +12,8 @@ The moment series and the dissipation residual expose the two stages
 apart (member_moments and dissipation_series per member and per node,
 reduce_moments and reduce_dissipation across members), so member chunks
 solved elsewhere reach their statistics as (nodes, members) series alone.
+convexity_members stops at the per-member stage: the experiment reduces
+its two sides into each check.
 The per-member stages run node by node: their temporaries are one
 node's (members, grid) size, never a whole trajectory's.
 Summation is numpy pairwise reduction in member order, making every
@@ -29,11 +31,11 @@ from .errors import ConfigurationError, ResolutionError
 from .random_fields import Ensemble, member_mean, z_score
 from .spectral import (
     Grid,
+    MultiplierOp,
     apply_multiplier_values,
     half_spectrum,
     half_spectrum_weights,
     real_forward_transform,
-    semigroup_multiplier,
 )
 
 # central differences must resolve the energy decay: max step below this
@@ -208,51 +210,25 @@ def dissipation_residual(traj: Ensemble, s: float) -> DissipationReport:
     return reduce_dissipation(traj.times, dissipation_series(traj, s))
 
 
-@dataclass
-class SlackReport:
-    """One convexity-inequality evaluation: lhs and rhs are the increment
-    forms E[(P_h - I)(.) .], slack = ab rhs - lhs >= 0; the z-score
-    measures the slack estimate in stderr units."""
-
-    a: float
-    b: float
-    h: float
-    s: float
-    slack: float
-    stderr: float
-    z_score: float
-    lhs: float
-    rhs: float
-    n_members: int
-
-    def passed(self) -> bool:
-        """slack >= -3 stderr."""
-        return self.slack >= -3.0 * self.stderr
-
-    def rows(self) -> list:
-        return [[self.a, self.b, self.h, self.s, self.slack, self.stderr,
-                 self.z_score]]
-
-
-def stroock_varopoulos_check(ens_w: Ensemble, a: float, b: float,
-                             h: float, s: float) -> SlackReport:
-    """Monte Carlo check of E[(P_h - I)(theta |w|^a) theta |w|^b]
-    <= ab E[(P_h - I)|w| |w|] with theta = sgn(w), for a + b = 2.
+def convexity_members(ens_w: Ensemble, a: float, b: float,
+                      op: MultiplierOp) -> tuple:
+    """Each member's two increment forms of the convexity inequality
+    E[(P - I)(theta |w|^a) theta |w|^b] <= ab E[(P - I)|w| |w|] with
+    theta = sgn(w), for a + b = 2, under the multiplier op (the semigroup
+    P_h is semigroup_multiplier(grid, s, h)): (lhs, rhs), one number per
+    member each, avg_x of the integrand.
 
     Both sides are increment forms: the h = 0 diagonal E|w|^2 is
     subtracted (theta |w|^a theta |w|^b = |w|^2 pointwise), which is what
-    makes the constant ab sharp for ab < 1.  The slack ab rhs - lhs is
-    then a kernel average of (th1 x^a - th2 y^a)(th1 x^b - th2 y^b)
-    - ab (x - y)^2 >= 0, so it is nonnegative realization by realization,
-    not only in the mean."""
+    makes the constant ab sharp for ab < 1.  Under P_h the slack
+    ab rhs - lhs is then a kernel average of (th1 x^a - th2 y^a)
+    (th1 x^b - th2 y^b) - ab (x - y)^2 >= 0, so it is nonnegative
+    realization by realization, not only in the mean."""
     if not (a > 0 and b > 0 and math.isfinite(a) and math.isfinite(b)):
         raise ConfigurationError(f"powers must be positive, got a={a}, b={b}")
     if abs(a + b - 2.0) > 1e-12:
         raise ConfigurationError(f"powers must satisfy a + b = 2, got {a + b}")
-    if not (h > 0 and math.isfinite(h)):
-        raise ConfigurationError(f"semigroup time must be positive, got {h}")
     grid = ens_w.grid
-    op = semigroup_multiplier(grid, s, h)
     w = ens_w.values
     theta = np.sign(w)
     absw = np.abs(w)
@@ -265,15 +241,7 @@ def stroock_varopoulos_check(ens_w: Ensemble, a: float, b: float,
     rhs_field = (apply_multiplier_values(grid, absw, op,
                                          context="convexity rhs")
                  - absw) * absw
-    lhs_members = np.mean(lhs_field, axis=axes)
-    rhs_members = np.mean(rhs_field, axis=axes)
-    slack_members = a * b * rhs_members - lhs_members
-    slack, stderr = map(float, member_mean(slack_members))
-    return SlackReport(a=a, b=b, h=h, s=s, slack=slack, stderr=stderr,
-                       z_score=z_score(slack, stderr),
-                       lhs=float(np.mean(lhs_members)),
-                       rhs=float(np.mean(rhs_members)),
-                       n_members=ens_w.n_members)
+    return np.mean(lhs_field, axis=axes), np.mean(rhs_field, axis=axes)
 
 
 def format_table(header: list, rows: list) -> str:

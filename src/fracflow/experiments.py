@@ -40,13 +40,15 @@ solve's or ladder level's PicardDiagnostics once from the joined
 history, with solver._diagnostics, which also applies the
 NonContractionError rule.  picard-contraction still solves its ensemble
 in one process.
-Each ladder check, and linear-spectral-decay's comparison, is built by
-one function of the arrays the parent holds, which the experiment calls
-on the solve and a negative control calls on transformed arrays:
-parallel_ladder returns the joined ladder series and each level's
-diagnostics, which _cauchy_check, _moment_guard and _moment_check read,
-and _decay_check compares one (s, t) of the free flow's spectrum with
-its target.
+Each statistical check is built by one function of the arrays the
+parent holds, which the experiment calls on the solve and a negative
+control calls on transformed arrays: parallel_ladder returns the joined
+ladder series and each level's diagnostics, which _cauchy_check,
+_moment_guard and _moment_check read; _decay_check compares one (s, t)
+of the free flow's spectrum with its target; _gate_check and
+_identity_check read one energy-dissipation solve's DissipationReport;
+and _slack_check reduces each member's two sides of the convexity
+inequality (ensemble_stats.convexity_members) under one multiplier.
 """
 
 from __future__ import annotations
@@ -61,13 +63,14 @@ from itertools import islice
 import numpy as np
 
 from .ensemble_stats import (
+    DissipationReport,
     MomentSeries,
+    convexity_members,
     dissipation_series,
     format_table,
     moment_series,
     reduce_dissipation,
     reduce_moments,
-    stroock_varopoulos_check,
 )
 from .errors import ConfigurationError, NumericError, from_record
 from .random_fields import (
@@ -431,13 +434,6 @@ def _unconverged_note(solves: dict, n_members: int,
     return f"; unconverged {noun}: {', '.join(named)}" if named else ""
 
 
-def _rung_note(diagnostics: dict, n_members: int) -> str:
-    """_unconverged_note of a ladder's rungs (level -> PicardDiagnostics),
-    named n=level."""
-    return _unconverged_note({f"n={n:g}": diag
-                              for n, diag in diagnostics.items()}, n_members)
-
-
 # the detail wording of each experiment's ladder Cauchy check, by name
 _CAUCHY_WORDING = {"cauchy-distances": "increases across min levels",
                    "ladder-cauchy": "distance increases"}
@@ -448,14 +444,16 @@ def _cauchy_check(name: str, series: np.ndarray,
     """A ladder's Cauchy count, from its joined ladder_series and each
     level's PicardDiagnostics: how often the worst sup distance from a
     level to the levels above grows as that level rises, zero to pass,
-    with the unconverged rungs noted."""
+    with the unconverged rungs noted, named n=level."""
     levels = list(diagnostics)
     sup = ladder_sup_distances(series, levels)
     worst = [max(sup[n, m] for m in levels if m > n) for n in levels[:-1]]
     count = sum(b > a for a, b in zip(worst, worst[1:]))
+    note = _unconverged_note({f"n={n:g}": diag
+                              for n, diag in diagnostics.items()},
+                             series.shape[1])
     return CheckResult(name, count == 0,
-                       f"{count} {_CAUCHY_WORDING[name]}"
-                       f"{_rung_note(diagnostics, series.shape[1])}")
+                       f"{count} {_CAUCHY_WORDING[name]}{note}")
 
 
 def _moment_guard(moments: dict) -> CheckResult:
@@ -493,6 +491,51 @@ def _decay_check(measure, s: float, t: float, est) -> tuple:
                      target.weights[idx], est.measure.weights[idx], se, z])
     return (CheckResult(f"decay-s{s:g}-t{t:g}", worst <= 3.0,
                         f"max |z| over retained modes = {worst:.2f}"), rows)
+
+
+def _gate_check(report: DissipationReport, dt: float,
+                diagnostics: dict) -> CheckResult:
+    """energy-dissipation's linear gate, from the f = 0 solve's
+    DissipationReport: every interior residual within dt^2 |rhs| + 3
+    stderr, the unconverged solves of diagnostics (label ->
+    PicardDiagnostics) noted."""
+    inner = ~report.low_confidence
+    ok = bool(np.all(np.abs(report.residual[inner])
+                     <= dt**2 * np.abs(report.rhs[inner])
+                     + 3.0 * report.stderr[inner]))
+    note = _unconverged_note(diagnostics, report.n_members, "solve")
+    return CheckResult(
+        "linear-gate", ok,
+        f"interior residual within dt^2 relative + 3 stderr (dt={dt:g}){note}")
+
+
+def _identity_check(label: str, report: DissipationReport,
+                    diagnostics: dict) -> CheckResult:
+    """energy-dissipation's identity check of one nonlinear solve, from
+    its DissipationReport: every interior residual within max(5 % |rhs|,
+    3 stderr), the unconverged solves of diagnostics (label ->
+    PicardDiagnostics) noted."""
+    inner = ~report.low_confidence
+    cap = np.maximum(0.05 * np.abs(report.rhs[inner]),
+                     3.0 * report.stderr[inner])
+    worst = float(np.max(np.abs(report.residual[inner]) - cap))
+    note = _unconverged_note(diagnostics, report.n_members, "solve")
+    return CheckResult(f"{label}-identity", worst <= 0.0,
+                       f"worst interior excess over cap = {worst:.2e}{note}")
+
+
+def _slack_check(a: float, b: float, h: float, s: float, lhs: np.ndarray,
+                 rhs: np.ndarray) -> tuple:
+    """stroock-varopoulos's check of one (a, b, h, s), from each member's
+    increment forms lhs and rhs (convexity_members): the slack
+    ab rhs - lhs at least -3 stderr to pass.  Returns the CheckResult and
+    the table row [a, b, h, s, slack, stderr, z]."""
+    slack, stderr = map(float, member_mean(a * b * rhs - lhs))
+    z = z_score(slack, stderr)
+    return (CheckResult(f"slack-a{a:g}-h{h:g}-s{s:g}",
+                        slack >= -3.0 * stderr,
+                        f"slack {slack:.3e} ({z:.1f} stderr)"),
+            [a, b, h, s, slack, stderr, z])
 
 
 def _uniform_grid(t_final: float, nodes: int) -> list:
@@ -823,7 +866,7 @@ def _energy_dissipation(config: dict, workers: int) -> ExperimentResult:
     times = solver.time_grid
     dt = float(np.max(np.diff(times)))
     checks, tables = [], {}
-    seeds, flagged = [], []
+    seeds, flagged, sign_ok = [], [], True
 
     # linear gate: single +/-1 pair along the first axis plus a mean,
     # where the centered stencil bias (2 lam dt)^2/6 sits below the dt^2
@@ -839,55 +882,30 @@ def _energy_dissipation(config: dict, workers: int) -> ExperimentResult:
                                 dissipation=True)
                 for k, solve in enumerate(solves)]
     with _chunk_results(payloads, workers) as results:
-
-        def next_report(label, flux):
-            """The solve's DissipationReport and its unconverged note."""
-            joined, member_seeds, member_flags = _merge_chunks(
-                next(results), n_members)
+        for name, (_, flux), chunks in zip(("linear", "tanh", "burgers"),
+                                           solves, results):
+            joined, member_seeds, member_flags = _merge_chunks(chunks,
+                                                               n_members)
             _require_kept(member_seeds, member_flags)
             seeds.extend(member_seeds)
             flagged.extend(member_flags)
-            diag = _diagnostics(joined["history"], flux, solver)
+            gate = flux is None
+            diagnostics = {"linear gate" if gate else name: _diagnostics(
+                joined["history"], NonlinearitySpec.zero() if gate else flux,
+                solver)}
             report = reduce_dissipation(times, joined["values"])
-            return report, _unconverged_note({label: diag}, report.n_members,
-                                             "solve")
-
-        gate, note = next_report("linear gate", NonlinearitySpec.zero())
-        inner = ~gate.low_confidence
-        gate_ok = bool(np.all(
-            np.abs(gate.residual[inner])
-            <= dt**2 * np.abs(gate.rhs[inner]) + 3.0 * gate.stderr[inner]))
-        checks.append(CheckResult(
-            "linear-gate", gate_ok,
-            f"interior residual within dt^2 relative + 3 stderr (dt={dt:g})"
-            f"{note}"))
-        tables["dissipation_linear"] = (
-            ["t", "lhs", "rhs", "residual", "stderr", "low_confidence"],
-            gate.rows())
-
-        sign_ok = bool(np.all(gate.rhs <= 0.0))
-        if not gate_ok:
-            # the tanh and burgers solves are left unread
-            checks.append(CheckResult("tanh-identity", False,
-                                      "skipped: linear gate failed"))
-            checks.append(CheckResult("burgers-identity", False,
-                                      "skipped: linear gate failed"))
-        else:
-            for label, (_, flux) in zip(("tanh", "burgers"), solves[1:]):
-                report, note = next_report(label, flux)
-                inner = ~report.low_confidence
-                cap = np.maximum(0.05 * np.abs(report.rhs[inner]),
-                                 3.0 * report.stderr[inner])
-                worst = float(np.max(np.abs(report.residual[inner]) - cap))
-                ok = bool(np.all(np.abs(report.residual[inner]) <= cap))
-                checks.append(CheckResult(
-                    f"{label}-identity", ok,
-                    f"worst interior excess over cap = {worst:.2e}{note}"))
-                sign_ok = sign_ok and bool(np.all(report.rhs <= 0.0))
-                tables[f"dissipation_{label}"] = (
-                    ["t", "lhs", "rhs", "residual", "stderr",
-                     "low_confidence"],
-                    report.rows())
+            tables[f"dissipation_{name}"] = (
+                ["t", "lhs", "rhs", "residual", "stderr", "low_confidence"],
+                report.rows())
+            sign_ok = sign_ok and bool(np.all(report.rhs <= 0.0))
+            checks.append(_gate_check(report, dt, diagnostics) if gate
+                          else _identity_check(name, report, diagnostics))
+            if gate and not checks[-1].passed:
+                # the tanh and burgers solves are left unread
+                checks += [CheckResult(f"{later}-identity", False,
+                                       "skipped: linear gate failed")
+                           for later in ("tanh", "burgers")]
+                break
     checks.append(CheckResult("rhs-sign", sign_ok,
                               "rhs <= 0 at every node (exact)"))
     return ExperimentResult(config["experiment"], checks, tables,
@@ -978,11 +996,10 @@ def _stroock_varopoulos(config: dict, workers: int) -> ExperimentResult:
     for a, b in ((0.5, 1.5), (1.0, 1.0)):
         for h in (0.05, 0.2):
             for s in (0.6, 1.0):
-                rep = stroock_varopoulos_check(ens, a, b, h, s)
-                checks.append(CheckResult(
-                    f"slack-a{a:g}-h{h:g}-s{s:g}", rep.passed(),
-                    f"slack {rep.slack:.3e} ({rep.z_score:.1f} stderr)"))
-                rows.append(rep.rows()[0])
+                check, row = _slack_check(a, b, h, s, *convexity_members(
+                    ens, a, b, semigroup_multiplier(grid, s, h)))
+                checks.append(check)
+                rows.append(row)
 
     # independent physical-space evaluation: circulant kernel-sum matrix
     # against the Fourier multiplier path
@@ -991,21 +1008,18 @@ def _stroock_varopoulos(config: dict, workers: int) -> ExperimentResult:
     e16 = sample_ensemble(m16, 8, config["seed"],
                           counter_offset=config["n_members"])
     a, b, h, s = 0.5, 1.5, 0.3, 0.75
-    rep = stroock_varopoulos_check(e16, a, b, h, s)
+    m_lhs, m_rhs = convexity_members(e16, a, b,
+                                     semigroup_multiplier(g16, s, h))
+    multiplier_slack = float(np.mean(a * b * m_rhs - m_lhs))
     p = kernel_values(g16, s, h)
     idx = (np.arange(16)[:, None] - np.arange(16)[None, :]) % 16
-    matrix = p[idx] * g16.dx
-
-    def kernel_apply(v):
-        return v @ matrix.T
-
+    matrix_t = (p[idx] * g16.dx).T
     w = e16.values
     theta, absw = np.sign(w), np.abs(w)
     pa, pb = theta * absw**a, theta * absw**b
-    lhs = float(np.mean(np.mean((kernel_apply(pa) - pa) * pb, axis=1)))
-    rhs = float(np.mean(np.mean((kernel_apply(absw) - absw) * absw, axis=1)))
-    slack = a * b * rhs - lhs
-    gap = abs(rep.slack - slack)
+    lhs = float(np.mean(np.mean((pa @ matrix_t - pa) * pb, axis=1)))
+    rhs = float(np.mean(np.mean((absw @ matrix_t - absw) * absw, axis=1)))
+    gap = abs(multiplier_slack - (a * b * rhs - lhs))
     checks.append(CheckResult(
         "brute-force-oracle", gap <= 1e-10,
         f"|multiplier - kernel-sum| slack gap = {gap:.2e} on n = 16"))

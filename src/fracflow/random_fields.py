@@ -71,11 +71,6 @@ class SpectralMeasure:
         if not math.isfinite(self.mean):
             raise ConfigurationError("measure mean must be finite")
 
-    @property
-    def total_mass(self) -> float:
-        """sigma(X): the variance of the sampled field."""
-        return float(np.sum(self.weights))
-
     def decayed(self, s: float, t: float) -> "SpectralMeasure":
         """Pushforward under the linear flow: weights e^{-2t|k|^{2s}} w(k)."""
         mult = semigroup_multiplier(self.grid, s, t).values.real

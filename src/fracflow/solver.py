@@ -694,18 +694,11 @@ def ladder_levels(spec: NonlinearitySpec, ladder) -> list:
     return levels
 
 
-def ladder_rung(initial: Ensemble, spec: NonlinearitySpec,
-                level: float) -> tuple:
-    """Initial data h_n(u0) and flux f(h_n(.)) of ladder level n."""
-    return (replace(initial, values=cutoff_map(initial.values, level)),
-            replace(spec, cutoff_level=level))
-
-
 def _ladder_solve(initial: Ensemble, spec: NonlinearitySpec, levels: list,
                   config: SolverConfig):
-    """Yield (n, trajectory values, residual history) of the ladder_rung
-    solve of each level n, in increasing order, the history in
-    _picard_iterate's form.
+    """Yield (n, trajectory values, residual history) of each level n's
+    solve, with data h_n(u0) and flux f(h_n(.)), in increasing order, the
+    history in _picard_iterate's form.
 
     Above the first level only the members not yet free are solved, as
     one sub-batch carrying their seeds; the others' rows and residual
@@ -722,7 +715,7 @@ def _ladder_solve(initial: Ensemble, spec: NonlinearitySpec, levels: list,
     for n in levels:
         todo = np.flatnonzero(~free)
         if todo.size:
-            # ladder_rung's data, clipped for the members to solve only
+            # the level's data h_n(u0), for the members to solve only
             sub = Ensemble(initial.grid, cutoff_map(initial.values[todo], n),
                            seeds=[initial.seeds[i] for i in todo])
             # the clipped data reach n exactly where the raw data do, so

@@ -2,25 +2,47 @@
 which its experiment calls on the solve's arrays.  A control calls the
 same function on arrays where the identity it checks is false by a
 stated margin, and the check must FAIL there, while the call on the true
-arrays passes.  A check that cannot fail shows nothing."""
+arrays passes.  A check that cannot fail shows nothing: energy-dissipation's
+rhs-sign has no control, because its rhs is minus a sum of squares on any
+arrays."""
 
-from itertools import combinations
+import math
+from itertools import combinations, product
 
+import numpy as np
 import pytest
 
-from fracflow.ensemble_stats import reduce_moments
+from fracflow.ensemble_stats import (
+    convexity_members,
+    dissipation_series,
+    reduce_dissipation,
+    reduce_moments,
+)
 from fracflow.experiments import (
     _cauchy_check,
     _cfg_parts,
     _decay_check,
+    _gate_check,
+    _identity_check,
     _moment_check,
     _moment_guard,
+    _slack_check,
     parallel_ladder,
+    parallel_picard,
 )
-from fracflow.random_fields import Ensemble, estimate_spectrum, sample_ensemble
+from fracflow.random_fields import (
+    Ensemble,
+    estimate_spectrum,
+    sample_ensemble,
+    two_mode_measure,
+)
 from fracflow.runner import RunConfig
-from fracflow.solver import ladder_moments
-from fracflow.spectral import apply_multiplier_values, semigroup_multiplier
+from fracflow.solver import NonlinearitySpec, ladder_moments
+from fracflow.spectral import (
+    MultiplierOp,
+    apply_multiplier_values,
+    semigroup_multiplier,
+)
 
 
 def shipped(experiment: str, **overrides) -> tuple:
@@ -98,3 +120,77 @@ def test_linear_spectral_decay_fails_at_the_wrong_s():
         wrong, _ = _decay_check(measure, 0.6, t, est)
         assert not wrong.passed, wrong.detail
         assert float(wrong.detail.rsplit("= ", 1)[1]) > 10.0
+
+
+@pytest.fixture(scope="module")
+def dissipation():
+    """(series by solve, time grid, dt) of energy-dissipation's three
+    solves at 257 members on a 64-cell grid, each solve's
+    dissipation_series drawn from the counter block the experiment
+    gives it."""
+    (grid, measure, spec, solver), n_members, seed = shipped(
+        "energy-dissipation", n_members=257, grid={"n": 64})
+    solves = {"linear": (two_mode_measure(grid, 1.0, mass=1.0, mean=1.0),
+                         None),
+              "tanh": (measure, spec),
+              "burgers": (measure, NonlinearitySpec.burgers(cutoff_level=2.0))}
+    series = {}
+    for k, (name, (m, flux)) in enumerate(solves.items()):
+        traj, _ = parallel_picard(grid, m, flux, solver, n_members, seed,
+                                  counter_offset=k * n_members)
+        series[name] = dissipation_series(traj, solver.s)
+    times = solver.time_grid
+    return series, times, float(np.max(np.diff(times)))
+
+
+def test_energy_dissipation_fails_backwards_in_time(dissipation):
+    """Each solve's mean square falls; read backwards in time it rises
+    while the Dirichlet rate stays negative, so d/dt E u^2 takes the
+    rate's opposite sign.  The gate's worst interior residual must exceed
+    its dt^2 cap by more than |rhs| (1.61 |rhs| on this sample), and each
+    identity's worst excess over its cap must exceed 1 (3.09 for tanh and
+    3.11 for Burgers).  This does not show that the identities' 5 % cap
+    is tight: a flow at the wrong s' = 0.74 still passes it."""
+    series, times, dt = dissipation
+    true = reduce_dissipation(times, series["linear"])
+    assert _gate_check(true, dt, {}).passed
+    report = reduce_dissipation(times, series["linear"][::-1])
+    assert not _gate_check(report, dt, {}).passed
+    inner = ~report.low_confidence
+    rhs = np.abs(report.rhs[inner])
+    excess = (np.abs(report.residual[inner]) - dt**2 * rhs
+              - 3.0 * report.stderr[inner])
+    assert np.max(excess / rhs) > 1.0
+    for label in ("tanh", "burgers"):
+        true = reduce_dissipation(times, series[label])
+        assert _identity_check(label, true, {}).passed
+        check = _identity_check(
+            label, reduce_dissipation(times, series[label][::-1]), {})
+        assert not check.passed
+        assert float(check.detail.rsplit("= ", 1)[1]) > 1.0
+
+
+def backward_flow(grid, s: float, h: float) -> MultiplierOp:
+    """The semigroup run backwards, e^{+h|k|^{2s}}, capped at 10 so it
+    stays finite: it amplifies the modes P_h damps, and the convexity
+    slack turns negative."""
+    return MultiplierOp(grid, np.exp(np.minimum(h * grid.k_abs ** (2 * s),
+                                                math.log(10.0))))
+
+
+def test_stroock_varopoulos_fails_under_the_backward_flow():
+    """Each of the eight slack checks at the shipped 2000 members: under
+    P_h every z is above +89, and under the backward flow every check
+    must FAIL with z below -10 (the weakest, -20.1, at a = b = 1,
+    h = 0.05, s = 1)."""
+    (grid, measure, _, _), n_members, seed = shipped("stroock-varopoulos")
+    ens = sample_ensemble(measure, n_members, seed)
+    for (a, b), h, s in product(((0.5, 1.5), (1.0, 1.0)), (0.05, 0.2),
+                                (0.6, 1.0)):
+        forward, _ = _slack_check(a, b, h, s, *convexity_members(
+            ens, a, b, semigroup_multiplier(grid, s, h)))
+        assert forward.passed, forward.detail
+        check, row = _slack_check(a, b, h, s, *convexity_members(
+            ens, a, b, backward_flow(grid, s, h)))
+        assert not check.passed, check.detail
+        assert row[6] < -10.0

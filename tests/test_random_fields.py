@@ -46,6 +46,11 @@ def bump(mass=1.0, mean=0.0, grid=GRID):
     return gaussian_bump_measure(grid, width=2.0, mass=mass, mean=mean)
 
 
+def total_mass(measure) -> float:
+    """sigma(X): the variance of a field sampled from the measure."""
+    return float(np.sum(measure.weights))
+
+
 # ------------------------------------------------------------------ measures
 
 class TestMeasureValidation:
@@ -80,7 +85,7 @@ class TestMeasureValidation:
 
     def test_total_mass(self):
         m = bump(mass=2.5)
-        assert math.isclose(m.total_mass, 2.5, rel_tol=1e-12)
+        assert math.isclose(total_mass(m), 2.5, rel_tol=1e-12)
 
     def test_nonfinite_mean_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -111,12 +116,12 @@ class TestMeasureFamilies:
     def test_bump_mass_and_dc(self):
         m = bump(mass=3.0)
         assert m.weights[0] == 0.0
-        assert math.isclose(m.total_mass, 3.0, rel_tol=1e-12)
+        assert math.isclose(total_mass(m), 3.0, rel_tol=1e-12)
 
     def test_power_law_mass_and_dc(self):
         m = power_law_measure(GRID, nu=1.5, mass=1.0)
         assert m.weights[0] == 0.0
-        assert math.isclose(m.total_mass, 1.0, rel_tol=1e-12)
+        assert math.isclose(total_mass(m), 1.0, rel_tol=1e-12)
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):
@@ -132,7 +137,7 @@ class TestMeasureFamilies:
         got = m.decayed(s, t).weights
         want = m.weights * np.exp(-2.0 * t * GRID.k_abs ** (2.0 * s))
         assert np.max(np.abs(got - want)) <= 1e-15
-        assert m.decayed(s, t).total_mass < m.total_mass
+        assert total_mass(m.decayed(s, t)) < total_mass(m)
 
     def test_decayed_zero_time_is_identity(self):
         m = bump()
@@ -459,13 +464,13 @@ class TestSpectrum:
         support = m.weights > 0
         z = (est.measure.weights[support] - m.weights[support]) / est.stderr[support]
         assert np.max(np.abs(z)) <= 4.0
-        assert np.max(est.measure.weights[~support]) <= 1e-20 * m.total_mass
+        assert np.max(est.measure.weights[~support]) <= 1e-20 * total_mass(m)
 
     def test_total_mass_equals_empirical_variance(self):
         ens = sample_ensemble(bump(), 60, seed=6)
         est = estimate_spectrum(ens)
         var = float(np.mean((ens.values - np.mean(ens.values)) ** 2))
-        assert math.isclose(est.measure.total_mass, var, rel_tol=1e-10)
+        assert math.isclose(total_mass(est.measure), var, rel_tol=1e-10)
 
     def test_significant_modes_within_stderr(self):
         m = bump()
@@ -514,7 +519,7 @@ class TestSpectralMoments:
         m = SpectralMeasure(g, w)
         i_alpha = float(np.sum(g.k_abs ** (2 * alpha) * m.weights))
         i_beta = float(np.sum(g.k_abs ** (2 * beta) * m.weights))
-        bound = i_alpha ** (beta / alpha) * m.total_mass ** (1 - beta / alpha)
+        bound = i_alpha ** (beta / alpha) * total_mass(m) ** (1 - beta / alpha)
         assert i_beta <= bound * (1.0 + 1e-10)
 
 

@@ -58,14 +58,21 @@ from fracflow.solver import (
     NonlinearitySpec,
     SolverConfig,
     _DuhamelPlan,
+    cutoff_map,
     ladder_moments,
-    ladder_rung,
     ladder_series,
     picard_solve,
 )
 from fracflow.spectral import Grid
 
 SMALL = {"experiment": "zero-nonlinearity", "n_members": 8, "seed": 11}
+
+
+def ladder_rung(initial, spec, level):
+    """Initial data h_n(u0) and flux f(h_n(.)) of ladder level n: the
+    whole-batch solve each ladder level must equal."""
+    return (replace(initial, values=cutoff_map(initial.values, level)),
+            replace(spec, cutoff_level=level))
 
 
 def small_config(**overrides):

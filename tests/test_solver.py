@@ -5,6 +5,7 @@ cut-off ladder."""
 
 import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -75,6 +76,13 @@ def burgers_ladder(cfg, levels, mass=1.0, n_members=2, seed=5):
     m = gaussian_bump_measure(GRID, width=2.0, mass=mass)
     return parallel_ladder(GRID, m, NonlinearitySpec.burgers(), cfg,
                            n_members, seed, levels)[1:3]
+
+
+def ladder_rung(initial, spec, level):
+    """Initial data h_n(u0) and flux f(h_n(.)) of ladder level n: the
+    whole-batch solve each ladder level must equal."""
+    return (replace(initial, values=cutoff_map(initial.values, level)),
+            replace(spec, cutoff_level=level))
 
 
 def member(ens, i):
@@ -906,7 +914,7 @@ class TestCutoffLadder:
         levels above copy it whole: only the lowest level builds a plan,
         and each level still equals a whole-batch solve of its rung, each
         member's residual history included."""
-        from fracflow.solver import _ladder_solve, _picard_iterate, ladder_rung
+        from fracflow.solver import _ladder_solve, _picard_iterate
 
         u0 = two_members(mass=0.04)
         cfg = make_config(K=2 * minimal_K(0.75, 8.0))
