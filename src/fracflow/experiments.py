@@ -40,15 +40,15 @@ solve's or ladder level's PicardDiagnostics once from the joined
 history, with solver._diagnostics, which also applies the
 NonContractionError rule.  picard-contraction still solves its ensemble
 in one process.
-Each statistical check is built by one function of the arrays the
-parent holds, which the experiment calls on the solve and a negative
-control calls on transformed arrays: parallel_ladder returns the joined
-ladder series and each level's diagnostics, which _cauchy_check,
-_moment_guard and _moment_check read; _decay_check compares one (s, t)
-of the free flow's spectrum with its target; _gate_check and
-_identity_check read one energy-dissipation solve's DissipationReport;
-and _slack_check reduces each member's two sides of the convexity
-inequality (ensemble_stats.convexity_members) under one multiplier.
+Every check is a CheckResult, whose statistic and signed margin alone
+decide its verdict (CheckResult.passed).  Each statistical check is one
+function of arrays, called by its experiment on the solve and by a
+negative control on transformed arrays: _cauchy_check reads a ladder
+series over its levels, _moment_guard and _moment_check its moments,
+_decay_check one (s, t) of the free flow's spectrum, _gate_check and
+_identity_check one energy-dissipation solve's DissipationReport, and
+_slack_check each member's two sides of the convexity inequality.
+_noted, the one note helper, names a check's unconverged solves.
 """
 
 from __future__ import annotations
@@ -123,9 +123,17 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass
 class CheckResult:
+    """One check as numbers: the statistic its detail reports and its
+    signed margin to the bound; passed at margin >= 0, so NaN fails."""
+
     name: str
-    passed: bool
+    statistic: float
+    margin: float
     detail: str
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.margin >= 0.0)
 
 
 @dataclass
@@ -342,8 +350,8 @@ def parallel_ladder(grid: Grid, measure, spec: NonlinearitySpec,
     ladder_series of the kept members, (nodes, members, k), each level's
     PicardDiagnostics keyed by level in increasing order, and the (index,
     seed, message) entries of the members flagged for numeric failure.
-    The ladder checks (_cauchy_check, _moment_guard, _moment_check) are
-    functions of series and diagnostics.
+    The ladder checks (_cauchy_check, _moment_guard, _moment_check) read
+    the series alone, and _noted names the unconverged levels.
 
     Each member chunk is one pool task that solves every level and returns
     its ladder_series, so no trajectory leaves its worker; _merge_chunks
@@ -422,16 +430,18 @@ def _cfg_parts(config: dict) -> tuple:
             SolverConfig.from_record(config["solver"]))
 
 
-def _unconverged_note(solves: dict, n_members: int,
-                      noun: str = "rungs") -> str:
-    """Detail-line suffix naming the solves (label -> PicardDiagnostics)
-    that stopped at max_iter unconverged, with how many of the n_members
-    were still above tol; empty when every solve converged."""
-    named = [f"{label} ({diag.iterations} sweeps, residual "
+def _noted(check: CheckResult, solves: dict, n_members: int,
+           noun: str = "rungs") -> CheckResult:
+    """check with the solves (label, or ladder level named n=level, ->
+    PicardDiagnostics) that stopped at max_iter unconverged named after
+    its detail, each with how many of the n_members were above tol."""
+    named = [f"{label if isinstance(label, str) else f'n={label:g}'} "
+             f"({diag.iterations} sweeps, residual "
              f"{diag.residuals[-1]:.3g}, {diag.unconverged_members} of "
              f"{n_members} members above tol)"
              for label, diag in solves.items() if not diag.converged]
-    return f"; unconverged {noun}: {', '.join(named)}" if named else ""
+    return (replace(check, detail=f"{check.detail}; unconverged {noun}: "
+                                  f"{', '.join(named)}") if named else check)
 
 
 # the detail wording of each experiment's ladder Cauchy check, by name
@@ -439,21 +449,14 @@ _CAUCHY_WORDING = {"cauchy-distances": "increases across min levels",
                    "ladder-cauchy": "distance increases"}
 
 
-def _cauchy_check(name: str, series: np.ndarray,
-                  diagnostics: dict) -> CheckResult:
-    """A ladder's Cauchy count, from its joined ladder_series and each
-    level's PicardDiagnostics: how often the worst sup distance from a
-    level to the levels above grows as that level rises, zero to pass,
-    with the unconverged rungs noted, named n=level."""
-    levels = list(diagnostics)
+def _cauchy_check(name: str, series: np.ndarray, levels: list) -> CheckResult:
+    """A ladder's Cauchy count, from its joined ladder_series over the
+    levels in increasing order: how often the worst sup distance from a
+    level to the levels above grows as that level rises, zero to pass."""
     sup = ladder_sup_distances(series, levels)
     worst = [max(sup[n, m] for m in levels if m > n) for n in levels[:-1]]
     count = sum(b > a for a, b in zip(worst, worst[1:]))
-    note = _unconverged_note({f"n={n:g}": diag
-                              for n, diag in diagnostics.items()},
-                             series.shape[1])
-    return CheckResult(name, count == 0,
-                       f"{count} {_CAUCHY_WORDING[name]}{note}")
+    return CheckResult(name, count, -count, f"{count} {_CAUCHY_WORDING[name]}")
 
 
 def _moment_guard(moments: dict) -> CheckResult:
@@ -464,7 +467,7 @@ def _moment_guard(moments: dict) -> CheckResult:
     # node 0 is h_top(u0), compared with itself: its z is 0 by construction
     worst = min(float(np.min(z_score(*member_mean(
         moments[p][0][None, :] - moments[p], axis=1))[1:])) for p in (2, 4))
-    return CheckResult("moment-guard", worst >= -3.0,
+    return CheckResult("moment-guard", worst, worst + 3.0,
                        f"min initial-bound z = {worst:.2f}")
 
 
@@ -472,7 +475,7 @@ def _moment_check(series: MomentSeries) -> CheckResult:
     """moment-monotonicity's check of one moment series: no step increase
     above 3 paired stderr."""
     worst = series.max_increase_z()
-    return CheckResult(f"moment-p{series.p}-nonincreasing", worst <= 3.0,
+    return CheckResult(f"moment-p{series.p}-nonincreasing", worst, 3.0 - worst,
                        f"largest step increase z = {worst:.2f}")
 
 
@@ -489,51 +492,43 @@ def _decay_check(measure, s: float, t: float, est) -> tuple:
         worst = max(worst, abs(z))
         rows.append([s, t, measure.grid.axis_wavenumbers[idx[0]],
                      target.weights[idx], est.measure.weights[idx], se, z])
-    return (CheckResult(f"decay-s{s:g}-t{t:g}", worst <= 3.0,
+    return (CheckResult(f"decay-s{s:g}-t{t:g}", worst, 3.0 - worst,
                         f"max |z| over retained modes = {worst:.2f}"), rows)
 
 
-def _gate_check(report: DissipationReport, dt: float,
-                diagnostics: dict) -> CheckResult:
+def _gate_check(report: DissipationReport, dt: float) -> CheckResult:
     """energy-dissipation's linear gate, from the f = 0 solve's
-    DissipationReport: every interior residual within dt^2 |rhs| + 3
-    stderr, the unconverged solves of diagnostics (label ->
-    PicardDiagnostics) noted."""
+    DissipationReport: the largest excess of an interior residual over
+    dt^2 |rhs| + 3 stderr, at most 0 to pass."""
     inner = ~report.low_confidence
-    ok = bool(np.all(np.abs(report.residual[inner])
-                     <= dt**2 * np.abs(report.rhs[inner])
-                     + 3.0 * report.stderr[inner]))
-    note = _unconverged_note(diagnostics, report.n_members, "solve")
+    cap = dt**2 * np.abs(report.rhs[inner]) + 3.0 * report.stderr[inner]
+    worst = float(np.max(np.abs(report.residual[inner]) - cap))
     return CheckResult(
-        "linear-gate", ok,
-        f"interior residual within dt^2 relative + 3 stderr (dt={dt:g}){note}")
+        "linear-gate", worst, -worst,
+        f"interior residual within dt^2 relative + 3 stderr (dt={dt:g})")
 
 
-def _identity_check(label: str, report: DissipationReport,
-                    diagnostics: dict) -> CheckResult:
+def _identity_check(label: str, report: DissipationReport) -> CheckResult:
     """energy-dissipation's identity check of one nonlinear solve, from
-    its DissipationReport: every interior residual within max(5 % |rhs|,
-    3 stderr), the unconverged solves of diagnostics (label ->
-    PicardDiagnostics) noted."""
+    its DissipationReport: the largest excess of an interior residual
+    over max(5 % |rhs|, 3 stderr), at most 0 to pass."""
     inner = ~report.low_confidence
     cap = np.maximum(0.05 * np.abs(report.rhs[inner]),
                      3.0 * report.stderr[inner])
     worst = float(np.max(np.abs(report.residual[inner]) - cap))
-    note = _unconverged_note(diagnostics, report.n_members, "solve")
-    return CheckResult(f"{label}-identity", worst <= 0.0,
-                       f"worst interior excess over cap = {worst:.2e}{note}")
+    return CheckResult(f"{label}-identity", worst, -worst,
+                       f"worst interior excess over cap = {worst:.2e}")
 
 
 def _slack_check(a: float, b: float, h: float, s: float, lhs: np.ndarray,
                  rhs: np.ndarray) -> tuple:
     """stroock-varopoulos's check of one (a, b, h, s), from each member's
-    increment forms lhs and rhs (convexity_members): the slack
-    ab rhs - lhs at least -3 stderr to pass.  Returns the CheckResult and
-    the table row [a, b, h, s, slack, stderr, z]."""
+    increment forms lhs and rhs (convexity_members): the z of the slack
+    ab rhs - lhs, whose margin slack + 3 stderr is >= 0 to pass.  Returns
+    the CheckResult and the table row [a, b, h, s, slack, stderr, z]."""
     slack, stderr = map(float, member_mean(a * b * rhs - lhs))
     z = z_score(slack, stderr)
-    return (CheckResult(f"slack-a{a:g}-h{h:g}-s{s:g}",
-                        slack >= -3.0 * stderr,
+    return (CheckResult(f"slack-a{a:g}-h{h:g}-s{s:g}", z, slack + 3.0 * stderr,
                         f"slack {slack:.3e} ({z:.1f} stderr)"),
             [a, b, h, s, slack, stderr, z])
 
@@ -615,7 +610,7 @@ def _zero_nonlinearity(config: dict, workers: int) -> ExperimentResult:
         err = float(np.max(spatial_rms(grid, traj.values[j] - exact)))
         worst = max(worst, err)
         rows.append([float(t), err])
-    checks = [CheckResult("matches-semigroup", worst <= 1e-10,
+    checks = [CheckResult("matches-semigroup", worst, 1e-10 - worst,
                           f"max rms deviation from P_t u0 = {worst:.2e}")]
     return ExperimentResult(
         config["experiment"], checks,
@@ -663,9 +658,9 @@ def _semigroup_contraction(config: dict, workers: int) -> ExperimentResult:
         rows.append([float(t), float(np.max(norms))])
         prev = norms
     checks = [
-        CheckResult("semigroup-law", law_worst <= 1e-12,
+        CheckResult("semigroup-law", law_worst, 1e-12 - law_worst,
                     f"sup composition error = {law_worst:.2e}"),
-        CheckResult("l2-contraction", violations == 0,
+        CheckResult("l2-contraction", violations, -violations,
                     f"{violations} norm increases on a "
                     f"{tgrid.size}-point grid"),
     ]
@@ -697,7 +692,7 @@ def _kernel_identities(config: dict, workers: int) -> ExperimentResult:
             mass_err = abs(float(np.sum(ker)) * grid.cell_volume - 1.0)
             mass_worst = max(mass_worst, mass_err)
             rows.append([s, t, mass_err])
-    checks.append(CheckResult("unit-mass", mass_worst <= 1e-8,
+    checks.append(CheckResult("unit-mass", mass_worst, 1e-8 - mass_worst,
                               f"max |mass - 1| = {mass_worst:.2e}"))
 
     # p_t(x) = t^{-1/2s} p_1(t^{-1/2s} x): evaluate p_1 on the rescaled
@@ -711,7 +706,7 @@ def _kernel_identities(config: dict, workers: int) -> ExperimentResult:
         ker_1 = kernel_values(Grid(1, 128, 24.0 * lam), s, 1.0)
         rel = float(np.max(np.abs(ker_t - lam * ker_1)) / np.max(ker_t))
         scale_worst = max(scale_worst, rel)
-    checks.append(CheckResult("rescaling-law", scale_worst <= 1e-6,
+    checks.append(CheckResult("rescaling-law", scale_worst, 1e-6 - scale_worst,
                               f"max relative error = {scale_worst:.2e}"))
 
     gauss_worst = 0.0
@@ -722,7 +717,8 @@ def _kernel_identities(config: dict, workers: int) -> ExperimentResult:
         xc = np.where(x > g.len / 2, x - g.len, x)
         oracle = np.exp(-(xc**2) / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
         gauss_worst = max(gauss_worst, float(np.max(np.abs(ker - oracle))))
-    checks.append(CheckResult("gaussian-oracle", gauss_worst <= 1e-8,
+    checks.append(CheckResult("gaussian-oracle", gauss_worst,
+                              1e-8 - gauss_worst,
                               f"sup error vs heat kernel = {gauss_worst:.2e}"))
     return ExperimentResult(config["experiment"], checks,
                             {"kernel_mass": (["s", "t", "mass_error"], rows)})
@@ -762,7 +758,7 @@ def _gradient_bound(config: dict, workers: int) -> ExperimentResult:
                 violations += 1
             rows.append([s, float(t), norm, ratio, bound])
         checks.append(CheckResult(
-            f"gradient-bound-s{s:g}", violations == 0,
+            f"gradient-bound-s{s:g}", violations, -violations,
             f"{violations} violations on {ts.size} log-spaced times"))
     return ExperimentResult(
         config["experiment"], checks,
@@ -798,11 +794,11 @@ def _picard_contraction(config: dict, workers: int) -> ExperimentResult:
             traj, diag = picard_solve(ens, spec, cfg)
             rho = contraction_bound(s, lip, k)
             measured = max(diag.ratios) if diag.ratios else 0.0
-            ok = (diag.converged and diag.iterations <= 30
-                  and measured <= 1.1 * rho
-                  and diag.residuals[-1] <= base.tol)
+            solved = (diag.converged and diag.iterations <= 30
+                      and diag.residuals[-1] <= base.tol)
             checks.append(CheckResult(
-                f"contraction-s{s:g}-K{mult:g}K0", ok,
+                f"contraction-s{s:g}-K{mult:g}K0", measured,
+                1.1 * rho - measured if solved else -np.inf,
                 f"ratio {measured:.3f} vs bound {1.1 * rho:.3f}, "
                 f"{diag.iterations} iterations, "
                 f"residual {diag.residuals[-1]:.2e}"))
@@ -839,7 +835,9 @@ def _moment_monotonicity(config: dict, workers: int) -> ExperimentResult:
         checks.append(_moment_check(moment))
         tables[f"moment_p{p}"] = (
             ["t", "estimate", "stderr", "increase_z"], moment.rows())
-    checks.append(_cauchy_check("ladder-cauchy", series, diagnostics))
+    checks.append(_noted(_cauchy_check("ladder-cauchy", series,
+                                       list(diagnostics)),
+                         diagnostics, series.shape[1]))
     return ExperimentResult(config["experiment"], checks, tables,
                             fields={"final_state": final},
                             member_seeds=list(final.seeds), flagged=flagged)
@@ -864,9 +862,13 @@ def _energy_dissipation(config: dict, workers: int) -> ExperimentResult:
     n_members = config["n_members"]
     _require_members(n_members, "dissipation identity stderr")
     times = solver.time_grid
+    if times.size < 3:
+        raise ConfigurationError("the dissipation identity needs a time_grid "
+                                 f"of >= 3 nodes, got {times.size}")
     dt = float(np.max(np.diff(times)))
     checks, tables = [], {}
-    seeds, flagged, sign_ok = [], [], True
+    # the largest rhs over the solves read, NaN once any rhs is NaN
+    seeds, flagged, rhs_top = [], [], -np.inf
 
     # linear gate: single +/-1 pair along the first axis plus a mean,
     # where the centered stencil bias (2 lam dt)^2/6 sits below the dt^2
@@ -890,23 +892,24 @@ def _energy_dissipation(config: dict, workers: int) -> ExperimentResult:
             seeds.extend(member_seeds)
             flagged.extend(member_flags)
             gate = flux is None
-            diagnostics = {"linear gate" if gate else name: _diagnostics(
+            solve = {"linear gate" if gate else name: _diagnostics(
                 joined["history"], NonlinearitySpec.zero() if gate else flux,
                 solver)}
             report = reduce_dissipation(times, joined["values"])
             tables[f"dissipation_{name}"] = (
                 ["t", "lhs", "rhs", "residual", "stderr", "low_confidence"],
                 report.rows())
-            sign_ok = sign_ok and bool(np.all(report.rhs <= 0.0))
-            checks.append(_gate_check(report, dt, diagnostics) if gate
-                          else _identity_check(name, report, diagnostics))
+            rhs_top = float(np.maximum(rhs_top, np.max(report.rhs)))
+            checks.append(_noted(_gate_check(report, dt) if gate
+                                 else _identity_check(name, report),
+                                 solve, report.n_members, "solve"))
             if gate and not checks[-1].passed:
                 # the tanh and burgers solves are left unread
-                checks += [CheckResult(f"{later}-identity", False,
+                checks += [CheckResult(f"{later}-identity", np.nan, -np.inf,
                                        "skipped: linear gate failed")
                            for later in ("tanh", "burgers")]
                 break
-    checks.append(CheckResult("rhs-sign", sign_ok,
+    checks.append(CheckResult("rhs-sign", rhs_top, -rhs_top,
                               "rhs <= 0 at every node (exact)"))
     return ExperimentResult(config["experiment"], checks, tables,
                             member_seeds=seeds, flagged=flagged)
@@ -936,7 +939,7 @@ def _orthogonality(config: dict, workers: int) -> ExperimentResult:
     for i, (label, f, g) in enumerate(pairs):
         stat = directional_orthogonality_stat(ens, g, solver.z, f=f)
         checks.append(CheckResult(
-            f"orthogonality-{label}", abs(stat.z_score) <= 3.0,
+            f"orthogonality-{label}", stat.z_score, 3.0 - abs(stat.z_score),
             f"value {stat.value:.3e}, z = {stat.z_score:.2f}"))
         rows.append([float(i), stat.value, stat.stderr, stat.z_score])
     return ExperimentResult(
@@ -967,7 +970,9 @@ def _cutoff_ladder(config: dict, workers: int) -> ExperimentResult:
         (1, 2, 4, 8), workers)
     rows = [[lo, hi, sup] for (lo, hi), sup in
             sorted(ladder_sup_distances(series, list(diagnostics)).items())]
-    checks = [_cauchy_check("cauchy-distances", series, diagnostics),
+    checks = [_noted(_cauchy_check("cauchy-distances", series,
+                                   list(diagnostics)),
+                     diagnostics, series.shape[1]),
               _moment_guard(ladder_moments(series))]
     return ExperimentResult(
         config["experiment"], checks,
@@ -1021,7 +1026,7 @@ def _stroock_varopoulos(config: dict, workers: int) -> ExperimentResult:
     rhs = float(np.mean(np.mean((absw @ matrix_t - absw) * absw, axis=1)))
     gap = abs(multiplier_slack - (a * b * rhs - lhs))
     checks.append(CheckResult(
-        "brute-force-oracle", gap <= 1e-10,
+        "brute-force-oracle", gap, 1e-10 - gap,
         f"|multiplier - kernel-sum| slack gap = {gap:.2e} on n = 16"))
     return ExperimentResult(
         config["experiment"], checks,
@@ -1053,7 +1058,7 @@ def _solver_cross_validation(config: dict, workers: int) -> ExperimentResult:
     gap = float(np.max(spatial_rms(grid, picard_traj.values[-1]
                                    - step_traj.values[-1])))
     checks = [CheckResult(
-        "picard-vs-step", gap <= 10.0 * cfg.tol,
+        "picard-vs-step", gap, 10.0 * cfg.tol - gap,
         f"final-time rms gap {gap:.2e} vs cap {10.0 * cfg.tol:.2e}")]
 
     t_final = float(cfg.time_grid[-1])
@@ -1067,7 +1072,7 @@ def _solver_cross_validation(config: dict, workers: int) -> ExperimentResult:
     err_fine = float(np.max(spatial_rms(grid, at_nodes(101) - ref)))
     ratio = err_coarse / err_fine
     checks.append(CheckResult(
-        "self-convergence", 3.0 <= ratio <= 5.0,
+        "self-convergence", ratio, min(ratio - 3.0, 5.0 - ratio),
         f"error ratio under dt halving = {ratio:.2f}"))
     rows = [[51.0, err_coarse], [101.0, err_fine]]
     return ExperimentResult(
@@ -1095,24 +1100,19 @@ def _replay_determinism(config: dict, workers: int) -> ExperimentResult:
     solo, info = parallel_picard(*args, workers=1)
     _require_kept(info["member_seeds"], info["flagged"])
     multi, _ = parallel_picard(*args, workers=2)
-    identical = bool(np.array_equal(solo.values, multi.values))
-
-    def table_text(traj):
-        series = moment_series(traj, 2)
-        return format_table(["t", "estimate", "stderr", "increase_z"],
-                            series.rows())
-
-    t1, t2 = table_text(solo), table_text(multi)
-    checks = [
-        CheckResult("bitwise-values", identical,
-                    "1-worker and 2-worker ensembles are bit-identical"
-                    if identical else "ensemble values differ"),
-        CheckResult("bitwise-tables", t1 == t2,
-                    "formatted moment tables are byte-identical"
-                    if t1 == t2 else "tables differ"),
-    ]
+    header = ["t", "estimate", "stderr", "increase_z"]
     rows = moment_series(solo, 2).rows()
+    values_differ = float(not np.array_equal(solo.values, multi.values))
+    tables_differ = float(format_table(header, rows) != format_table(
+        header, moment_series(multi, 2).rows()))
+    checks = [
+        CheckResult("bitwise-values", values_differ, -values_differ,
+                    "ensemble values differ" if values_differ else
+                    "1-worker and 2-worker ensembles are bit-identical"),
+        CheckResult("bitwise-tables", tables_differ, -tables_differ,
+                    "tables differ" if tables_differ else
+                    "formatted moment tables are byte-identical"),
+    ]
     return ExperimentResult(
-        config["experiment"], checks,
-        {"moment_p2": (["t", "estimate", "stderr", "increase_z"], rows)},
+        config["experiment"], checks, {"moment_p2": (header, rows)},
         member_seeds=info["member_seeds"], flagged=info["flagged"])

@@ -19,6 +19,7 @@ from fracflow.ensemble_stats import (
     reduce_moments,
 )
 from fracflow.experiments import (
+    CheckResult,
     _cauchy_check,
     _cfg_parts,
     _decay_check,
@@ -43,6 +44,15 @@ from fracflow.spectral import (
     apply_multiplier_values,
     semigroup_multiplier,
 )
+
+
+@pytest.mark.parametrize("margin, passed", [
+    (math.nan, False), (-math.inf, False), (-1e-300, False),
+    (0.0, True), (-0.0, True), (math.inf, True)])
+def test_the_margin_alone_decides(margin, passed):
+    """A check passes at margin >= 0 and nowhere else: a NaN margin, such
+    as a skipped identity's or one computed from a NaN statistic, fails."""
+    assert CheckResult("any", 0.0, margin, "detail").passed is passed
 
 
 def shipped(experiment: str, **overrides) -> tuple:
@@ -85,13 +95,14 @@ def test_cutoff_ladder_fails_on_growing_distances(cutoff_ladder):
     to 11.3 at 2 and 22.7 at 4 on this sample) and the Cauchy count reads
     two increases."""
     series, diagnostics, _ = cutoff_ladder
-    assert _cauchy_check("cauchy-distances", series, diagnostics).passed
+    levels = list(diagnostics)
+    assert _cauchy_check("cauchy-distances", series, levels).passed
     grown = series.copy()
-    for i, (lo, _) in enumerate(combinations(diagnostics, 2)):
+    for i, (lo, _) in enumerate(combinations(levels, 2)):
         grown[..., i] *= lo ** 2
-    check = _cauchy_check("cauchy-distances", grown, diagnostics)
+    check = _cauchy_check("cauchy-distances", grown, levels)
     assert not check.passed
-    assert check.detail.startswith("2 increases across min levels")
+    assert check.statistic == 2
 
 
 def test_cutoff_ladder_guard_fails_on_time_reversed_moments(cutoff_ladder):
@@ -103,7 +114,7 @@ def test_cutoff_ladder_guard_fails_on_time_reversed_moments(cutoff_ladder):
     assert _moment_guard(moments).passed
     check = _moment_guard({p: m[::-1] for p, m in moments.items()})
     assert not check.passed
-    assert float(check.detail.rsplit("= ", 1)[1]) < -5.0
+    assert check.statistic < -5.0
 
 
 def test_linear_spectral_decay_fails_at_the_wrong_s():
@@ -119,7 +130,7 @@ def test_linear_spectral_decay_fails_at_the_wrong_s():
         assert _decay_check(measure, 0.75, t, est)[0].passed
         wrong, _ = _decay_check(measure, 0.6, t, est)
         assert not wrong.passed, wrong.detail
-        assert float(wrong.detail.rsplit("= ", 1)[1]) > 10.0
+        assert wrong.statistic > 10.0
 
 
 @pytest.fixture(scope="module")
@@ -153,9 +164,9 @@ def test_energy_dissipation_fails_backwards_in_time(dissipation):
     is tight: a flow at the wrong s' = 0.74 still passes it."""
     series, times, dt = dissipation
     true = reduce_dissipation(times, series["linear"])
-    assert _gate_check(true, dt, {}).passed
+    assert _gate_check(true, dt).passed
     report = reduce_dissipation(times, series["linear"][::-1])
-    assert not _gate_check(report, dt, {}).passed
+    assert not _gate_check(report, dt).passed
     inner = ~report.low_confidence
     rhs = np.abs(report.rhs[inner])
     excess = (np.abs(report.residual[inner]) - dt**2 * rhs
@@ -163,11 +174,11 @@ def test_energy_dissipation_fails_backwards_in_time(dissipation):
     assert np.max(excess / rhs) > 1.0
     for label in ("tanh", "burgers"):
         true = reduce_dissipation(times, series[label])
-        assert _identity_check(label, true, {}).passed
+        assert _identity_check(label, true).passed
         check = _identity_check(
-            label, reduce_dissipation(times, series[label][::-1]), {})
+            label, reduce_dissipation(times, series[label][::-1]))
         assert not check.passed
-        assert float(check.detail.rsplit("= ", 1)[1]) > 1.0
+        assert check.statistic > 1.0
 
 
 def backward_flow(grid, s: float, h: float) -> MultiplierOp:
@@ -190,7 +201,33 @@ def test_stroock_varopoulos_fails_under_the_backward_flow():
         forward, _ = _slack_check(a, b, h, s, *convexity_members(
             ens, a, b, semigroup_multiplier(grid, s, h)))
         assert forward.passed, forward.detail
-        check, row = _slack_check(a, b, h, s, *convexity_members(
+        check, _ = _slack_check(a, b, h, s, *convexity_members(
             ens, a, b, backward_flow(grid, s, h)))
         assert not check.passed, check.detail
-        assert row[6] < -10.0
+        assert check.statistic < -10.0
+
+
+def test_detail_lines_report_the_statistic(cutoff_ladder, dissipation):
+    """Each check function formats its detail from the statistic it
+    returns, in the detail's own format."""
+    series, _, times = cutoff_ladder
+    moments = ladder_moments(series)
+    guard = _moment_guard(moments)
+    assert guard.detail == f"min initial-bound z = {guard.statistic:.2f}"
+    moment = _moment_check(reduce_moments(times, moments[2], 2))
+    assert moment.detail == (
+        f"largest step increase z = {moment.statistic:.2f}")
+    (grid, measure, _, _), _, seed = shipped("linear-spectral-decay")
+    ens = sample_ensemble(measure, 200, seed)
+    decay, _ = _decay_check(measure, 0.75, 0.0, estimate_spectrum(ens))
+    assert decay.detail == (
+        f"max |z| over retained modes = {decay.statistic:.2f}")
+    dseries, dtimes, _ = dissipation
+    identity = _identity_check("tanh", reduce_dissipation(dtimes,
+                                                          dseries["tanh"]))
+    assert identity.detail == (
+        f"worst interior excess over cap = {identity.statistic:.2e}")
+    slack, row = _slack_check(0.5, 1.5, 0.2, 0.6, *convexity_members(
+        ens, 0.5, 1.5, semigroup_multiplier(grid, 0.6, 0.2)))
+    assert slack.statistic == row[6]
+    assert slack.detail == f"slack {row[4]:.3e} ({slack.statistic:.1f} stderr)"

@@ -89,7 +89,7 @@ def failing_experiment():
 
     def fn(config, workers):
         return ExperimentResult(
-            "always-fails", [CheckResult("doomed", False, "synthetic")])
+            "always-fails", [CheckResult("doomed", 1.0, -1.0, "synthetic")])
 
     REGISTRY["always-fails"] = Experiment(
         "always-fails", "test fixture", defaults, fn)
@@ -1175,6 +1175,8 @@ class TestEnergyDissipationPool:
         assert not checks["linear-gate"].passed
         for name in ("tanh-identity", "burgers-identity"):
             assert not checks[name].passed
+            assert math.isnan(checks[name].statistic)
+            assert checks[name].margin == -math.inf
             assert checks[name].detail == "skipped: linear gate failed"
         assert list(result.tables) == ["dissipation_linear"]
         assert result.member_seeds == [(cfg.seed, j) for j in range(n)]
@@ -1339,6 +1341,35 @@ class TestCli:
         assert "needs >= 2 members" in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    def test_two_node_dissipation_exit_two_before_solving(self, tmp_path,
+                                                          capsys,
+                                                          monkeypatch):
+        # both nodes of [0, dt] are one-sided, so no interior node is left
+        # for the gate or the identities to test
+        def no_solve(*args):
+            raise AssertionError("a member chunk was solved")
+
+        monkeypatch.setattr(fracflow.experiments, "_solve_chunk", no_solve)
+        cfg = self.write_config(tmp_path, {
+            "experiment": "energy-dissipation", "n_members": 8,
+            "grid": {"n": 32}, "solver": {"time_grid": [0.0, 0.0005]}})
+        rc = cli_main(["run", cfg, "--workers", "1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("configuration error:")
+        assert "time_grid of >= 3 nodes, got 2" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_three_node_dissipation_runs(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, {
+            "experiment": "energy-dissipation", "n_members": 8,
+            "grid": {"n": 32}, "solver": {"time_grid": [0.0, 0.0005, 0.001]}})
+        rc = cli_main(["run", cfg, "--workers", "1"])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.out
+        assert "PASS linear-gate" in captured.out
 
     @pytest.mark.parametrize("experiment", [
         "moment-monotonicity", "orthogonality", "stroock-varopoulos",

@@ -953,7 +953,7 @@ class TestCutoffLadder:
         cfg = make_config(K=K)
         series, diagnostics = burgers_ladder(cfg, [1, 2, 4, 8], mass=6.0,
                                              n_members=40, seed=9)
-        check = _cauchy_check("cauchy-distances", series, diagnostics)
+        check = _cauchy_check("cauchy-distances", series, list(diagnostics))
         assert check.passed
         assert check.detail == "0 increases across min levels"
         sup = ladder_sup_distances(series, list(diagnostics))
@@ -991,7 +991,7 @@ class TestCutoffLadder:
         monkeypatch.setattr(solver_mod, "_pair_distance", fake_distance)
         cfg = make_config(K=2 * minimal_K(0.75, 4.0))
         series, diagnostics = burgers_ladder(cfg, [1, 2, 4], mass=0.04)
-        check = _cauchy_check("ladder-cauchy", series, diagnostics)
+        check = _cauchy_check("ladder-cauchy", series, list(diagnostics))
         assert not check.passed
         assert check.detail == "1 distance increases"
 
