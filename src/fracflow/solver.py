@@ -280,13 +280,18 @@ class PicardDiagnostics:
     theoretical contraction bound rho_multiplier they are compared
     against, built on the closed-form constant sup_r r e^{-r^{2s}}.
     Each residual is the largest over the members still iterating at that
-    sweep; unconverged_members counts those still above tol at the last.
+    sweep; unconverged_members counts those of the history's members that
+    were still above tol at the last, and the solve converged when none was.
     """
 
     residuals: list
     rho_multiplier: float
-    converged: bool
     unconverged_members: int
+    members: int
+
+    @property
+    def converged(self) -> bool:
+        return self.unconverged_members == 0
 
     @property
     def iterations(self) -> int:
@@ -534,9 +539,7 @@ def _diagnostics(history: np.ndarray, spec: NonlinearitySpec,
     if unconverged and len(r) >= 2 and r[-1] > r[0]:
         raise NonContractionError((r[-1] / r[0]) ** (1.0 / (len(r) - 1)),
                                   rho, len(r))
-    return PicardDiagnostics(residuals=r, rho_multiplier=rho,
-                             converged=unconverged == 0,
-                             unconverged_members=unconverged)
+    return PicardDiagnostics(r, rho, unconverged, history.shape[1])
 
 
 def _free_flow(initial: Ensemble, config: SolverConfig) -> tuple:

@@ -98,10 +98,11 @@ def test_11_solver_cross_validation():
 def test_12_byte_identical_replay(tmp_path):
     result, wall = _run("replay-determinism")
     _report(12, "worker-count determinism", result, wall)
-    # same property through the artifact pipeline: a written manifest
-    # replayed with a different worker count over a 2-chunk ensemble
-    config = RunConfig.from_dict({"experiment": "zero-nonlinearity",
-                                  "n_members": 300, "seed": 17})
+    # same property through the artifact pipeline: a written manifest of a
+    # pooled run (three chunks per solve) replayed with a different worker
+    # count
+    config = RunConfig.from_dict({"experiment": "energy-dissipation",
+                                  "n_members": 65, "grid": {"n": 64}})
     out = tmp_path / "orig"
     original, _ = run_experiment(config, workers=1, out=out)
     replayed, _, matches = replay_run(out / "manifest.json", workers=2)

@@ -23,22 +23,17 @@ from fracflow.experiments import (
     _cauchy_check,
     _cfg_parts,
     _decay_check,
+    _dissipation_solves,
     _gate_check,
     _identity_check,
     _moment_check,
     _moment_guard,
     _slack_check,
     parallel_ladder,
-    parallel_picard,
 )
-from fracflow.random_fields import (
-    Ensemble,
-    estimate_spectrum,
-    sample_ensemble,
-    two_mode_measure,
-)
+from fracflow.random_fields import Ensemble, estimate_spectrum, sample_ensemble
 from fracflow.runner import RunConfig
-from fracflow.solver import NonlinearitySpec, ladder_moments
+from fracflow.solver import _free_flow, ladder_moments, picard_solve
 from fracflow.spectral import (
     MultiplierOp,
     apply_multiplier_values,
@@ -105,6 +100,23 @@ def test_cutoff_ladder_fails_on_growing_distances(cutoff_ladder):
     assert check.statistic == 2
 
 
+@pytest.mark.parametrize("pair", range(6))
+def test_cutoff_ladder_fails_on_a_nan_distance(pair):
+    """Each pair's distance 1/lo, so the worst distance from a level falls
+    as it rises and the count passes; one pair's distances set to NaN
+    make that level's worst distance, and so the count, NaN: a NaN
+    compares false, and a count of increases would read 0 and pass."""
+    levels = [1.0, 2.0, 4.0, 8.0]
+    series = np.empty((3, 4, 6))
+    for i, (lo, _) in enumerate(combinations(levels, 2)):
+        series[..., i] = 1.0 / lo
+    assert _cauchy_check("cauchy-distances", series, levels).passed
+    series[..., pair] = np.nan
+    check = _cauchy_check("cauchy-distances", series, levels)
+    assert not check.passed
+    assert math.isnan(check.statistic)
+
+
 def test_cutoff_ladder_guard_fails_on_time_reversed_moments(cutoff_ladder):
     """The top level's moments stay below the initial data's; read
     backwards in time, the last node's moments become the bound and the
@@ -133,22 +145,33 @@ def test_linear_spectral_decay_fails_at_the_wrong_s():
         assert wrong.statistic > 10.0
 
 
+def test_linear_spectral_decay_fails_on_a_nan_stderr():
+    """A NaN z at every retained mode makes the largest |z| NaN, and the
+    check FAILs; a reduction that drops NaN would read 0.00 and pass."""
+    (_, measure, _, _), _, seed = shipped("linear-spectral-decay")
+    est = estimate_spectrum(sample_ensemble(measure, 50, seed))
+    assert _decay_check(measure, 0.75, 0.0, est)[0].passed
+    est.stderr[:] = np.nan
+    check, rows = _decay_check(measure, 0.75, 0.0, est)
+    assert not check.passed
+    assert math.isnan(check.statistic)
+    assert rows and all(math.isnan(row[6]) for row in rows)
+
+
 @pytest.fixture(scope="module")
 def dissipation():
     """(series by solve, time grid, dt) of energy-dissipation's three
     solves at 257 members on a 64-cell grid, each solve's
     dissipation_series drawn from the counter block the experiment
-    gives it."""
+    gives it and solved in this process."""
     (grid, measure, spec, solver), n_members, seed = shipped(
         "energy-dissipation", n_members=257, grid={"n": 64})
-    solves = {"linear": (two_mode_measure(grid, 1.0, mass=1.0, mean=1.0),
-                         None),
-              "tanh": (measure, spec),
-              "burgers": (measure, NonlinearitySpec.burgers(cutoff_level=2.0))}
     series = {}
-    for k, (name, (m, flux)) in enumerate(solves.items()):
-        traj, _ = parallel_picard(grid, m, flux, solver, n_members, seed,
-                                  counter_offset=k * n_members)
+    for name, (m, flux, offset) in _dissipation_solves(
+            grid, measure, spec, n_members).items():
+        ens = sample_ensemble(m, n_members, seed, counter_offset=offset)
+        traj, _ = (_free_flow(ens, solver) if flux is None
+                   else picard_solve(ens, flux, solver))
         series[name] = dissipation_series(traj, solver.s)
     times = solver.time_grid
     return series, times, float(np.max(np.diff(times)))

@@ -10,7 +10,6 @@ import re
 import sys
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -38,6 +37,7 @@ from fracflow.experiments import (
     Experiment,
     ExperimentResult,
     _cfg_parts,
+    _dissipation_solves,
     _moment_guard,
     get_experiment,
     list_experiments,
@@ -50,7 +50,6 @@ from fracflow.random_fields import (
     load_ensemble,
     member_mean,
     sample_ensemble,
-    two_mode_measure,
     z_score,
 )
 from fracflow.runner import RunConfig, RunManifest, replay_run, run_experiment
@@ -58,6 +57,7 @@ from fracflow.solver import (
     NonlinearitySpec,
     SolverConfig,
     _DuhamelPlan,
+    _free_flow,
     cutoff_map,
     ladder_moments,
     ladder_series,
@@ -407,18 +407,23 @@ class TestReplay:
 
 class TestWorkerDeterminism:
     def test_on_disk_bytes_worker_independent(self, tmp_path):
-        # 300 members span several chunks, so two workers genuinely split
-        cfg = small_config(n_members=300, seed=17)
+        # 65 members are three chunks per solve, so two workers genuinely
+        # split energy-dissipation's three pooled solves
+        cfg = RunConfig.from_dict({"experiment": "energy-dissipation",
+                                   "n_members": 65, "grid": {"n": 64}})
         out1 = tmp_path / "w1"
         out2 = tmp_path / "w2"
         m1, _ = run_experiment(cfg, workers=1, out=out1)
         m2, _ = run_experiment(cfg, workers=2, out=out2)
         assert m1.tables == m2.tables
+        assert m1.checks == m2.checks
         assert m1.member_seeds == m2.member_seeds
-        assert (out1 / "free_flow_error.tsv").read_bytes() == \
-            (out2 / "free_flow_error.tsv").read_bytes()
-        assert (out1 / "final_state.bin").read_bytes() == \
-            (out2 / "final_state.bin").read_bytes()
+        names = sorted(os.listdir(out1))
+        assert names == sorted(os.listdir(out2)) == [
+            "dissipation_burgers.tsv", "dissipation_linear.tsv",
+            "dissipation_tanh.tsv", "manifest.json"]
+        for name in names[:-1]:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 class TestChunkSize:
@@ -500,7 +505,9 @@ class TestJoinMemory:
     arrays' bytes; a join holding every chunk until the end would read
     about twice that.  The chunk results are synthetic, each built only
     when the join reads it, at the shipped ladder grid (n = 512, 11
-    nodes, levels 1, 2, 4, 8)."""
+    nodes, levels 1, 2, 4, 8): they stand in for _solve_chunk's, in this
+    process (workers=1), so _chunk_results joins them as it joins real
+    ones."""
     LEVELS = (1.0, 2.0, 4.0, 8.0)
 
     def parts(self):
@@ -512,12 +519,7 @@ class TestJoinMemory:
     def traced_peak(self, monkeypatch, result, call) -> int:
         """tracemalloc peak of a second call() with every chunk result
         made by result(payload) as the join reads it."""
-        @contextmanager
-        def synthetic(solves, workers):
-            yield ((result(p) for p in solve) for solve in solves)
-
-        monkeypatch.setattr(fracflow.experiments, "_chunk_results",
-                            synthetic)
+        monkeypatch.setattr(fracflow.experiments, "_solve_chunk", result)
         # untraced first: the first call's one-off imports and caches
         # would count against the join
         call()
@@ -693,6 +695,38 @@ class TestParallelPicard:
         assert info["member_seeds"] == whole.seeds[CHUNK:]
         assert np.array_equal(traj.values, whole.values[:, CHUNK:])
 
+    @pytest.mark.parametrize("failing", [{0}, {0, 1}], ids=["one-left",
+                                                             "none-left"])
+    def test_flagged_chunks_leaving_one_member_raise(self, monkeypatch,
+                                                     failing):
+        """The kept-member rule is the join's: when flagged chunks leave
+        fewer than two of CHUNK + 1 members, parallel_picard raises
+        naming the first flagged member."""
+        real = fracflow.experiments._picard_iterate
+
+        def chunks_fail(ens, spec, config):
+            if ens.seeds[0][1] // CHUNK in failing:
+                raise NumericError("synthetic blowup")
+            return real(ens, spec, config)
+
+        monkeypatch.setattr(fracflow.experiments, "_picard_iterate",
+                            chunks_fail)
+        n = CHUNK + 1
+        flagged = CHUNK if failing == {0} else n
+        with pytest.raises(NumericError, match=re.escape(
+                f"{flagged} members flagged, {n - flagged} left for a "
+                "member-level stderr; the first, member 0 (seed (5, 0)): "
+                "synthetic blowup")):
+            parallel_picard(self.GRID, self.MEASURE, self.TANH,
+                            self.solver(), n, seed=5)
+
+    def test_one_unflagged_member_returns(self):
+        traj, info = parallel_picard(self.GRID, self.MEASURE, self.TANH,
+                                     self.solver(), 1, seed=5)
+        assert traj.values.shape == (3, 1, 32)
+        assert info["flagged"] == [] and info["member_seeds"] == [(5, 0)]
+        assert info["diagnostics"].members == 1
+
     @pytest.mark.parametrize("solver_kw", [{}, {"tol": 1e-12, "max_iter": 6}],
                              ids=["converging", "capped"])
     def test_merged_diagnostics_equal_whole_batch(self, solver_kw):
@@ -706,6 +740,7 @@ class TestParallelPicard:
         assert merged.iterations == diag.iterations
         assert merged.converged == diag.converged == info["converged"]
         assert merged.unconverged_members == diag.unconverged_members
+        assert merged.members == diag.members == n
         assert np.array_equal(traj.values, whole.values)
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -1089,15 +1124,6 @@ class TestEnergyDissipationPool:
                             capture)
         return calls
 
-    def solves(self, grid, measure, spec):
-        """(measure, nonlinearity, counter offset) of the gate, tanh and
-        Burgers solves, as energy-dissipation draws them; the gate's
-        nonlinearity is None, so its chunks take the free flow."""
-        n = self.CONFIG["n_members"]
-        return [(two_mode_measure(grid, 1.0, mass=1.0, mean=1.0), None, 0),
-                (measure, spec, n),
-                (measure, NonlinearitySpec.burgers(cutoff_level=2.0), 2 * n)]
-
     def test_reduced_series_equal_trajectory_path(self, reports):
         cfg = RunConfig.from_dict(self.CONFIG)
         result = get_experiment("energy-dissipation").fn(cfg.to_dict(), 2)
@@ -1106,17 +1132,19 @@ class TestEnergyDissipationPool:
         assert len(reports) == 3
         seeds = []
         grid, measure, spec, solver = _cfg_parts(cfg.to_dict())
-        for report, (m, nl, offset) in zip(reports,
-                                           self.solves(grid, measure, spec)):
-            traj, info = parallel_picard(grid, m, nl, solver, cfg.n_members,
-                                         cfg.seed, workers=1,
-                                         counter_offset=offset)
+        solves = _dissipation_solves(grid, measure, spec, cfg.n_members)
+        for report, (m, flux, offset) in zip(reports, solves.values()):
+            # the whole solve in this process, drawn from its counter block
+            ens = sample_ensemble(m, cfg.n_members, cfg.seed,
+                                  counter_offset=offset)
+            traj, _ = (_free_flow(ens, solver) if flux is None
+                       else picard_solve(ens, flux, solver))
             ref = dissipation_residual(traj, solver.s)
             for name in self.FIELDS:
                 assert np.array_equal(getattr(report, name),
                                       getattr(ref, name)), name
             assert report.n_members == ref.n_members == cfg.n_members
-            seeds += info["member_seeds"]
+            seeds += traj.seeds
         assert result.member_seeds == seeds
         assert result.flagged == []
 
@@ -1125,7 +1153,8 @@ class TestEnergyDissipationPool:
         solve of the same draws gives the same fields to round-off."""
         cfg = RunConfig.from_dict(self.CONFIG)
         grid, measure, spec, solver = _cfg_parts(cfg.to_dict())
-        gate_measure = self.solves(grid, measure, spec)[0][0]
+        gate_measure, _, _ = _dissipation_solves(grid, measure, spec,
+                                                 cfg.n_members)["linear"]
         free, info = parallel_picard(grid, gate_measure, None, solver,
                                      cfg.n_members, cfg.seed)
         assert info["converged"] and info["diagnostics"].iterations == 0
