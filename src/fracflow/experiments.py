@@ -28,13 +28,13 @@ arrays.  A chunk that failed numerically (at any level, for a ladder)
 returns only its seeds and message: its members are flagged and their
 columns dropped, and the run goes on while two members are left.
 Together with counter-based per-member seeding this makes every number
-independent of the worker count and of CHUNK.  No
-trajectory of a pooled statistic leaves the process that solved it:
-energy-dissipation's chunks return each member's dissipation series
-(avg_x u^2 and the Dirichlet rate per node), the ladder's chunks each
-member's pair distances and top-level moments per node plus the top
-level's last node, and the parent reduces the joined (nodes, members)
-series across members.  Residuals work the same way: a chunk returns
+independent of the worker count and of CHUNK.  No trajectory of a
+pooled statistic leaves the process that solved it: energy-dissipation's
+chunks return each member's dissipation series (avg_x u^2 and the
+Dirichlet rate per node), the ladder's chunks each member's pair
+distances and top-level moments per node plus the top level's last
+node, and the parent reduces the joined (nodes, members) series across
+members.  Residuals work the same way: a chunk returns
 each member's residual history, (max_iter, members) per solve or
 (levels, max_iter, members) per ladder, and _merge_chunks builds every
 solve's or ladder level's PicardDiagnostics once from the joined
@@ -54,7 +54,6 @@ _noted, the one note helper, names a check's unconverged solves.
 
 from __future__ import annotations
 
-import copy
 import difflib
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -250,11 +249,11 @@ def _merge_chunks(results, payloads: list) -> tuple:
     """(joined, seeds, flagged entries, diagnostics) of one solve from the
     chunk results of its payloads; the one place chunk results are joined,
     a failed chunk is handled and diagnostics are built, for every pooled
-    solve.  joined maps each array of a chunk result
-    (values, history and a ladder's final; see _solve_chunk) to the
-    whole run's, joined along its member axis: each chunk is written
-    into its member columns as it arrives and then dropped, so the
-    parent holds the joined arrays and at most one chunk result.  flagged
+    solve.  joined maps each array of a chunk result (values, history and
+    a ladder's final; see _solve_chunk) to the whole run's, joined along
+    its member axis: each chunk is written into its member columns as it
+    arrives and then dropped, so the parent holds the joined arrays and at
+    most one chunk result.  flagged
     holds (index, seed, message) for each member of a chunk that failed
     numerically, and those members' columns and seeds are dropped once
     at the end, so every joined array is the whole run's minus them, or
@@ -388,6 +387,8 @@ class Experiment:
     fn: object
 
     def default_config(self) -> dict:
+        import copy
+
         return copy.deepcopy(self.defaults)
 
 
@@ -600,17 +601,16 @@ def _linear_spectral_decay(config: dict, workers: int) -> ExperimentResult:
 )
 def _zero_nonlinearity(config: dict, workers: int) -> ExperimentResult:
     grid, measure, spec, solver = _cfg_parts(config)
-    # a 0.02 s solve: a pool would cost more than it saves
+    # a ~0.01 s solve: starting a process pool takes longer
     traj, _ = picard_solve(sample_ensemble(measure, config["n_members"],
                                            config["seed"]), spec, solver)
-    worst = 0.0
     rows = []
     for j, t in enumerate(traj.times):
         op = semigroup_multiplier(grid, solver.s, float(t))
         exact = apply_multiplier_values(grid, traj.values[0], op)
         err = float(np.max(spatial_rms(grid, traj.values[j] - exact)))
-        worst = np.maximum(worst, err)
         rows.append([float(t), err])
+    worst = np.max([err for _, err in rows])
     checks = [CheckResult("matches-semigroup", worst, 1e-10 - worst,
                           f"max rms deviation from P_t u0 = {worst:.2e}")]
     return ExperimentResult(
@@ -685,13 +685,12 @@ def _semigroup_contraction(config: dict, workers: int) -> ExperimentResult:
 def _kernel_identities(config: dict, workers: int) -> ExperimentResult:
     grid, _, _, _ = _cfg_parts(config)
     checks, rows = [], []
-    mass_worst = 0.0
     for s in _S_SWEEP:
         for t in (0.5, 1.0, 2.0):
             ker = kernel_values(grid, s, t)
             mass_err = abs(float(np.sum(ker)) * grid.cell_volume - 1.0)
-            mass_worst = np.maximum(mass_worst, mass_err)
             rows.append([s, t, mass_err])
+    mass_worst = np.max([row[2] for row in rows])
     checks.append(CheckResult("unit-mass", mass_worst, 1e-8 - mass_worst,
                               f"max |mass - 1| = {mass_worst:.2e}"))
 

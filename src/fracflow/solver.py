@@ -280,8 +280,7 @@ class PicardDiagnostics:
     theoretical contraction bound rho_multiplier they are compared
     against, built on the closed-form constant sup_r r e^{-r^{2s}}.
     Each residual is the largest over the members still iterating at that
-    sweep; unconverged_members counts those of the history's members that
-    were still above tol at the last, and the solve converged when none was.
+    sweep; unconverged_members of its members were above tol at the last.
     """
 
     residuals: list
@@ -539,7 +538,9 @@ def _diagnostics(history: np.ndarray, spec: NonlinearitySpec,
     if unconverged and len(r) >= 2 and r[-1] > r[0]:
         raise NonContractionError((r[-1] / r[0]) ** (1.0 / (len(r) - 1)),
                                   rho, len(r))
-    return PicardDiagnostics(r, rho, unconverged, history.shape[1])
+    return PicardDiagnostics(residuals=r, rho_multiplier=rho,
+                             unconverged_members=unconverged,
+                             members=history.shape[1])
 
 
 def _free_flow(initial: Ensemble, config: SolverConfig) -> tuple:
