@@ -21,6 +21,7 @@ import fracflow.solver
 from fracflow.cli import main as cli_main
 from fracflow.ensemble_stats import (
     dissipation_residual,
+    dissipation_series,
     format_table,
     moment_series,
     reduce_moments,
@@ -37,8 +38,11 @@ from fracflow.experiments import (
     Experiment,
     ExperimentResult,
     _cfg_parts,
+    _dissipation_chunk,
     _dissipation_solves,
     _moment_guard,
+    _plain_solve,
+    _solve_grid,
     get_experiment,
     list_experiments,
     parallel_ladder,
@@ -50,6 +54,7 @@ from fracflow.random_fields import (
     load_ensemble,
     member_mean,
     sample_ensemble,
+    two_mode_measure,
     z_score,
 )
 from fracflow.runner import RunConfig, RunManifest, replay_run, run_experiment
@@ -428,16 +433,30 @@ class TestWorkerDeterminism:
 
 class TestChunkSize:
     # every number is per member first and reduced in member order, so
-    # the chunk size moves no byte of a table or of the final state
-    CONFIGS = {"cutoff-ladder": {"n_members": CHUNK + 3, "grid": {"n": 32}},
-               "energy-dissipation": {"n_members": CHUNK + 1,
-                                      "grid": {"n": 64}}}
+    # the chunk size moves no byte of a table or of the final state.  At
+    # n = 64 only energy-dissipation's gate runs on a coarser grid (16);
+    # at n = 256 tanh does too (128), so both coarse solves, and any
+    # member re-solved on the configured grid, are decided per member
+    CONFIGS = {
+        "cutoff-ladder": {"experiment": "cutoff-ladder",
+                          "n_members": CHUNK + 3, "grid": {"n": 32}},
+        "energy-dissipation": {"experiment": "energy-dissipation",
+                               "n_members": CHUNK + 1, "grid": {"n": 64}},
+        "energy-dissipation-n256": {"experiment": "energy-dissipation",
+                                    "n_members": CHUNK + 1,
+                                    "grid": {"n": 256}},
+        # a k = 1 pair puts tanh on n = 16 too, where about half of the
+        # members must be re-solved on n = 64
+        "energy-dissipation-refined": {
+            "experiment": "energy-dissipation", "n_members": CHUNK + 1,
+            "grid": {"n": 64},
+            "measure": {"family": "two_mode", "mass": 0.01, "mean": 1.0,
+                        "params": {"wavenumber": 1.0}}}}
 
-    @pytest.mark.parametrize("experiment", sorted(CONFIGS))
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
     def test_artifacts_independent_of_chunk(self, tmp_path, monkeypatch,
-                                            experiment):
-        cfg = RunConfig.from_dict({"experiment": experiment,
-                                   **self.CONFIGS[experiment]})
+                                            config):
+        cfg = RunConfig.from_dict(self.CONFIGS[config])
 
         def artifacts(chunk, workers):
             monkeypatch.setattr(fracflow.experiments, "CHUNK", chunk)
@@ -454,6 +473,13 @@ class TestChunkSize:
 
         ref = artifacts(CHUNK, 1)
         assert any(name.endswith(".tsv") for name in ref[0])
+        if config == "energy-dissipation-n256":
+            assert [detail.rsplit("; ", 1)[1] for _, _, detail in ref[1][:2]] \
+                == [f"n = {n}, 0 of {CHUNK + 1} members re-solved on n = 256"
+                    for n in (16, 128)]
+        if config == "energy-dissipation-refined":
+            refined = int(re.search(r"n = 16, (\d+) of", ref[1][1][2])[1])
+            assert 0 < refined < CHUNK + 1
         for chunk in (16, 256):
             for workers in (1, 2):
                 assert artifacts(chunk, workers) == ref, (chunk, workers)
@@ -1135,8 +1161,14 @@ class TestEnergyDissipationPool:
         solves = _dissipation_solves(grid, measure, spec, cfg.n_members)
         for report, (m, flux, offset) in zip(reports, solves.values()):
             # the whole solve in this process, drawn from its counter block
+            # and solved on the grid the experiment solves it on: the gate
+            # on n = 16, from every 4th point, tanh and Burgers on n = 64
             ens = sample_ensemble(m, cfg.n_members, cfg.seed,
                                   counter_offset=offset)
+            solved = _solve_grid(m, flux)
+            assert solved.n == (16 if flux is None else 64)
+            ens = Ensemble(solved, ens.values[:, ::grid.n // solved.n],
+                           seeds=ens.seeds)
             traj, _ = (_free_flow(ens, solver) if flux is None
                        else picard_solve(ens, flux, solver))
             ref = dissipation_residual(traj, solver.s)
@@ -1147,6 +1179,10 @@ class TestEnergyDissipationPool:
             seeds += traj.seeds
         assert result.member_seeds == seeds
         assert result.flagged == []
+        # so no gate member was re-solved on the configured grid
+        assert result.checks[0].detail.endswith(
+            f"; n = 16, 0 of {cfg.n_members} members re-solved on n = 64")
+        assert result.checks[1].detail.endswith("; n = 64")
 
     def test_gate_is_the_zero_flux_solve(self):
         """The gate's free flow takes no sweep, and a zero-flux Picard
@@ -1210,6 +1246,96 @@ class TestEnergyDissipationPool:
         assert list(result.tables) == ["dissipation_linear"]
         assert result.member_seeds == [(cfg.seed, j) for j in range(n)]
         assert result.flagged == []
+
+
+class TestCoarseDissipationGrid:
+    """energy-dissipation's smooth solves run on the coarsest grid that
+    resolves their data, and every member either lies within tol/100 of
+    its configured-grid solve or is that solve, bit for bit."""
+
+    @staticmethod
+    def configured(m, flux, solver, members, seed, offset):
+        """Each member's configured-grid series and residual history,
+        every member solved alone."""
+        solves = [_plain_solve(sample_ensemble(m, 1, seed, offset + i),
+                               flux, solver) for i in members]
+        return (np.concatenate([dissipation_series(traj, solver.s)
+                                for traj, _ in solves], axis=1),
+                np.concatenate([history for _, history in solves], axis=1))
+
+    @pytest.mark.parametrize("name, coarse", [("linear", 16), ("tanh", 128)])
+    def test_accepted_members_within_tol_100_at_shipped_grid(self, name,
+                                                             coarse):
+        cfg = RunConfig.from_dict({"experiment": "energy-dissipation",
+                                   "n_members": 64})
+        grid, measure, spec, solver = _cfg_parts(cfg.to_dict())
+        m, flux, offset = _dissipation_solves(grid, measure, spec,
+                                              64)[name]
+        assert (grid.n, _solve_grid(m, flux).n) == (512, coarse)
+        ens = sample_ensemble(m, 64, cfg.seed, counter_offset=offset)
+        out = _dissipation_chunk(ens, m, flux, solver)
+        ref, history = _plain_solve(ens, flux, solver)
+        ref = dissipation_series(ref, solver.s)
+        kept = ~out["refined"]
+        assert kept.sum() >= 60
+        assert np.max(np.abs(out["values"][:, kept] - ref[:, kept])) <= \
+            solver.tol / 100
+        assert np.array_equal(out["values"][:, ~kept], ref[:, ~kept])
+        assert np.array_equal(out["history"][:, ~kept], history[:, ~kept])
+
+    def test_refined_members_are_the_configured_grid_solve(self):
+        # a k = 1 pair puts tanh on n = 16, where its flux's harmonics at
+        # index 6 and above exceed tol/100 on the larger members
+        grid = Grid(1, 64, 2 * math.pi)
+        m = two_mode_measure(grid, [1.0], mass=0.01)
+        flux = NonlinearitySpec.tanh(0.5)
+        solver = SolverConfig(0.75, [1.0], np.linspace(0.0, 0.1, 11),
+                              bielecki_k=4.0)
+        assert _solve_grid(m, flux).n == 16
+        out = _dissipation_chunk(sample_ensemble(m, 16, 5), m, flux, solver)
+        refined = np.flatnonzero(out["refined"])
+        kept = np.flatnonzero(~out["refined"])
+        assert refined.size and kept.size
+        values, history = self.configured(m, flux, solver, refined, 5, 0)
+        assert np.array_equal(out["values"][:, refined], values)
+        assert np.array_equal(out["history"][:, refined], history)
+        values, _ = self.configured(m, flux, solver, kept, 5, 0)
+        assert np.max(np.abs(out["values"][:, kept] - values)) <= \
+            solver.tol / 100
+
+    def test_cut_off_and_polynomial_fluxes_keep_the_grid(self):
+        """The cut-off Burgers solve and every ladder keep the configured
+        grid, so their tables are the configured-grid solve's."""
+        cfg = RunConfig.from_dict({"experiment": "energy-dissipation",
+                                   "n_members": 8})
+        grid, measure, spec, solver = _cfg_parts(cfg.to_dict())
+        for flux in (NonlinearitySpec.burgers(cutoff_level=2.0),
+                     NonlinearitySpec.tanh(0.5, cutoff_level=2.0),
+                     NonlinearitySpec.power(1.0, 2.0, cutoff_level=2.0)):
+            assert _solve_grid(measure, flux) == grid
+        m, flux, offset = _dissipation_solves(grid, measure, spec,
+                                              8)["burgers"]
+        ens = sample_ensemble(m, 8, cfg.seed, counter_offset=offset)
+        out = _dissipation_chunk(ens, m, flux, solver)
+        traj, _ = picard_solve(ens, flux, solver)
+        assert not out["refined"].any()
+        assert np.array_equal(out["values"],
+                              dissipation_series(traj, solver.s))
+
+    @pytest.mark.parametrize("n, width, mass, coarse", [
+        (512, 0.6, 1.0, 128), (512, 0.3, 1.0, 64), (96, 0.6, 1.0, 96),
+        (48, 0.1, 1.0, 24), (40, 0.6, 0.0, 10), (512, 1000.0, 1.0, 512)])
+    def test_grid_rule(self, n, width, mass, coarse):
+        """The coarsest even n/2^j >= 8 whose Nyquist index is at least
+        8 K: K = 7 at width 0.6, 3 at 0.3 and 1 at 0.1 (sqrt(w) falls
+        below 1e-16 of its peak beyond), 0 for a zero measure; a band
+        filling the grid keeps it, and a cut-off or polynomial flux
+        always does."""
+        grid = Grid(1, n, 2 * math.pi)
+        m = gaussian_bump_measure(grid, width, mass=mass)
+        assert _solve_grid(m, NonlinearitySpec.tanh(0.5)).n == coarse
+        assert _solve_grid(m, None).n == coarse
+        assert _solve_grid(m, NonlinearitySpec.burgers(2.0)) == grid
 
 
 class TestTwoDimensions:
