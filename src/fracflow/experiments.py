@@ -15,6 +15,8 @@ yields each solve joined: parallel_picard is its one-solve case,
 energy-dissipation submits its three solves (the linear gate, tanh and
 Burgers) at once, and parallel_ladder runs a cut-off ladder as one task
 per chunk, solving every level inside it through solver._ladder_solve.
+Every chunk solves through solver._picard_iterate; the linear gate's
+flux is NonlinearitySpec.zero(), so it takes one sweep per member.
 That generator re-solves a level above the first only for the members
 whose cut-off bound on the level below and copies the others; each
 level's trajectory and residual history are still those of a full
@@ -102,7 +104,6 @@ from .solver import (
     NonlinearitySpec,
     SolverConfig,
     _diagnostics,
-    _free_flow,
     _ladder_solve,
     _picard_iterate,
     contraction_bound,
@@ -203,9 +204,9 @@ def _solve_chunk(payload: dict) -> dict:
     values is 1 in every case.  history is each member's residual history
     in _picard_iterate's form, for the parent to join with the other
     chunks' before any diagnostics are built; a ladder chunk's stacks
-    every level's, (levels, max_iter, members).  A plain chunk whose spec
-    is None solves the linear equation (f = 0) as its free flow P_t u0,
-    with no sweep.
+    every level's, (levels, max_iter, members).  Every chunk solves
+    through _picard_iterate, f = 0 included, which takes one sweep per
+    member.
     Numeric blowup inside a chunk is reported, not raised: the chunk
     returns only its seeds and the message, prefixed "ladder level n: "
     for the level a ladder chunk failed at, and the run continues with
@@ -222,7 +223,7 @@ def _solve_chunk(payload: dict) -> dict:
             if payload["dissipation"]:
                 return dict(out, **_dissipation_chunk(ens, measure, spec,
                                                          config))
-            traj, history = _plain_solve(ens, spec, config)
+            traj, history = _picard_iterate(ens, spec, config)
             return dict(out, values=traj.values, history=history)
         for n, values, history in _ladder_solve(ens, spec, levels, config):
             solutions[n] = values
@@ -236,18 +237,11 @@ def _solve_chunk(payload: dict) -> dict:
                 history=np.stack(histories), final=values[-1].copy())
 
 
-def _plain_solve(ens: Ensemble, spec, config: SolverConfig) -> tuple:
-    """(trajectory, residual history) of a plain solve; a spec of None is
-    the linear equation, solved as its free flow."""
-    return (_free_flow(ens, config) if spec is None
-            else _picard_iterate(ens, spec, config))
-
-
-def _smooth(spec) -> bool:
+def _smooth(spec: NonlinearitySpec) -> bool:
     """Whether a flux is smooth (f = 0, or tanh with no cut-off), so a
     dissipation solve of it may run on a coarser grid (_solve_grid)."""
-    return (spec is None or spec.kind == "zero"
-            or (spec.kind == "lipschitz_tanh" and spec.cutoff_level is None))
+    return spec.kind == "zero" or (spec.kind == "lipschitz_tanh"
+                                   and spec.cutoff_level is None)
 
 
 def _mode_index(grid: Grid) -> np.ndarray:
@@ -302,7 +296,7 @@ def _dissipation_chunk(ens: Ensemble, measure, spec,
     the flux and the member, so the output is the same for any CHUNK."""
     grid = _solve_grid(measure, spec)
     every = (slice(None, None, ens.grid.n // grid.n),) * grid.d
-    traj, history = _plain_solve(
+    traj, history = _picard_iterate(
         Ensemble(grid, np.ascontiguousarray(ens.values[(Ellipsis, *every)]),
                  seeds=ens.seeds), spec, config)
     values = dissipation_series(traj, config.s)
@@ -312,7 +306,7 @@ def _dissipation_chunk(ens: Ensemble, measure, spec,
     del traj
     redo = np.flatnonzero(refined)
     if redo.size:
-        fine, history[:, redo] = _plain_solve(
+        fine, history[:, redo] = _picard_iterate(
             Ensemble(ens.grid, ens.values[redo],
                      seeds=[ens.seeds[i] for i in redo]), spec, config)
         values[:, redo] = dissipation_series(fine, config.s)
@@ -372,8 +366,8 @@ def _merge_chunks(results, payloads: list) -> tuple:
     at the end, so every joined array is the whole run's minus them, or
     NumericError names the first when fewer than two members are left.
     diagnostics is the PicardDiagnostics of the joined history under the
-    payloads' spec (None, the free flow, as NonlinearitySpec.zero()), or a
-    ladder's per level under f(h_n(.)), keyed by level."""
+    payloads' spec, or a ladder's per level under f(h_n(.)), keyed by
+    level."""
     n_members = sum(p["size"] for p in payloads)
     joined, seeds, flagged = {}, [None] * n_members, []
     kept = np.ones(n_members, dtype=bool)
@@ -405,8 +399,8 @@ def _merge_chunks(results, payloads: list) -> tuple:
     spec, solver, levels = (payloads[0][key]
                             for key in ("spec", "solver", "ladder"))
     if levels is None:
-        return joined, seeds, flagged, _diagnostics(
-            joined["history"], spec or NonlinearitySpec.zero(), solver)
+        return joined, seeds, flagged, _diagnostics(joined["history"], spec,
+                                                    solver)
     return joined, seeds, flagged, {
         n: _diagnostics(history, replace(spec, cutoff_level=n), solver)
         for n, history in zip(levels, joined["history"])}
@@ -439,7 +433,8 @@ def parallel_picard(grid: Grid, measure, spec: NonlinearitySpec,
                     solver: SolverConfig, n_members: int, seed: int,
                     workers: int = 1) -> tuple:
     """Chunked ensemble Picard solve; returns (trajectory Ensemble, info).
-    A spec of None solves the linear equation as its free flow, no sweep.
+    Every spec, NonlinearitySpec.zero() included, runs the same Picard
+    iteration; with f = 0 it takes one sweep per member.
 
     info carries the PicardDiagnostics of the residual histories joined
     over the chunks (diagnostics) and its converged flag, the kept member
@@ -622,18 +617,23 @@ def _decay_check(measure, s: float, t: float, est) -> tuple:
                         f"max |z| over retained modes = {worst:.2f}"), rows)
 
 
-def _gate_check(report: DissipationReport, dt: float) -> CheckResult:
+def _gate_check(report: DissipationReport, dt: float, k: float,
+                s: float) -> CheckResult:
     """energy-dissipation's linear gate, from the f = 0 solve's
     DissipationReport: the largest excess of an interior residual over
-    dt^2 |rhs| + 3 stderr, at most 0 to pass."""
+    dt^2 |rhs| + 3 stderr, at most 0 to pass.  k is the |k| of the mode
+    the gate flows at order s; only at |k| = 1 is the check blind to s."""
     inner = ~report.low_confidence
     cap = dt**2 * np.abs(report.rhs[inner]) + 3.0 * report.stderr[inner]
     worst = float(np.max(np.abs(report.residual[inner]) - cap))
+    mode = ("|k| = 1 mode, where |k|^{2s} = 1 for every s, so it tests the "
+            "time stencil, not s" if k == 1.0 else
+            f"|k| = {k:.3g} mode, where |k|^{{2s}} = {k ** (2.0 * s):.3g} "
+            f"at s = {s:g}")
     return CheckResult(
         "linear-gate", worst, -worst,
         f"interior residual within dt^2 relative + 3 stderr (dt={dt:g}); "
-        "it flows a |k| = 1 mode, where |k|^{2s} = 1 for every s, so it "
-        "tests the time stencil, not s")
+        f"it flows a {mode}")
 
 
 def _identity_check(label: str, report: DissipationReport) -> CheckResult:
@@ -972,11 +972,13 @@ def _dissipation_solves(grid: Grid, measure, spec: NonlinearitySpec,
     """energy-dissipation's solves, name -> (measure, flux, counter offset)
     in disjoint counter blocks.  The linear gate is a single +/-1 pair
     along the first axis plus a mean, where the centered stencil bias
-    (2 lam dt)^2/6 sits below the dt^2 cap; with f = 0 (flux None) its
-    solution is the free flow."""
+    (2 lam dt)^2/6 sits below the dt^2 cap.  Its flux is
+    NonlinearitySpec.zero(), so its Picard solve is the free flow P_t u0,
+    confirmed by one sweep per member."""
     gate = two_mode_measure(grid, [1.0] + [0.0] * (grid.d - 1), mass=1.0,
                             mean=1.0)
-    return {"linear": (gate, None, 0), "tanh": (measure, spec, n_members),
+    return {"linear": (gate, NonlinearitySpec.zero(), 0),
+            "tanh": (measure, spec, n_members),
             "burgers": (measure, NonlinearitySpec.burgers(cutoff_level=2.0),
                         2 * n_members)}
 
@@ -1023,8 +1025,12 @@ def _energy_dissipation(config: dict, workers: int) -> ExperimentResult:
                 ["t", "lhs", "rhs", "residual", "stderr", "low_confidence"],
                 report.rows())
             rhs_top = float(np.maximum(rhs_top, np.max(report.rhs)))
-            check = _gate_check(report, dt) if gate else _identity_check(
-                name, report)
+            if gate:
+                # the |k| of the grid mode the gate's pair snapped to
+                k = float(np.max(m.grid.k_abs[m.weights > 0]))
+                check = _gate_check(report, dt, k, solver.s)
+            else:
+                check = _identity_check(name, report)
             if _smooth(flux):
                 check = _gridded(check, _solve_grid(m, flux), grid,
                                  int(np.sum(joined["refined"])), diag.members)

@@ -20,7 +20,9 @@ the quadrature.  The recurrence
 
 with a_j = |k|^{2s} h_j and g_j the coefficients of grad_z f(u(t_j))
 accumulates the integral exactly for piecewise linear g; started at
-v_0 = u0_hat, it carries the free flow P_t u0 too.
+v_0 = u0_hat, it carries the free flow P_t u0 too.  So f = 0 needs no
+solve of its own: its first Picard iterate P_t u0 is the fixed point,
+and one sweep confirms it to round-off.
 
 Every field in the solvers is real, so the sweeps run on the half spectrum
 (rfft layout, see :mod:`fracflow.spectral`): the plan's symbols are the
@@ -364,22 +366,16 @@ class _DuhamelPlan:
         are in step_a and step_b."""
         return real_dft(self.grid, self.spec.evaluate(values))
 
-    def free_flow(self, u0: np.ndarray, u0_hat: np.ndarray) -> np.ndarray:
-        """P_t u0 at every node from the unscaled coefficients u0_hat of
-        u0; node 0 is u0 itself."""
-        out = np.empty((self.n_steps + 1,) + u0.shape)
-        out[0] = u0
-        for j in range(1, self.n_steps + 1):
-            out[j] = real_idft(self.grid, self.free_decay[j] * u0_hat)
-        return out
-
     def first_iterate(self, u0: np.ndarray) -> tuple:
-        """(P_t u0 at every node, node1): the first Picard iterate and the
-        part of node 1 of F(u) that no iterate changes,
+        """(P_t u0 at every node, node1): the first Picard iterate, node 0
+        u0 itself, and the part of node 1 of F(u) that no iterate changes,
         e^{-a_0} u0_hat + step_a[0] f(u0)_hat, which apply carries across
         sweeps.  f(u0) is evaluated and checked here, once per solve."""
         u0_hat = real_dft(self.grid, u0)
-        current = self.free_flow(u0, u0_hat)
+        current = np.empty((self.n_steps + 1,) + u0.shape)
+        current[0] = u0
+        for j in range(1, self.n_steps + 1):
+            current[j] = real_idft(self.grid, self.free_decay[j] * u0_hat)
         node1 = u0_hat
         node1 *= self.decay[0]
         g0 = self.spec.evaluate(u0)
@@ -541,20 +537,6 @@ def _diagnostics(history: np.ndarray, spec: NonlinearitySpec,
     return PicardDiagnostics(residuals=r, rho_multiplier=rho,
                              unconverged_members=unconverged,
                              members=history.shape[1])
-
-
-def _free_flow(initial: Ensemble, config: SolverConfig) -> tuple:
-    """The solve of the linear equation (f = 0) in _picard_iterate's
-    form: its mild solution is the free flow P_t u0 itself, so it takes
-    no sweep, and its residual history is -inf throughout."""
-    spec = NonlinearitySpec.zero()
-    _check_initial(initial, spec)
-    plan = _DuhamelPlan(initial.grid, spec, config)
-    u0 = initial.values
-    values = plan.free_flow(u0, real_dft(initial.grid, u0))
-    history = np.full((config.max_iter, u0.shape[0]), -np.inf)
-    return (Ensemble(initial.grid, values, config.time_grid, initial.seeds),
-            history)
 
 
 def step_solve(initial: Ensemble, spec: NonlinearitySpec,

@@ -33,7 +33,7 @@ from fracflow.experiments import (
 )
 from fracflow.random_fields import Ensemble, estimate_spectrum, sample_ensemble
 from fracflow.runner import RunConfig
-from fracflow.solver import _free_flow, ladder_moments, picard_solve
+from fracflow.solver import ladder_moments, picard_solve
 from fracflow.spectral import (
     MultiplierOp,
     apply_multiplier_values,
@@ -160,21 +160,20 @@ def test_linear_spectral_decay_fails_on_a_nan_stderr():
 
 @pytest.fixture(scope="module")
 def dissipation():
-    """(series by solve, time grid, dt) of energy-dissipation's three
+    """(series by solve, time grid, dt, s) of energy-dissipation's three
     solves at 257 members on a 64-cell grid, each solve's
     dissipation_series drawn from the counter block the experiment
-    gives it and solved in this process."""
+    gives it and Picard-solved in this process."""
     (grid, measure, spec, solver), n_members, seed = shipped(
         "energy-dissipation", n_members=257, grid={"n": 64})
     series = {}
     for name, (m, flux, offset) in _dissipation_solves(
             grid, measure, spec, n_members).items():
         ens = sample_ensemble(m, n_members, seed, counter_offset=offset)
-        traj, _ = (_free_flow(ens, solver) if flux is None
-                   else picard_solve(ens, flux, solver))
+        traj, _ = picard_solve(ens, flux, solver)
         series[name] = dissipation_series(traj, solver.s)
     times = solver.time_grid
-    return series, times, float(np.max(np.diff(times)))
+    return series, times, float(np.max(np.diff(times))), solver.s
 
 
 def test_energy_dissipation_fails_backwards_in_time(dissipation):
@@ -185,11 +184,11 @@ def test_energy_dissipation_fails_backwards_in_time(dissipation):
     identity's worst excess over its cap must exceed 1 (3.09 for tanh and
     3.11 for Burgers).  This does not show that the identities' 5 % cap
     is tight: a flow at the wrong s' = 0.74 still passes it."""
-    series, times, dt = dissipation
+    series, times, dt, s = dissipation
     true = reduce_dissipation(times, series["linear"])
-    assert _gate_check(true, dt).passed
+    assert _gate_check(true, dt, 1.0, s).passed
     report = reduce_dissipation(times, series["linear"][::-1])
-    assert not _gate_check(report, dt).passed
+    assert not _gate_check(report, dt, 1.0, s).passed
     inner = ~report.low_confidence
     rhs = np.abs(report.rhs[inner])
     excess = (np.abs(report.residual[inner]) - dt**2 * rhs
@@ -245,7 +244,7 @@ def test_detail_lines_report_the_statistic(cutoff_ladder, dissipation):
     decay, _ = _decay_check(measure, 0.75, 0.0, estimate_spectrum(ens))
     assert decay.detail == (
         f"max |z| over retained modes = {decay.statistic:.2f}")
-    dseries, dtimes, _ = dissipation
+    dseries, dtimes, _, _ = dissipation
     identity = _identity_check("tanh", reduce_dissipation(dtimes,
                                                           dseries["tanh"]))
     assert identity.detail == (

@@ -41,7 +41,6 @@ from fracflow.experiments import (
     _dissipation_chunk,
     _dissipation_solves,
     _moment_guard,
-    _plain_solve,
     _solve_grid,
     get_experiment,
     list_experiments,
@@ -62,7 +61,7 @@ from fracflow.solver import (
     NonlinearitySpec,
     SolverConfig,
     _DuhamelPlan,
-    _free_flow,
+    _picard_iterate,
     cutoff_map,
     ladder_moments,
     ladder_series,
@@ -1099,7 +1098,7 @@ class TestParallelLadder:
 
 @pytest.mark.parametrize("experiment,owner,solve", [
     ("cutoff-ladder", fracflow.solver, "_picard_iterate"),
-    ("energy-dissipation", fracflow.experiments, "_free_flow"),
+    ("energy-dissipation", fracflow.experiments, "_picard_iterate"),
     ("replay-determinism", fracflow.experiments, "_picard_iterate"),
 ])
 def test_flagged_chunks_leaving_one_member_fail_the_run(
@@ -1150,7 +1149,16 @@ class TestEnergyDissipationPool:
                             capture)
         return calls
 
-    def test_reduced_series_equal_trajectory_path(self, reports):
+    def test_reduced_series_equal_trajectory_path(self, reports,
+                                                  monkeypatch):
+        noted = {}
+        real_noted = fracflow.experiments._noted
+
+        def capture(check, solves, noun):
+            noted.update(solves)
+            return real_noted(check, solves, noun)
+
+        monkeypatch.setattr(fracflow.experiments, "_noted", capture)
         cfg = RunConfig.from_dict(self.CONFIG)
         result = get_experiment("energy-dissipation").fn(cfg.to_dict(), 2)
         assert [c.name for c in result.checks][:3] == [
@@ -1160,17 +1168,17 @@ class TestEnergyDissipationPool:
         grid, measure, spec, solver = _cfg_parts(cfg.to_dict())
         solves = _dissipation_solves(grid, measure, spec, cfg.n_members)
         for report, (m, flux, offset) in zip(reports, solves.values()):
-            # the whole solve in this process, drawn from its counter block
-            # and solved on the grid the experiment solves it on: the gate
-            # on n = 16, from every 4th point, tanh and Burgers on n = 64
+            # the whole Picard solve in this process, drawn from its
+            # counter block and solved on the grid the experiment solves it
+            # on: the gate (f = 0) on n = 16, from every 4th point, tanh
+            # and Burgers on n = 64
             ens = sample_ensemble(m, cfg.n_members, cfg.seed,
                                   counter_offset=offset)
             solved = _solve_grid(m, flux)
-            assert solved.n == (16 if flux is None else 64)
+            assert solved.n == (16 if flux.kind == "zero" else 64)
             ens = Ensemble(solved, ens.values[:, ::grid.n // solved.n],
                            seeds=ens.seeds)
-            traj, _ = (_free_flow(ens, solver) if flux is None
-                       else picard_solve(ens, flux, solver))
+            traj, _ = picard_solve(ens, flux, solver)
             ref = dissipation_residual(traj, solver.s)
             for name in self.FIELDS:
                 assert np.array_equal(getattr(report, name),
@@ -1179,27 +1187,30 @@ class TestEnergyDissipationPool:
             seeds += traj.seeds
         assert result.member_seeds == seeds
         assert result.flagged == []
+        # P_t u0 is the fixed point, so one sweep of each member confirms it
+        assert noted["linear gate"].converged
+        assert noted["linear gate"].iterations == 1
         # so no gate member was re-solved on the configured grid
-        assert result.checks[0].detail.endswith(
-            f"; n = 16, 0 of {cfg.n_members} members re-solved on n = 64")
+        assert result.checks[0].detail == (
+            "interior residual within dt^2 relative + 3 stderr (dt=0.005); "
+            "it flows a |k| = 1 mode, where |k|^{2s} = 1 for every s, so it "
+            "tests the time stencil, not s; "
+            f"n = 16, 0 of {cfg.n_members} members re-solved on n = 64")
         assert result.checks[1].detail.endswith("; n = 64")
 
-    def test_gate_is_the_zero_flux_solve(self):
-        """The gate's free flow takes no sweep, and a zero-flux Picard
-        solve of the same draws gives the same fields to round-off."""
-        cfg = RunConfig.from_dict(self.CONFIG)
-        grid, measure, spec, solver = _cfg_parts(cfg.to_dict())
-        gate_measure, _, _ = _dissipation_solves(grid, measure, spec,
-                                                 cfg.n_members)["linear"]
-        free, info = parallel_picard(grid, gate_measure, None, solver,
-                                     cfg.n_members, cfg.seed)
-        assert info["converged"] and info["diagnostics"].iterations == 0
-        swept, info = parallel_picard(grid, gate_measure,
-                                      NonlinearitySpec.zero(), solver,
-                                      cfg.n_members, cfg.seed)
-        assert info["converged"] and info["diagnostics"].iterations == 1
-        assert free.seeds == swept.seeds
-        assert np.max(np.abs(free.values - swept.values)) <= 1e-13
+    def test_gate_detail_names_its_own_mode(self):
+        """On a 3 pi torus the gate's wavenumber 1 snaps to the grid mode
+        |k| = 4/3, whose |k|^{2s} depends on s: the detail says so and
+        does not claim the check is blind to s."""
+        cfg = RunConfig.from_dict({"experiment": "energy-dissipation",
+                                   "n_members": 2 * CHUNK + 1,
+                                   "grid": {"n": 64, "len": 3 * math.pi}})
+        result = get_experiment("energy-dissipation").fn(cfg.to_dict(), 1)
+        detail = result.checks[0].detail
+        assert result.checks[0].name == "linear-gate"
+        assert "; it flows a |k| = 1.33 mode, where |k|^{2s} = 1.54 at " \
+            "s = 0.75; n = 32" in detail
+        assert "time stencil" not in detail
 
     def test_tables_worker_independent(self, tmp_path):
         cfg = RunConfig.from_dict(self.CONFIG)
@@ -1257,8 +1268,8 @@ class TestCoarseDissipationGrid:
     def configured(m, flux, solver, members, seed, offset):
         """Each member's configured-grid series and residual history,
         every member solved alone."""
-        solves = [_plain_solve(sample_ensemble(m, 1, seed, offset + i),
-                               flux, solver) for i in members]
+        solves = [_picard_iterate(sample_ensemble(m, 1, seed, offset + i),
+                                  flux, solver) for i in members]
         return (np.concatenate([dissipation_series(traj, solver.s)
                                 for traj, _ in solves], axis=1),
                 np.concatenate([history for _, history in solves], axis=1))
@@ -1274,7 +1285,7 @@ class TestCoarseDissipationGrid:
         assert (grid.n, _solve_grid(m, flux).n) == (512, coarse)
         ens = sample_ensemble(m, 64, cfg.seed, counter_offset=offset)
         out = _dissipation_chunk(ens, m, flux, solver)
-        ref, history = _plain_solve(ens, flux, solver)
+        ref, history = _picard_iterate(ens, flux, solver)
         ref = dissipation_series(ref, solver.s)
         kept = ~out["refined"]
         assert kept.sum() >= 60
@@ -1334,7 +1345,7 @@ class TestCoarseDissipationGrid:
         grid = Grid(1, n, 2 * math.pi)
         m = gaussian_bump_measure(grid, width, mass=mass)
         assert _solve_grid(m, NonlinearitySpec.tanh(0.5)).n == coarse
-        assert _solve_grid(m, None).n == coarse
+        assert _solve_grid(m, NonlinearitySpec.zero()).n == coarse
         assert _solve_grid(m, NonlinearitySpec.burgers(2.0)) == grid
 
 
