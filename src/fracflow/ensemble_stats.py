@@ -13,7 +13,9 @@ apart (member_moments and dissipation_series per member and per node,
 reduce_moments and reduce_dissipation across members), so member chunks
 solved elsewhere reach their statistics as (nodes, members) series alone.
 convexity_members stops at the per-member stage: the experiment reduces
-its two sides into each check.
+its two sides into each check.  A cut-off ladder's per-member numbers,
+from the rung trajectories the solver returns, are its ladder_series;
+ladder_moments and ladder_sup_distances reduce it.
 The per-member stages run node by node: their temporaries are one
 node's (members, grid) size, never a whole trajectory's.
 Summation is numpy pairwise reduction in member order, making every
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -35,6 +38,7 @@ from .spectral import (
     apply_multiplier_values,
     half_spectrum,
     half_spectrum_weights,
+    l2_norm,
     real_forward_transform,
 )
 
@@ -82,6 +86,50 @@ def member_moments(values: np.ndarray, p: float) -> np.ndarray:
             f"moment order must be finite and >= 2, got {p}")
     axes = tuple(range(1, values.ndim - 1))
     return np.stack([np.mean(np.abs(v) ** p, axis=axes) for v in values])
+
+
+# top-level moment orders a ladder keeps per member: the guard's 2 and 4,
+# and moment-monotonicity's 2, 4, 6
+LADDER_MOMENTS = (2, 4, 6)
+
+
+def _pair_distance(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L2 distance of every member at every node, (nodes, members); node
+    by node, so no whole-trajectory difference is formed."""
+    return np.stack([l2_norm(grid, a[j] - b[j]) for j in range(a.shape[0])])
+
+
+def ladder_series(grid: Grid, solutions: dict) -> np.ndarray:
+    """The per-member part of a ladder, from rung trajectory values (node,
+    member, grid) keyed by level in increasing order: a (nodes, members,
+    k) array holding the L2 distance of every level pair (n_lo, n_hi), in
+    the order of itertools.combinations, then the top level's
+    member_moments for each p of LADDER_MOMENTS.  Members are independent
+    here, so member chunks' series join along axis 1 into the whole
+    batch's."""
+    levels = list(solutions)
+    top = solutions[levels[-1]]
+    return np.stack(
+        [_pair_distance(grid, solutions[a], solutions[b])
+         for a, b in combinations(levels, 2)]
+        + [member_moments(top, p) for p in LADDER_MOMENTS], axis=-1)
+
+
+def ladder_moments(series: np.ndarray) -> dict:
+    """The top level's member_moments of a ladder_series, p -> (nodes,
+    members), for each p of LADDER_MOMENTS.  Contiguous copies, so the
+    member-axis reductions see the layout member_moments returns."""
+    k = len(LADDER_MOMENTS)
+    return {p: np.ascontiguousarray(series[..., i - k])
+            for i, p in enumerate(LADDER_MOMENTS)}
+
+
+def ladder_sup_distances(series: np.ndarray, levels: list) -> dict:
+    """(n_lo, n_hi) -> the time-sup of the rms-over-members L2 distance
+    between those two levels' solutions, from a ladder_series of the
+    given levels."""
+    return {pair: float(np.max(np.sqrt(np.mean(series[..., i] ** 2, axis=1))))
+            for i, pair in enumerate(combinations(levels, 2))}
 
 
 def reduce_moments(times: np.ndarray, per_member: np.ndarray,

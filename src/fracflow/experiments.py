@@ -17,10 +17,10 @@ Burgers) at once, and parallel_ladder runs a cut-off ladder as one task
 per chunk, solving every level inside it through solver._ladder_solve.
 Every chunk solves through solver._picard_iterate; the linear gate's
 flux is NonlinearitySpec.zero(), so it takes one sweep per member.
-That generator re-solves a level above the first only for the members
-whose cut-off bound on the level below and copies the others; each
-level's trajectory and residual history are still those of a full
-solve of that level, bit for bit.
+_ladder_solve returns the ladder whole, every level's trajectory values
+and the levels' stacked residual history, and names the level a numeric
+failure happened at; the chunk reduces it to its ensemble_stats
+ladder_series.
 Every pooled solve is joined in _merge_chunks, the one join and the one
 failure policy, so a caller only declares its solves.  The parent
 allocates each joined array once, with the whole run's members, writes
@@ -48,8 +48,9 @@ and tanh with no cut-off) run on one coarser grid per solve
 (_solve_grid): the coarsest n' = n/2^j >= 8 whose Nyquist index is at
 least 8 K, K the largest mode index at which the measure's sqrt-weight
 exceeds 1e-16 of its peak (n' = 16 for the gate and 128 for tanh at the
-shipped defaults).  A chunk samples u0 on the configured grid and takes
-every (n/n')-th point.  A member is kept from the coarse solve when, at
+shipped defaults), a mode's index being Grid.mode_index, the one index
+rule.  A chunk samples u0 on the configured grid and takes every
+(n/n')-th point.  A member is kept from the coarse solve when, at
 every node, the rms of its modes at index 3n'/8 and above is at most
 tol/100; the others are re-solved on the configured grid through the
 same solve.  Each decision reads only the measure, the flux and the
@@ -85,6 +86,9 @@ from .ensemble_stats import (
     convexity_members,
     dissipation_series,
     format_table,
+    ladder_moments,
+    ladder_series,
+    ladder_sup_distances,
     moment_series,
     reduce_dissipation,
     reduce_moments,
@@ -108,9 +112,6 @@ from .solver import (
     _picard_iterate,
     contraction_bound,
     ladder_levels,
-    ladder_moments,
-    ladder_series,
-    ladder_sup_distances,
     minimal_K,
     picard_solve,
     step_solve,
@@ -196,45 +197,37 @@ def _solve_chunk(payload: dict) -> dict:
     its dissipation_series (_dissipation_chunk: a smooth flux runs on the
     coarsest grid that resolves the measure, and refined flags the
     members whose spectral tail there exceeded tol/100, re-solved on the
-    configured grid), or for a ladder chunk (ladder set) its
-    ladder_series: the chunk solves data h_n(u0) with flux f(h_n(.)) for
-    every level n in increasing order through _ladder_solve, which
-    re-solves only the members whose cut-off bound on the level below,
-    and final holds the top level's last node.  The member axis of
-    values is 1 in every case.  history is each member's residual history
-    in _picard_iterate's form, for the parent to join with the other
-    chunks' before any diagnostics are built; a ladder chunk's stacks
-    every level's, (levels, max_iter, members).  Every chunk solves
-    through _picard_iterate, f = 0 included, which takes one sweep per
-    member.
+    configured grid), or for a ladder chunk (ladder set) the
+    ladder_series of the whole ladder _ladder_solve returns, and final
+    holds the top level's last node.  The member axis of values is 1 in
+    every case.  history is each member's residual history in
+    _picard_iterate's form, for the parent to join with the other
+    chunks' before any diagnostics are built; a ladder chunk's is the
+    stacked one _ladder_solve returns, (levels, max_iter, members).
+    Every chunk solves through _picard_iterate, f = 0 included, which
+    takes one sweep per member.
     Numeric blowup inside a chunk is reported, not raised: the chunk
-    returns only its seeds and the message, prefixed "ladder level n: "
-    for the level a ladder chunk failed at, and the run continues with
-    its members flagged."""
+    returns only its seeds and the message (which names the level a
+    ladder failed at), and the run continues with its members flagged."""
     measure, spec, config, levels = (payload["measure"], payload["spec"],
                                      payload["solver"], payload["ladder"])
     ens = sample_ensemble(measure, payload["size"], payload["seed"],
                           counter_offset=payload["offset"] + payload["start"])
     out = {"start": payload["start"], "seeds": ens.seeds, "values": None,
            "error": None}
-    solutions, histories = {}, []
     try:
-        if levels is None:
-            if payload["dissipation"]:
-                return dict(out, **_dissipation_chunk(ens, measure, spec,
-                                                         config))
-            traj, history = _picard_iterate(ens, spec, config)
-            return dict(out, values=traj.values, history=history)
-        for n, values, history in _ladder_solve(ens, spec, levels, config):
-            solutions[n] = values
-            histories.append(history)
+        if levels is not None:
+            solutions, history = _ladder_solve(ens, spec, levels, config)
+            # a copy, so an in-process chunk frees its trajectories
+            return dict(out, values=ladder_series(measure.grid, solutions),
+                        history=history,
+                        final=solutions[levels[-1]][-1].copy())
+        if payload["dissipation"]:
+            return dict(out, **_dissipation_chunk(ens, measure, spec, config))
+        traj, history = _picard_iterate(ens, spec, config)
+        return dict(out, values=traj.values, history=history)
     except NumericError as exc:
-        where = ("" if levels is None
-                 else f"ladder level {levels[len(histories)]:g}: ")
-        return dict(out, error=f"{where}{exc}")
-    # a copy, not a view, so an in-process chunk frees its trajectories
-    return dict(out, values=ladder_series(measure.grid, solutions),
-                history=np.stack(histories), final=values[-1].copy())
+        return dict(out, error=str(exc))
 
 
 def _smooth(spec: NonlinearitySpec) -> bool:
@@ -242,12 +235,6 @@ def _smooth(spec: NonlinearitySpec) -> bool:
     dissipation solve of it may run on a coarser grid (_solve_grid)."""
     return spec.kind == "zero" or (spec.kind == "lipschitz_tanh"
                                    and spec.cutoff_level is None)
-
-
-def _mode_index(grid: Grid) -> np.ndarray:
-    """Each mode's largest |index| component, in the full layout."""
-    k = np.max(np.abs(np.broadcast_arrays(*grid.k_components)), axis=0)
-    return np.rint(k * grid.len / TWO_PI)
 
 
 def _solve_grid(measure, spec) -> Grid:
@@ -260,7 +247,7 @@ def _solve_grid(measure, spec) -> Grid:
     if not _smooth(spec):
         return grid
     amp = np.sqrt(measure.weights)
-    edge = np.max(_mode_index(grid)[amp > _BAND_FLOOR * np.max(amp)],
+    edge = np.max(grid.mode_index[amp > _BAND_FLOOR * np.max(amp)],
                   initial=0.0)
     n = grid.n
     # the next grid, n/2, must be even, at least 8 and resolve the band
@@ -274,7 +261,7 @@ def _tail_rms(traj: Ensemble) -> np.ndarray:
     the modes with an index of at least 3n/8: the spectral-tail estimate
     of how far a solve on this grid is from one on a finer grid."""
     grid = traj.grid
-    weights = (half_spectrum(grid, _mode_index(grid) >= 3 * grid.n / 8)
+    weights = (half_spectrum(grid, grid.mode_index >= 3 * grid.n / 8)
                * half_spectrum_weights(grid))
     axes = tuple(range(1, grid.d + 1))
     tail = np.zeros(traj.n_members)
@@ -465,14 +452,15 @@ def parallel_ladder(grid: Grid, measure, spec: NonlinearitySpec,
     The ladder checks (_cauchy_check, _moment_guard, _moment_check) read
     the series alone, and _noted names the unconverged levels.
 
-    Each member chunk is one pool task that solves every level and returns
-    its ladder_series, so no trajectory leaves its worker; _merge_chunks
-    joins the chunks' series, final states and stacked residual
-    histories as they arrive and builds each level's PicardDiagnostics
-    under f(h_n(.)), as it does for every pooled solve.  A chunk that
-    failed at any level is flagged with its "ladder level n: " message
-    and its members are dropped from every level.  The checks need a
-    member-level stderr, so one member is rejected before any solve.
+    Each member chunk is one pool task that takes its whole ladder and
+    stacked residual history from _ladder_solve and returns its
+    ladder_series, so no trajectory leaves its worker; _merge_chunks
+    joins the chunks' series, final states and stacked histories as they
+    arrive and builds each level's PicardDiagnostics under f(h_n(.)).  A
+    chunk that failed at any level is flagged with the "ladder level n: "
+    message _ladder_solve raised and its members are dropped from every
+    level.  The checks need a member-level stderr, so one member is
+    rejected before any solve.
     Identical output for any worker count and any CHUNK.
     """
     levels = ladder_levels(spec, ladder)

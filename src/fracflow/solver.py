@@ -42,22 +42,20 @@ the config's time grid as node times and the initial data's seeds.
 
 The cut-off ladder's rung reuse lives in :func:`_ladder_solve` alone: it
 re-solves, level by level, only the members whose cut-off bound on the
-level below, through the same batch solve as every other caller.  A
-ladder's per-member numbers are its :func:`ladder_series`;
-:func:`ladder_moments` takes the top level's moments from it and
-:func:`ladder_sup_distances` reduces its distances across members.  The
-checks on them live with the experiments.
+level below, through the same batch solve as every other caller, returns
+the ladder whole with its stacked residual history and names the level a
+numeric failure happened at.  This module only solves: the ladder's
+series live in :mod:`fracflow.ensemble_stats`, its checks with the
+experiments.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations
 
 import numpy as np
 
-from .ensemble_stats import member_moments
 from .errors import (
     ConfigurationError,
     NonContractionError,
@@ -74,7 +72,6 @@ from .spectral import (
     gradient_constant,
     half_spectrum,
     half_spectrum_weights,
-    l2_norm,
     real_dft,
     real_idft,
     spatial_rms,
@@ -213,13 +210,7 @@ class NonlinearitySpec:
 def dealias_mask(grid: Grid) -> np.ndarray:
     """Boolean keep-mask of the 2/3 rule: drop modes with any index
     component above n/3 so quadratic products cannot alias back."""
-    keep = np.ones(grid.shape, dtype=bool)
-    idx = np.fft.fftfreq(grid.n, 1.0 / grid.n)  # integer mode indices
-    cut = grid.n // 3
-    for ax in range(grid.d):
-        shape = (1,) * ax + (grid.n,) + (1,) * (grid.d - ax - 1)
-        keep &= (np.abs(idx) <= cut).reshape(shape)
-    return keep
+    return grid.mode_index <= grid.n // 3
 
 
 # ------------------------------------------------------------------ config
@@ -620,50 +611,6 @@ def minimal_K(s: float, lipschitz: float) -> float:
 
 # ------------------------------------------------------------------ cut-off ladder
 
-# top-level moment orders a ladder keeps per member: the guard's 2 and 4,
-# and moment-monotonicity's 2, 4, 6
-LADDER_MOMENTS = (2, 4, 6)
-
-
-def _pair_distance(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """L2 distance of every member at every node, (nodes, members); node
-    by node, so no whole-trajectory difference is formed."""
-    return np.stack([l2_norm(grid, a[j] - b[j]) for j in range(a.shape[0])])
-
-
-def ladder_series(grid: Grid, solutions: dict) -> np.ndarray:
-    """The per-member part of a ladder, from rung trajectory values (node,
-    member, grid) keyed by level in increasing order: a (nodes, members,
-    k) array holding the L2 distance of every level pair (n_lo, n_hi), in
-    the order of itertools.combinations, then the top level's
-    member_moments for each p of LADDER_MOMENTS.  Members are independent
-    here, so member chunks' series join along axis 1 into the whole
-    batch's."""
-    levels = list(solutions)
-    top = solutions[levels[-1]]
-    return np.stack(
-        [_pair_distance(grid, solutions[a], solutions[b])
-         for a, b in combinations(levels, 2)]
-        + [member_moments(top, p) for p in LADDER_MOMENTS], axis=-1)
-
-
-def ladder_moments(series: np.ndarray) -> dict:
-    """The top level's member_moments of a ladder_series, p -> (nodes,
-    members), for each p of LADDER_MOMENTS.  Contiguous copies, so the
-    member-axis reductions see the layout member_moments returns."""
-    k = len(LADDER_MOMENTS)
-    return {p: np.ascontiguousarray(series[..., i - k])
-            for i, p in enumerate(LADDER_MOMENTS)}
-
-
-def ladder_sup_distances(series: np.ndarray, levels: list) -> dict:
-    """(n_lo, n_hi) -> the time-sup of the rms-over-members L2 distance
-    between those two levels' solutions, from a ladder_series of the
-    given levels."""
-    return {pair: float(np.max(np.sqrt(np.mean(series[..., i] ** 2, axis=1))))
-            for i, pair in enumerate(combinations(levels, 2))}
-
-
 def ladder_levels(spec: NonlinearitySpec, ladder) -> list:
     """The validated cut-off levels of a ladder for a polynomial flux."""
     if spec.kind not in ("burgers_quadratic", "polynomial"):
@@ -681,10 +628,13 @@ def ladder_levels(spec: NonlinearitySpec, ladder) -> list:
 
 
 def _ladder_solve(initial: Ensemble, spec: NonlinearitySpec, levels: list,
-                  config: SolverConfig):
-    """Yield (n, trajectory values, residual history) of each level n's
-    solve, with data h_n(u0) and flux f(h_n(.)), in increasing order, the
-    history in _picard_iterate's form.
+                  config: SolverConfig) -> tuple:
+    """The whole ladder, each level n solved with data h_n(u0) and flux
+    f(h_n(.)): (solutions, history), solutions mapping each level in
+    increasing order to its trajectory values and history stacking the
+    levels' residual histories in _picard_iterate's form, (levels,
+    max_iter, members).  A NumericError at level n is raised again with
+    "ladder level n: " before its message.
 
     Above the first level only the members not yet free are solved, as
     one sub-batch carrying their seeds; the others' rows and residual
@@ -693,28 +643,33 @@ def _ladder_solve(initial: Ensemble, spec: NonlinearitySpec, levels: list,
     input of every sweep stayed strictly inside a level.  This is exact:
     members are independent, and cutoff_map is the identity strictly
     inside a level, so a free member would sweep bit for bit the same
-    again.  No yielded array is written to afterwards.
+    again.
     """
     free = np.zeros(initial.n_members, dtype=bool)
-    history = np.full((config.max_iter, initial.n_members), -np.inf)
-    values = None
-    for n in levels:
+    history = np.empty((len(levels), config.max_iter, initial.n_members))
+    solutions, values = {}, None
+    for i, n in enumerate(levels):
+        history[i] = history[i - 1] if i else -np.inf
         todo = np.flatnonzero(~free)
         if todo.size:
             # the level's data h_n(u0), for the members to solve only
             sub = Ensemble(initial.grid, cutoff_map(initial.values[todo], n),
-                           seeds=[initial.seeds[i] for i in todo])
+                           seeds=[initial.seeds[m] for m in todo])
             # the clipped data reach n exactly where the raw data do, so
             # they decide for the raw data too; the top level frees none
             reach = _abs_max(sub.grid, sub.values) if n < levels[-1] else None
-            traj, history[:, todo] = _picard_iterate(
-                sub, replace(spec, cutoff_level=n), config, reach)
+            try:
+                traj, history[i][:, todo] = _picard_iterate(
+                    sub, replace(spec, cutoff_level=n), config, reach)
+            except NumericError as exc:
+                raise NumericError(f"ladder level {n:g}: {exc}") from exc
             if todo.size == free.size:
                 values = traj.values
             else:
                 values = values.copy()
                 values[:, todo] = traj.values
-            del sub, traj             # freed before the level is yielded
+            del sub, traj             # freed before the next level's data
             if reach is not None:
                 free[todo] = reach < n
-        yield n, values, history.copy()
+        solutions[n] = values
+    return solutions, history

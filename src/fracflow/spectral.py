@@ -132,6 +132,13 @@ class Grid:
         )
 
     @cached_property
+    def mode_index(self) -> np.ndarray:
+        """Each mode's largest |integer index| over the axes, in the full
+        layout: the one index rule (dealias mask, band and tail tests)."""
+        k = np.max(np.abs(np.broadcast_arrays(*self.k_components)), axis=0)
+        return np.rint(k * self.len / (2.0 * np.pi))
+
+    @cached_property
     def k_squared(self) -> np.ndarray:
         out = np.zeros(self.shape)
         for comp in self.k_components:

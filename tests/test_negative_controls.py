@@ -2,9 +2,11 @@
 which its experiment calls on the solve's arrays.  A control calls the
 same function on arrays where the identity it checks is false by a
 stated margin, and the check must FAIL there, while the call on the true
-arrays passes.  A check that cannot fail shows nothing: energy-dissipation's
-rhs-sign has no control, because its rhs is minus a sum of squares on any
-arrays."""
+arrays passes.  gradient-bound's checks have no function of their own:
+their control lowers the constant c_s they compare with to 0.99 of its
+value, and every s must then FAIL.  A check that cannot fail shows
+nothing: energy-dissipation's rhs-sign has no control, because its rhs is
+minus a sum of squares on any arrays."""
 
 import math
 from itertools import combinations, product
@@ -12,9 +14,11 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+import fracflow.experiments
 from fracflow.ensemble_stats import (
     convexity_members,
     dissipation_series,
+    ladder_moments,
     reduce_dissipation,
     reduce_moments,
 )
@@ -29,14 +33,16 @@ from fracflow.experiments import (
     _moment_check,
     _moment_guard,
     _slack_check,
+    get_experiment,
     parallel_ladder,
 )
 from fracflow.random_fields import Ensemble, estimate_spectrum, sample_ensemble
 from fracflow.runner import RunConfig
-from fracflow.solver import ladder_moments, picard_solve
+from fracflow.solver import picard_solve
 from fracflow.spectral import (
     MultiplierOp,
     apply_multiplier_values,
+    gradient_constant,
     semigroup_multiplier,
 )
 
@@ -127,6 +133,24 @@ def test_cutoff_ladder_guard_fails_on_time_reversed_moments(cutoff_ladder):
     check = _moment_guard({p: m[::-1] for p, m in moments.items()})
     assert not check.passed
     assert check.statistic < -5.0
+
+
+def test_gradient_bound_fails_below_the_constant(monkeypatch):
+    """The bound is sharp: the discrete operator norm reaches 0.9999999,
+    0.9999963 and 0.9999986 of c_s t^{-1/2s} at s = 0.6, 0.75 and 1.
+    Against 0.99 c_s each s must count violations on its 41 times (28, 24
+    and 19 on the shipped config), while the true c_s counts none."""
+    experiment = get_experiment("gradient-bound")
+    config = RunConfig.from_dict({"experiment": "gradient-bound"}).to_dict()
+    assert experiment.fn(config, 1).passed
+    monkeypatch.setattr(fracflow.experiments, "gradient_constant",
+                        lambda s: 0.99 * gradient_constant(s))
+    checks = experiment.fn(config, 1).checks
+    assert [c.name for c in checks] == [
+        "gradient-bound-s0.6", "gradient-bound-s0.75", "gradient-bound-s1"]
+    for check in checks:
+        assert not check.passed, check.detail
+        assert check.statistic > 0
 
 
 def test_linear_spectral_decay_fails_at_the_wrong_s():

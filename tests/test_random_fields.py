@@ -145,13 +145,18 @@ class TestMeasureFamilies:
 
 
 class TestMeasureSpecRecords:
-    def test_record_builds_the_family(self):
-        record = {"family": "gaussian_bump", "mass": 1.5, "mean": 0.25,
-                  "params": {"width": 2.0}}
+    @pytest.mark.parametrize("record, build", [
+        ({"family": "gaussian_bump", "mass": 1.5, "mean": 0.25,
+          "params": {"width": 2.0}},
+         lambda: gaussian_bump_measure(GRID, width=2.0, mass=1.5, mean=0.25)),
+        ({"family": "power_law", "mass": 1.0, "params": {"nu": 2.0}},
+         lambda: power_law_measure(GRID, 2.0, 1.0)),
+    ], ids=["gaussian_bump", "power_law"])
+    def test_record_builds_the_family(self, record, build):
         m = measure_from_spec(GRID, record)
-        direct = gaussian_bump_measure(GRID, width=2.0, mass=1.5, mean=0.25)
+        direct = build()
         assert np.array_equal(m.weights, direct.weights)
-        assert m.mean == 0.25
+        assert m.mean == direct.mean == record.get("mean", 0.0)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown measure keys"):

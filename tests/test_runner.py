@@ -23,6 +23,8 @@ from fracflow.ensemble_stats import (
     dissipation_residual,
     dissipation_series,
     format_table,
+    ladder_moments,
+    ladder_series,
     moment_series,
     reduce_moments,
 )
@@ -63,8 +65,6 @@ from fracflow.solver import (
     _DuhamelPlan,
     _picard_iterate,
     cutoff_map,
-    ladder_moments,
-    ladder_series,
     picard_solve,
 )
 from fracflow.spectral import Grid

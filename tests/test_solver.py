@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from fracflow.ensemble_stats import ladder_moments, ladder_sup_distances
 from fracflow.errors import (
     ConfigurationError,
     NonContractionError,
@@ -36,8 +37,6 @@ from fracflow.solver import (
     contraction_bound,
     cutoff_map,
     dealias_mask,
-    ladder_moments,
-    ladder_sup_distances,
     minimal_K,
     picard_solve,
     step_solve,
@@ -231,11 +230,14 @@ class TestDealiasing:
         """The first step's w_b-weighted grad_z f(u), as a field."""
         return real_idft(plan.grid, plan.step_b[0] * plan.flux_hat(values))
 
-    def test_mask_keeps_low_third(self):
-        g = Grid(d=1, n=12, len=2 * math.pi)
-        mask = dealias_mask(g)
-        idx = np.fft.fftfreq(12, 1.0 / 12)
-        assert np.array_equal(mask, np.abs(idx) <= 4)
+    @pytest.mark.parametrize("d, length", [(1, 2 * math.pi), (2, 3.0)],
+                             ids=["d1", "d2"])
+    def test_mask_keeps_low_third(self, d, length):
+        """A mode is kept iff every axis index is <= n/3: in 2-D the
+        largest |index| over the axes decides."""
+        low = np.abs(np.fft.fftfreq(12, 1.0 / 12)) <= 4
+        keep = low if d == 1 else low[:, None] & low[None, :]
+        assert np.array_equal(dealias_mask(Grid(d=d, n=12, len=length)), keep)
 
     def test_mask_sits_in_both_step_weights(self):
         on = self.plan(self.G32, NonlinearitySpec.burgers(cutoff_level=2.0))
@@ -931,13 +933,14 @@ class TestCutoffLadder:
             real_init(plan, grid, plan_spec, config)
 
         monkeypatch.setattr(_DuhamelPlan, "__init__", counting)
-        solved = list(_ladder_solve(u0, spec, levels, cfg))
+        solutions, history = _ladder_solve(u0, spec, levels, cfg)
         assert built == [2.0]
-        assert [n for n, _, _ in solved] == levels
-        for n, values, history in solved:
+        assert list(solutions) == levels
+        assert history.shape == (len(levels), cfg.max_iter, 2)
+        for n, level_history in zip(levels, history):
             traj, want = expected[n]
-            assert np.array_equal(values, traj.values), n
-            assert np.array_equal(history, want), n
+            assert np.array_equal(solutions[n], traj.values), n
+            assert np.array_equal(level_history, want), n
 
     def test_per_level_diagnostics_kept(self):
         cfg = make_config(K=2 * minimal_K(0.75, 2.0), tol=1e-14, max_iter=3)
@@ -980,7 +983,7 @@ class TestCutoffLadder:
         assert check.detail == "min initial-bound z = -inf"
 
     def test_non_cauchy_profile_fails_the_check(self, monkeypatch):
-        import fracflow.solver as solver_mod
+        import fracflow.ensemble_stats as stats_mod
 
         def fake_distance(grid, a, b):
             # crafted so the worst distance grows with the min level
@@ -988,7 +991,7 @@ class TestCutoffLadder:
             return np.full(a.shape[:2], float(fake_distance.calls))
 
         fake_distance.calls = 0
-        monkeypatch.setattr(solver_mod, "_pair_distance", fake_distance)
+        monkeypatch.setattr(stats_mod, "_pair_distance", fake_distance)
         cfg = make_config(K=2 * minimal_K(0.75, 4.0))
         series, diagnostics = burgers_ladder(cfg, [1, 2, 4], mass=0.04)
         check = _cauchy_check("ladder-cauchy", series, list(diagnostics))
