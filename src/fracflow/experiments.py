@@ -7,9 +7,11 @@ monotonicity, the dissipation identity, and so on).  The registry is what
 the command line lists and runs; tests drive the same entry points.
 
 Each experiment builds its grid, measure, flux and solver config once
-from the run record (_cfg_parts); pooled solves hand those objects to
-their member chunks as they are.  A chunk is CHUNK members, one pool
-task, sampled once.  _chunk_results runs the chunks of several solves as
+from the run record (_cfg_parts, None for a section the record lacks or
+holds as null); its defaults hold only the sections its body builds.
+Pooled solves hand those objects to their member chunks as they are.  A
+chunk is CHUNK members, one pool task, sampled once.  _chunk_results
+runs the chunks of several solves as
 the tasks of one process pool, with no more workers than chunks, and
 yields each solve joined: parallel_picard is its one-solve case,
 energy-dissipation submits its three solves (the linear gate, tanh and
@@ -517,11 +519,14 @@ def list_experiments() -> list:
 
 def _cfg_parts(config: dict) -> tuple:
     """(grid, measure, nonlinearity spec, solver config) built from a run
-    record; raises ConfigurationError on the first bad part."""
+    record, None for a section the record lacks or holds as null; raises
+    ConfigurationError on the first bad part."""
     grid = from_record(Grid, config["grid"], "grid")
-    return (grid, measure_from_spec(grid, config["measure"]),
-            NonlinearitySpec.from_record(config["nonlinearity"]),
-            SolverConfig.from_record(config["solver"]))
+    build = {"measure": lambda record: measure_from_spec(grid, record),
+             "nonlinearity": NonlinearitySpec.from_record,
+             "solver": SolverConfig.from_record}
+    return (grid, *(None if config.get(key) is None else make(config[key])
+                    for key, make in build.items()))
 
 
 def _noted(check: CheckResult, solves: dict,
@@ -653,17 +658,10 @@ def _uniform_grid(t_final: float, nodes: int) -> list:
     return np.linspace(0.0, t_final, nodes).tolist()
 
 
-def _defaults(measure: dict, nonlinearity: dict, solver: dict,
-              n_members: int, seed: int, n: int = 512) -> dict:
-    return {
-        "grid": {"d": 1, "n": n, "len": TWO_PI},
-        "measure": measure,
-        "nonlinearity": nonlinearity,
-        "solver": solver,
-        "n_members": n_members,
-        "seed": seed,
-        "out": None,
-    }
+def _defaults(n_members: int, seed: int, n: int = 512, **sections) -> dict:
+    """Defaults holding only the model sections the experiment builds."""
+    return {"grid": {"d": 1, "n": n, "len": TWO_PI}, **sections,
+            "n_members": n_members, "seed": seed, "out": None}
 
 
 # -------------------------------------------------------------- experiments
@@ -678,8 +676,6 @@ _S_SWEEP = (0.6, 0.75, 1.0)
     _defaults(
         measure={"family": "two_mode", "mass": 1.0, "mean": 0.0,
                  "params": {"wavenumber": 3.0}},
-        nonlinearity={"kind": "zero"},
-        solver={"s": 0.75, "z": [1.0], "time_grid": _uniform_grid(1.0, 11)},
         n_members=2000, seed=12,
     ),
 )
@@ -741,7 +737,6 @@ def _zero_nonlinearity(config: dict, workers: int) -> ExperimentResult:
     _defaults(
         measure={"family": "gaussian_bump", "mass": 1.0, "mean": 0.0,
                  "params": {"width": 3.0}},
-        nonlinearity={"kind": "zero"},
         solver={"s": 0.75, "z": [1.0], "time_grid": _uniform_grid(2.0, 20)},
         n_members=4, seed=21,
     ),
@@ -789,13 +784,7 @@ def _semigroup_contraction(config: dict, workers: int) -> ExperimentResult:
     "kernel-identities",
     "kernel mass 1 to 1e-8, the self-similar rescaling law to 1e-6, and "
     "the s = 1 Gaussian closed form to 1e-8",
-    _defaults(
-        measure={"family": "gaussian_bump", "mass": 1.0, "mean": 0.0,
-                 "params": {"width": 2.0}},
-        nonlinearity={"kind": "zero"},
-        solver={"s": 0.75, "z": [1.0], "time_grid": _uniform_grid(2.0, 5)},
-        n_members=1, seed=0,
-    ),
+    _defaults(n_members=1, seed=0),
 )
 def _kernel_identities(config: dict, workers: int) -> ExperimentResult:
     grid, _, _, _ = _cfg_parts(config)
@@ -845,7 +834,6 @@ def _kernel_identities(config: dict, workers: int) -> ExperimentResult:
     _defaults(
         measure={"family": "gaussian_bump", "mass": 1.0, "mean": 0.0,
                  "params": {"width": 3.0}},
-        nonlinearity={"kind": "zero"},
         solver={"s": 0.75, "z": [1.0], "time_grid": _uniform_grid(1.0, 5)},
         n_members=1, seed=33,
     ),
@@ -1044,7 +1032,6 @@ def _energy_dissipation(config: dict, workers: int) -> ExperimentResult:
     _defaults(
         measure={"family": "gaussian_bump", "mass": 1.0, "mean": 0.0,
                  "params": {"width": 2.0}},
-        nonlinearity={"kind": "zero"},
         solver={"s": 0.75, "z": [1.0], "time_grid": _uniform_grid(1.0, 5)},
         n_members=2000, seed=85,
     ),
@@ -1110,8 +1097,6 @@ def _cutoff_ladder(config: dict, workers: int) -> ExperimentResult:
     _defaults(
         measure={"family": "gaussian_bump", "mass": 1.0, "mean": 0.0,
                  "params": {"width": 3.0}},
-        nonlinearity={"kind": "zero"},
-        solver={"s": 0.75, "z": [1.0], "time_grid": _uniform_grid(1.0, 5)},
         n_members=2000, seed=107,
     ),
 )

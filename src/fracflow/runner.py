@@ -3,7 +3,10 @@ configs, manifest emission, atomic artifact directories, and replay.
 
 A config file only needs the experiment name; every omitted field is
 filled from the experiment's defaults and the fully merged config is
-echoed into the manifest, so nothing about a run is ever implicit.
+echoed into the manifest, so nothing about a run is ever implicit.  The
+defaults hold only the model sections (measure, nonlinearity, solver)
+the experiment builds: a config that sets another is rejected, and the
+echo records it as null, so every value the manifest names was read.
 Artifacts are written to a staging directory and renamed into place,
 which means an output directory either holds a complete run or does not
 exist.
@@ -29,8 +32,12 @@ from .spectral import normalize_direction
 def _deep_merge(base: dict, override: dict) -> dict:
     out = dict(base)
     for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], value)
+        old = out.get(key)
+        # a nonlinearity of another kind reads none of the default's keys,
+        # so its record replaces the default's instead of merging into it
+        if (isinstance(value, dict) and isinstance(old, dict)
+                and value.get("kind", old.get("kind")) == old.get("kind")):
+            out[key] = _deep_merge(old, value)
         else:
             out[key] = value
     return out
@@ -39,15 +46,16 @@ def _deep_merge(base: dict, override: dict) -> dict:
 @dataclass
 class RunConfig:
     """A fully resolved run description; construct via from_dict or
-    from_file so defaults are merged and everything validates."""
+    from_file so defaults are merged and everything validates.  A model
+    section its experiment does not read is None."""
 
     experiment: str
     grid: dict
-    measure: dict
-    nonlinearity: dict
-    solver: dict
     n_members: int
     seed: int
+    measure: dict | None = None
+    nonlinearity: dict | None = None
+    solver: dict | None = None
     out: str | None = None
 
     def __post_init__(self):
@@ -68,7 +76,16 @@ class RunConfig:
         name = data.get("experiment")
         if not isinstance(name, str):
             raise ConfigurationError("config needs an 'experiment' name")
-        merged = _deep_merge(get_experiment(name).default_config(), data)
+        defaults = get_experiment(name).default_config()
+        merged = _deep_merge(defaults, data)
+        # an experiment reads exactly the model sections of its defaults
+        for key in ("measure", "nonlinearity", "solver"):
+            if key in defaults and not isinstance(merged[key], dict):
+                raise ConfigurationError(f"{key} record must be a mapping")
+            if key not in defaults and merged.get(key) is not None:
+                raise ConfigurationError(
+                    f"experiment {name!r} reads no {key} section; leave "
+                    f"'{key}' out of its config")
         cfg = from_record(cls, merged, "config")
         cfg.validate()
         return cfg
@@ -85,9 +102,10 @@ class RunConfig:
         return cls.from_dict(data)
 
     def validate(self):
-        """Build every referenced spec once; raises on the first bad one."""
+        """Build every section once; raises on the first bad one."""
         grid, _, _, solver = _cfg_parts(self.to_dict())
-        normalize_direction(grid, solver.z)
+        if solver is not None:
+            normalize_direction(grid, solver.z)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -77,7 +77,11 @@ from .spectral import (
     spatial_rms,
 )
 
-NONLINEARITY_KINDS = ("zero", "lipschitz_tanh", "burgers_quadratic", "polynomial")
+# each kind and the record keys it reads besides its kind
+NONLINEARITY_KINDS = {"zero": (),
+                      "lipschitz_tanh": ("scale", "cutoff_level"),
+                      "burgers_quadratic": ("cutoff_level",),
+                      "polynomial": ("scale", "exponent", "cutoff_level")}
 
 # series switch for the phi functions; below this the closed forms lose
 # digits to cancellation and a 4-term Taylor expansion is exact to ~1e-14
@@ -113,7 +117,7 @@ class NonlinearitySpec:
         if self.kind not in NONLINEARITY_KINDS:
             raise ConfigurationError(
                 f"unknown nonlinearity kind {self.kind!r}; "
-                f"choose from {NONLINEARITY_KINDS}"
+                f"choose from {tuple(NONLINEARITY_KINDS)}"
             )
         scale = require_number(self.scale, "nonlinearity 'scale'")
         if not (scale >= 0 and math.isfinite(scale)):
@@ -204,7 +208,15 @@ class NonlinearitySpec:
 
     @classmethod
     def from_record(cls, record: dict) -> "NonlinearitySpec":
-        return from_record(cls, record, "nonlinearity")
+        """The spec of a config record, which holds only the keys its
+        kind reads (NONLINEARITY_KINDS)."""
+        spec = from_record(cls, record, "nonlinearity")
+        ignored = set(record) - {"kind", *NONLINEARITY_KINDS[spec.kind]}
+        if ignored:
+            raise ConfigurationError(
+                f"nonlinearity kind {spec.kind!r} reads no "
+                f"{sorted(ignored)}")
+        return spec
 
 
 def dealias_mask(grid: Grid) -> np.ndarray:
@@ -612,11 +624,16 @@ def minimal_K(s: float, lipschitz: float) -> float:
 # ------------------------------------------------------------------ cut-off ladder
 
 def ladder_levels(spec: NonlinearitySpec, ladder) -> list:
-    """The validated cut-off levels of a ladder for a polynomial flux."""
+    """The validated cut-off levels of a ladder for a polynomial flux
+    with no cut-off of its own, as each level sets it."""
     if spec.kind not in ("burgers_quadratic", "polynomial"):
         raise ConfigurationError(
             f"cut-off ladder applies to polynomial kinds, not {spec.kind!r}"
         )
+    if spec.cutoff_level is not None:
+        raise ConfigurationError(
+            f"a cut-off ladder sets the cut-off at each level; the flux's "
+            f"own cutoff_level {spec.cutoff_level:g} would be ignored")
     levels = [float(n) for n in ladder]
     if not levels:
         raise ConfigurationError("ladder must hold at least one cut-off level")

@@ -145,6 +145,33 @@ class TestRegistry:
             assert cfg.experiment == name
             assert cfg.n_members >= 1
 
+    # the model sections each experiment builds, all its defaults hold
+    MODEL_SECTIONS = {
+        "linear-spectral-decay": {"measure"},
+        "zero-nonlinearity": {"measure", "nonlinearity", "solver"},
+        "semigroup-contraction": {"measure", "solver"},
+        "kernel-identities": set(),
+        "gradient-bound": {"measure", "solver"},
+        "picard-contraction": {"measure", "nonlinearity", "solver"},
+        "moment-monotonicity": {"measure", "nonlinearity", "solver"},
+        "energy-dissipation": {"measure", "nonlinearity", "solver"},
+        "orthogonality": {"measure", "solver"},
+        "cutoff-ladder": {"measure", "nonlinearity", "solver"},
+        "stroock-varopoulos": {"measure"},
+        "solver-cross-validation": {"measure", "nonlinearity", "solver"},
+        "replay-determinism": {"measure", "nonlinearity", "solver"},
+    }
+
+    def test_defaults_hold_only_the_sections_read(self):
+        assert set(REGISTRY) == set(self.MODEL_SECTIONS)
+        for name, sections in self.MODEL_SECTIONS.items():
+            defaults = get_experiment(name).defaults
+            assert set(defaults) - {"experiment", "grid", "n_members", "seed",
+                                    "out"} == sections, name
+            cfg = RunConfig.from_dict({"experiment": name}).to_dict()
+            for key in {"measure", "nonlinearity", "solver"} - sections:
+                assert cfg[key] is None, (name, key)
+
 
 class TestPublicApi:
     def test_every_exported_name_resolves_once(self):
@@ -226,6 +253,16 @@ class TestRunConfig:
     def test_round_trip_is_idempotent(self):
         cfg = small_config()
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_another_kind_replaces_the_default_nonlinearity(self):
+        # tanh's scale is no key of a Burgers record, so it is not merged in
+        burgers = {"kind": "burgers_quadratic"}
+        cfg = RunConfig.from_dict({"experiment": "energy-dissipation",
+                                   "nonlinearity": burgers})
+        assert cfg.nonlinearity == burgers
+        cfg = RunConfig.from_dict({"experiment": "energy-dissipation",
+                                   "nonlinearity": {"scale": 0.25}})
+        assert cfg.nonlinearity == {"kind": "lipschitz_tanh", "scale": 0.25}
 
     def test_nested_override_merges(self):
         cfg = small_config(measure={"params": {"width": 0.9}})
@@ -1449,8 +1486,8 @@ class TestCli:
         {**SMALL, "grid": [32]},
         {**SMALL, "measure": {"params": {"width": "wide"}}},
         {**SMALL, "measure": {"mass": [1.0]}},
-        {"experiment": "linear-spectral-decay", "solver": {"z": [1, 0, 3]}},
-        {"experiment": "linear-spectral-decay", "solver": {"z": ["x"]}},
+        {"experiment": "orthogonality", "solver": {"z": [1, 0, 3]}},
+        {"experiment": "orthogonality", "solver": {"z": ["x"]}},
         {**SMALL, "solver": {"s": "abc"}},
         {**SMALL, "solver": {"time_grid": ["a", "b"]}},
         {**SMALL, "solver": {"time_grid": [0, [1, 2]]}},
@@ -1474,6 +1511,85 @@ class TestCli:
         captured = capsys.readouterr()
         assert rc == 2
         assert "configuration error" in captured.err
+        assert captured.out == ""
+
+    # an experiment's config holds only the model sections it builds
+    @pytest.mark.parametrize("experiment, section", [
+        ("linear-spectral-decay", "nonlinearity"),
+        ("linear-spectral-decay", "solver"),
+        ("semigroup-contraction", "nonlinearity"),
+        ("kernel-identities", "measure"),
+        ("kernel-identities", "nonlinearity"),
+        ("kernel-identities", "solver"),
+        ("gradient-bound", "nonlinearity"),
+        ("orthogonality", "nonlinearity"),
+        ("stroock-varopoulos", "nonlinearity"),
+        ("stroock-varopoulos", "solver"),
+    ])
+    def test_unread_section_exit_two(self, tmp_path, capsys, experiment,
+                                     section):
+        record = get_experiment("zero-nonlinearity").default_config()[section]
+        cfg = self.write_config(tmp_path, {"experiment": experiment,
+                                           section: record})
+        rc = cli_main(["run", cfg, "--workers", "1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == (f"configuration error: experiment "
+                                f"{experiment!r} reads no {section} section; "
+                                f"leave '{section}' out of its config\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("experiment, section", [
+        ("energy-dissipation", "nonlinearity"), ("orthogonality", "solver")])
+    def test_null_read_section_exit_two(self, tmp_path, capsys, experiment,
+                                        section):
+        cfg = self.write_config(tmp_path, {"experiment": experiment,
+                                           section: None})
+        rc = cli_main(["run", cfg, "--workers", "1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == \
+            f"configuration error: {section} record must be a mapping\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("experiment", ["kernel-identities",
+                                            "stroock-varopoulos"])
+    def test_unread_sections_replay_as_null(self, tmp_path, capsys,
+                                            experiment):
+        cfg = self.write_config(tmp_path, {"experiment": experiment,
+                                           "n_members": 200})
+        out = tmp_path / "run"
+        assert cli_main(["run", cfg, "--out", str(out),
+                         "--workers", "1"]) == 0
+        capsys.readouterr()
+        config = RunManifest.load(out / "manifest.json").config
+        assert config["nonlinearity"] is None and config["solver"] is None
+        assert (config["measure"] is None) == (experiment
+                                               == "kernel-identities")
+        rc = cli_main(["replay", str(out / "manifest.json"),
+                       "--workers", "2"])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert "MISMATCH" not in captured.out
+        assert captured.out.count(": match") == len(
+            RunManifest.load(out / "manifest.json").tables)
+
+    @pytest.mark.parametrize("experiment", ["cutoff-ladder",
+                                            "moment-monotonicity"])
+    def test_ladder_cutoff_exit_two_before_solving(self, tmp_path, capsys,
+                                                   monkeypatch, experiment):
+        # each ladder level sets the cut-off, so a configured one is unread
+        def no_solve(*args):
+            raise AssertionError("a member chunk was solved")
+
+        monkeypatch.setattr(fracflow.experiments, "_solve_chunk", no_solve)
+        cfg = self.write_config(tmp_path, {
+            "experiment": experiment,
+            "nonlinearity": {"kind": "burgers_quadratic", "cutoff_level": 3}})
+        rc = cli_main(["run", cfg, "--workers", "1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "the flux's own cutoff_level 3 would be ignored" in captured.err
         assert captured.out == ""
 
     def test_solver_failure_exit_one(self, tmp_path, capsys):

@@ -200,6 +200,34 @@ class TestNonlinearitySpec:
         with pytest.raises(ConfigurationError):
             NonlinearitySpec.from_record({"scale": 1.0})
 
+    @pytest.mark.parametrize("record, ignored", [
+        ({"kind": "zero", "scale": 0.0}, "scale"),
+        ({"kind": "zero", "cutoff_level": 2.0}, "cutoff_level"),
+        ({"kind": "lipschitz_tanh", "scale": 0.5, "exponent": 2.0},
+         "exponent"),
+        ({"kind": "burgers_quadratic", "scale": 5.0}, "scale"),
+        ({"kind": "burgers_quadratic", "exponent": 3.0}, "exponent"),
+    ], ids=["zero-scale", "zero-cutoff", "tanh-exponent", "burgers-scale",
+            "burgers-exponent"])
+    def test_record_rejects_keys_its_kind_ignores(self, record, ignored):
+        # f = u^2/2 whatever scale or exponent a Burgers record names
+        with pytest.raises(ConfigurationError,
+                           match=rf"{record['kind']}.*reads no.*{ignored}"):
+            NonlinearitySpec.from_record(record)
+
+    @pytest.mark.parametrize("record", [
+        {"kind": "zero"},
+        {"kind": "lipschitz_tanh", "scale": 0.5, "cutoff_level": 2.0},
+        {"kind": "burgers_quadratic", "cutoff_level": 2.0},
+        {"kind": "polynomial", "scale": 1.5, "exponent": 2.0,
+         "cutoff_level": 4.0},
+    ], ids=["zero", "tanh", "burgers", "polynomial"])
+    def test_record_holds_the_keys_its_kind_reads(self, record):
+        assert NonlinearitySpec.from_record(record).kind == record["kind"]
+        # a spec built directly keeps every field, read or not
+        assert NonlinearitySpec(record["kind"], scale=2.0, exponent=3.0,
+                                cutoff_level=1.0).kind == record["kind"]
+
 
 class TestDealiasing:
     """The dealiasing mask acts in the solver's step weights: step_a and
@@ -1010,3 +1038,7 @@ class TestCutoffLadder:
             burgers_ladder(cfg, [2, 2])
         with pytest.raises(ConfigurationError, match="needs >= 2 members"):
             burgers_ladder(cfg, [1, 2], n_members=1)
+        # each level sets the cut-off, so a flux's own would go unread
+        with pytest.raises(ConfigurationError, match="cutoff_level 3"):
+            parallel_ladder(GRID, m, NonlinearitySpec.burgers(3.0), cfg, 2,
+                            5, [1, 2])
