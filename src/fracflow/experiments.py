@@ -19,6 +19,13 @@ Burgers) at once, and parallel_ladder runs a cut-off ladder as one task
 per chunk, solving every level inside it through solver._ladder_solve.
 Every chunk solves through solver._picard_iterate; the linear gate's
 flux is NonlinearitySpec.zero(), so it takes one sweep per member.
+energy-dissipation's tanh and Burgers chunks start their sweeps from
+the product-integration march (solver._DuhamelPlan.march), on the coarse
+and the configured grid alike, so the sweeps mostly confirm it; its
+fixed count of corrections keeps each member's start the same in any
+chunk.  The gate, whose P_t u0 is already its fixed point, the ladders
+and parallel_picard start from P_t u0, whose plain iterates the ladder's
+capped rungs return and picard-contraction measures.
 _ladder_solve returns the ladder whole, every level's trajectory values
 and the levels' stacked residual history, and names the level a numeric
 failure happened at; the chunk reduces it to its ensemble_stats
@@ -277,7 +284,8 @@ def _dissipation_chunk(ens: Ensemble, measure, spec,
                        config: SolverConfig) -> dict:
     """A dissipation chunk's values (dissipation_series), residual
     history and refined flags.  The chunk solves on _solve_grid, from u0
-    at every (n/n')-th point of the configured grid, its own values.  On
+    at every (n/n')-th point of the configured grid, its own values; a
+    nonzero flux starts its sweeps from the march on either grid.  On
     a coarser grid a member is kept from that solve when its _tail_rms is
     at most _TAIL_FRACTION tol; the others (refined) are re-solved on the
     configured grid through the same solve, so their series and history
@@ -285,9 +293,11 @@ def _dissipation_chunk(ens: Ensemble, measure, spec,
     the flux and the member, so the output is the same for any CHUNK."""
     grid = _solve_grid(measure, spec)
     every = (slice(None, None, ens.grid.n // grid.n),) * grid.d
+    # the gate's P_t u0 is already its fixed point
+    march = spec.kind != "zero"
     traj, history = _picard_iterate(
         Ensemble(grid, np.ascontiguousarray(ens.values[(Ellipsis, *every)]),
-                 seeds=ens.seeds), spec, config)
+                 seeds=ens.seeds), spec, config, march=march)
     values = dissipation_series(traj, config.s)
     refined = np.zeros(ens.n_members, dtype=bool)
     if grid != ens.grid:
@@ -297,7 +307,8 @@ def _dissipation_chunk(ens: Ensemble, measure, spec,
     if redo.size:
         fine, history[:, redo] = _picard_iterate(
             Ensemble(ens.grid, ens.values[redo],
-                     seeds=[ens.seeds[i] for i in redo]), spec, config)
+                     seeds=[ens.seeds[i] for i in redo]), spec, config,
+            march=march)
         values[:, redo] = dissipation_series(fine, config.s)
     return {"values": values, "history": history, "refined": refined}
 

@@ -31,6 +31,9 @@ from .spectral import normalize_direction
 
 def _deep_merge(base: dict, override: dict) -> dict:
     out = dict(base)
+    # a measure of another family reads none of the default's params
+    if override.get("family", base.get("family")) != base.get("family"):
+        out.pop("params", None)
     for key, value in override.items():
         old = out.get(key)
         # a nonlinearity of another kind reads none of the default's keys,

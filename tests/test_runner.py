@@ -67,7 +67,12 @@ from fracflow.solver import (
     cutoff_map,
     picard_solve,
 )
-from fracflow.spectral import Grid
+from fracflow.spectral import (
+    Grid,
+    apply_multiplier_values,
+    semigroup_multiplier,
+    spatial_rms,
+)
 
 SMALL = {"experiment": "zero-nonlinearity", "n_members": 8, "seed": 11}
 
@@ -263,6 +268,20 @@ class TestRunConfig:
         cfg = RunConfig.from_dict({"experiment": "energy-dissipation",
                                    "nonlinearity": {"scale": 0.25}})
         assert cfg.nonlinearity == {"kind": "lipschitz_tanh", "scale": 0.25}
+
+    def test_another_family_replaces_the_default_params(self, tmp_path):
+        # a power-law measure reads nu, not the gaussian bump's width, so
+        # the manifest echoes only nu; mass and mean apply to every family
+        record = {"experiment": "zero-nonlinearity",
+                  "measure": {"family": "power_law", "params": {"nu": 1.5}}}
+        cfg = RunConfig.from_dict(record)
+        assert cfg.measure == {"family": "power_law", "mass": 1.0,
+                               "mean": 0.0, "params": {"nu": 1.5}}
+        manifest, _ = run_experiment(cfg, workers=1, out=tmp_path / "run")
+        assert manifest.config["measure"]["params"] == {"nu": 1.5}
+        with pytest.raises(ConfigurationError, match="missing parameter 'nu'"):
+            RunConfig.from_dict({"experiment": "zero-nonlinearity",
+                                 "measure": {"family": "power_law"}})
 
     def test_nested_override_merges(self):
         cfg = small_config(measure={"params": {"width": 0.9}})
@@ -1207,15 +1226,16 @@ class TestEnergyDissipationPool:
         for report, (m, flux, offset) in zip(reports, solves.values()):
             # the whole Picard solve in this process, drawn from its
             # counter block and solved on the grid the experiment solves it
-            # on: the gate (f = 0) on n = 16, from every 4th point, tanh
-            # and Burgers on n = 64
+            # on: the gate (f = 0) on n = 16, from every 4th point and P_t
+            # u0, tanh and Burgers on n = 64 from the march
             ens = sample_ensemble(m, cfg.n_members, cfg.seed,
                                   counter_offset=offset)
             solved = _solve_grid(m, flux)
-            assert solved.n == (16 if flux.kind == "zero" else 64)
+            gate = flux.kind == "zero"
+            assert solved.n == (16 if gate else 64)
             ens = Ensemble(solved, ens.values[:, ::grid.n // solved.n],
                            seeds=ens.seeds)
-            traj, _ = picard_solve(ens, flux, solver)
+            traj, _ = _picard_iterate(ens, flux, solver, march=not gate)
             ref = dissipation_residual(traj, solver.s)
             for name in self.FIELDS:
                 assert np.array_equal(getattr(report, name),
@@ -1271,10 +1291,10 @@ class TestEnergyDissipationPool:
                 series[..., 1] -= 1.0         # a rate the flow never had
             return series
 
-        def burgers_blows_up(ens, spec, config):
+        def burgers_blows_up(ens, spec, config, **kwargs):
             if spec.kind == "burgers_quadratic":
                 raise NumericError("synthetic blowup")
-            return real_iterate(ens, spec, config)
+            return real_iterate(ens, spec, config, **kwargs)
 
         # module globals: forked pool workers inherit both patches
         monkeypatch.setattr(fracflow.experiments, "dissipation_series",
@@ -1304,9 +1324,10 @@ class TestCoarseDissipationGrid:
     @staticmethod
     def configured(m, flux, solver, members, seed, offset):
         """Each member's configured-grid series and residual history,
-        every member solved alone."""
+        every member solved alone from the march."""
         solves = [_picard_iterate(sample_ensemble(m, 1, seed, offset + i),
-                                  flux, solver) for i in members]
+                                  flux, solver, march=True)
+                  for i in members]
         return (np.concatenate([dissipation_series(traj, solver.s)
                                 for traj, _ in solves], axis=1),
                 np.concatenate([history for _, history in solves], axis=1))
@@ -1322,7 +1343,8 @@ class TestCoarseDissipationGrid:
         assert (grid.n, _solve_grid(m, flux).n) == (512, coarse)
         ens = sample_ensemble(m, 64, cfg.seed, counter_offset=offset)
         out = _dissipation_chunk(ens, m, flux, solver)
-        ref, history = _picard_iterate(ens, flux, solver)
+        ref, history = _picard_iterate(ens, flux, solver,
+                                       march=name != "linear")
         ref = dissipation_series(ref, solver.s)
         kept = ~out["refined"]
         assert kept.sum() >= 60
@@ -1365,7 +1387,7 @@ class TestCoarseDissipationGrid:
                                               8)["burgers"]
         ens = sample_ensemble(m, 8, cfg.seed, counter_offset=offset)
         out = _dissipation_chunk(ens, m, flux, solver)
-        traj, _ = picard_solve(ens, flux, solver)
+        traj, _ = _picard_iterate(ens, flux, solver, march=True)
         assert not out["refined"].any()
         assert np.array_equal(out["values"],
                               dissipation_series(traj, solver.s))
@@ -1384,6 +1406,66 @@ class TestCoarseDissipationGrid:
         assert _solve_grid(m, NonlinearitySpec.tanh(0.5)).n == coarse
         assert _solve_grid(m, NonlinearitySpec.zero()).n == coarse
         assert _solve_grid(m, NonlinearitySpec.burgers(2.0)) == grid
+
+
+class TestMarchedStart:
+    """energy-dissipation's tanh and Burgers solves start Picard from the
+    product-integration march; every other solve starts from P_t u0."""
+
+    @pytest.mark.parametrize("name", ["tanh", "burgers"])
+    def test_marched_solve_within_tol_of_plain_fixed_point(self, name):
+        """Each member's marched solve, on the grid the chunk solves it
+        on, lies within tol of its plain-start solve in the Bielecki norm,
+        and takes fewer sweeps."""
+        cfg = RunConfig.from_dict({"experiment": "energy-dissipation",
+                                   "n_members": CHUNK})
+        grid, measure, spec, solver = _cfg_parts(cfg.to_dict())
+        m, flux, offset = _dissipation_solves(grid, measure, spec,
+                                              CHUNK)[name]
+        solved = _solve_grid(m, flux)
+        ens = sample_ensemble(m, CHUNK, cfg.seed, counter_offset=offset)
+        ens = Ensemble(solved, np.ascontiguousarray(
+            ens.values[:, ::grid.n // solved.n]), seeds=ens.seeds)
+        plain, plain_history = _picard_iterate(ens, flux, solver)
+        marched, history = _picard_iterate(ens, flux, solver, march=True)
+        weights = np.exp(-solver.bielecki_k * solver.time_grid)
+        distance = np.max(weights[:, None] * spatial_rms(
+            solved, marched.values - plain.values), axis=0)
+        assert distance.shape == (CHUNK,)
+        assert np.all(distance <= solver.tol)
+        assert np.all(history[-1] <= solver.tol)
+        assert np.all(np.isfinite(history).sum(axis=0)
+                      <= np.isfinite(plain_history).sum(axis=0))
+        assert np.isfinite(history).sum() < np.isfinite(plain_history).sum()
+
+    def test_picard_solve_and_ladder_chunk_start_from_free_flow(self):
+        """The first-sweep residual of picard_solve and of a ladder
+        chunk's first level is each member's weighted distance between
+        P_t u0 and F(P_t u0)."""
+        grid = Grid(1, 32, 2 * math.pi)
+        measure = gaussian_bump_measure(grid, 0.6, mass=1.0)
+        spec = NonlinearitySpec.burgers()
+        solver = SolverConfig(0.75, [1.0], np.linspace(0.0, 0.1, 11),
+                              bielecki_k=4.0)
+        ens = sample_ensemble(measure, 5, seed=3)
+
+        def free_flow_residual(u0, flux):
+            free = np.stack([apply_multiplier_values(
+                grid, u0, semigroup_multiplier(grid, solver.s, float(t)))
+                for t in solver.time_grid])
+            plan = _DuhamelPlan(grid, flux, solver)
+            return plan.apply(plan.first_iterate(u0)[1], free)
+
+        flux = replace(spec, cutoff_level=2.0)
+        _, diag = picard_solve(ens, flux, solver)
+        want = free_flow_residual(ens.values, flux)
+        assert diag.residuals[0] == pytest.approx(np.max(want), rel=1e-9)
+        payload = fracflow.experiments._chunk_payloads(
+            measure, spec, solver, 5, seed=3, ladder=[1.0, 2.0])[0]
+        history = fracflow.experiments._solve_chunk(payload)["history"]
+        want = free_flow_residual(cutoff_map(ens.values, 1.0),
+                                  replace(spec, cutoff_level=1.0))
+        np.testing.assert_allclose(history[0, 0], want, rtol=1e-9)
 
 
 class TestTwoDimensions:

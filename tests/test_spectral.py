@@ -6,6 +6,7 @@ golden-section maximization for the multiplier constants.
 """
 
 import math
+import pickle
 
 import numpy as np
 import numpy.testing as npt
@@ -57,6 +58,22 @@ def test_grid_coerces_integral_floats():
     g = sp.Grid(1, 16.0, 6)
     assert type(g.n) is int and type(g.len) is float
     assert g.shape == (16,) and g == sp.Grid(1, 16, 6.0)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_grid_pickles_only_its_fields(d):
+    """A grid whose wavenumber arrays are cached pickles as small as a
+    fresh one, and unpickles equal, rebuilding the arrays on demand."""
+    fresh = pickle.dumps(sp.Grid(d, 512 // d, 2 * math.pi))
+    grid = sp.Grid(d, 512 // d, 2 * math.pi)
+    k_abs, index = grid.k_abs, grid.mode_index
+    assert grid.deriv_components
+    data = pickle.dumps(grid)
+    assert len(data) == len(fresh) < 200
+    back = pickle.loads(data)
+    assert back == grid and hash(back) == hash(grid)
+    assert np.array_equal(back.k_abs, k_abs)
+    assert np.array_equal(back.mode_index, index)
 
 
 def test_dual_grid_symmetric_except_nyquist():
